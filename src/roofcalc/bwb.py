@@ -10,9 +10,10 @@ action w * chi = w(chi + rho) - rho:
     w straightening chi + rho into the dominant chamber, and the group
     there is the irreducible G-module with highest weight w * chi.
 
-The straightening loop reflects the lowest-index negative coordinate of
-chi + rho; a zero coordinate at any step certifies singularity (the
-singular-pairing witness is carried along by the reflections).
+The straightening is weyl.straighten over every node: it reflects the
+lowest-index negative coordinate of chi + rho, and a zero coordinate at
+any step certifies singularity (the singular-pairing witness is carried
+along by the reflections).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from .reps import _require_dominant, weyl_dimension
-from .rootsys import RootSystem, Weight, make_weight, reflect
-from .weyl import ParabolicSubgroup, WeylElement, act
+from .rootsys import RootSystem, Weight, make_weight
+from .weyl import ParabolicSubgroup, WeylElement, act, straighten
 
 VANISHES = "Vanishes"
 SINGLE = "Single"
@@ -53,19 +54,10 @@ def bwb(P: ParabolicSubgroup, chi: Weight) -> CohomologyResult:
     """Cohomology of E_P(chi) on G/P for a P-dominant chi."""
     system = P.system
     chi = _require_dominant(chi, P)
-    v = chi + system.rho
-    steps = 0
-    budget = len(system.positive_roots)
-    while True:
-        if any(c == 0 for c in v):
-            return CohomologyResult(status=VANISHES)
-        node = next((i + 1 for i, c in enumerate(v) if c < 0), 0)
-        if not node:
-            break
-        v = reflect(system, v, node)
-        steps += 1
-        if steps > budget:
-            raise AssertionError("straightening exceeded the inversion bound")
+    straightened = straighten(system, chi + system.rho, range(1, system.rank + 1))
+    if straightened is None:
+        return CohomologyResult(status=VANISHES)
+    v, steps = straightened
     ghw = v - system.rho
     return CohomologyResult(
         status=SINGLE,

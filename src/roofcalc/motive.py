@@ -154,13 +154,9 @@ class LPolynomial:
         return self.render()
 
 
-def class_of_quotient(
-    P: ParabolicSubgroup,
-    cap: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-) -> LPolynomial:
+def class_of_quotient(P: ParabolicSubgroup, cap: Optional[int] = None) -> LPolynomial:
     """[G/P] in the Grothendieck ring: one L^length per Bruhat cell."""
-    lengths = coset_lengths(P, cap=cap, cache_dir=cache_dir)
+    lengths = coset_lengths(P, cap=cap)
     top = max(lengths)
     coeffs = [0] * (top + 1)
     for l in lengths:

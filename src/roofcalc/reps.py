@@ -10,13 +10,13 @@ roots, weight multiplicities from the Freudenthal recursion.  Both use the
 invariant form given by the symmetrized Cartan matrix normalised so that
 short roots have squared length 2; with full-group rho in place of the
 Levi half-sum (the difference pairs to zero with every Levi root), all
-intermediates are exact integers.
+intermediates are exact integers.  Characters split into Levi irreducibles
+by signed (Brauer-Klimyk) straightening of each weight, with the same rho.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
@@ -30,6 +30,7 @@ from .weyl import (
     longest_element,
     orbit,
     parabolic,
+    straighten,
 )
 
 
@@ -182,7 +183,6 @@ def _dominant_conjugate(P: ParabolicSubgroup, chi: Weight) -> Optional[Weight]:
             mu[j] -= c * alpha[j]
 
 
-@lru_cache(maxsize=None)
 def _dominant_multiplicities(
     P: ParabolicSubgroup, hw: Weight
 ) -> Tuple[Tuple[Weight, int], ...]:
@@ -291,44 +291,45 @@ def exterior_power(
 
 
 def decompose_levi(
-    ms: WeightMultiset, P: ParabolicSubgroup, cap: Optional[int] = None
+    ms: WeightMultiset, P: ParabolicSubgroup
 ) -> Tuple[Tuple[Weight, int], ...]:
     """Decompose a W_I-stable multiset into Levi highest weights.
 
-    Peels the height-maximal dominant weight (lexicographic tie-break),
-    subtracting the full character of its irrep each round.  Raises
-    NotARepresentation if the multiset is not a genuine character.
+    Signed Brauer-Klimyk straightening: each weight mu of multiplicity m
+    has mu + rho moved into the Levi chamber by weyl.straighten; a singular
+    weight contributes nothing, otherwise (-1)^steps * m goes to the
+    highest weight image - rho.  Summands come sorted by highest weight.
+    Raises NotARepresentation if the multiset is not W_I-stable or a net
+    multiplicity is negative, i.e. if it is not a genuine character.
     """
     system = P.system
-    remaining: Dict[Weight, int] = dict(ms.counts)
-    out: list[Tuple[Weight, int]] = []
-    while remaining:
-        best = None
-        best_key = None
-        for w in remaining:
-            if not is_dominant(w, P):
+    simple = system.simple_roots
+    retained = sorted(P.retained)
+    counts = ms.counts
+    for w, m in counts.items():
+        w = make_weight(system, w)
+        for i in retained:
+            c = w[i - 1]
+            if not c:
                 continue
-            key = (system.height(w), w)
-            if best_key is None or key > best_key:
-                best, best_key = w, key
-        if best is None:
-            raise NotARepresentation(
-                "leftover weights contain no Levi-dominant member"
-            )
-        m = remaining[best]
-        char = weight_multiset(LeviIrrep(P, best), cap=cap)
-        for w, c in char:
-            have = remaining.get(w, 0) - m * c
-            if have < 0:
+            image = tuple(a - c * b for a, b in zip(w, simple[i - 1]))
+            if counts.get(image, 0) != m:
                 raise NotARepresentation(
-                    f"multiplicity of {w!r} drops below zero while peeling {best!r}"
+                    f"multiplicity of {w!r} changes under the reflection at node {i}"
                 )
-            if have:
-                remaining[w] = have
-            else:
-                remaining.pop(w, None)
-        out.append((best, m))
-    return tuple(out)
+    rho = system.rho
+    nets: Dict[Weight, int] = {}
+    for mu, m in counts.items():
+        straightened = straighten(system, [a + b for a, b in zip(mu, rho)], retained)
+        if straightened is None:
+            continue
+        image, steps = straightened
+        hw = image - rho
+        nets[hw] = nets.get(hw, 0) + (-m if steps % 2 else m)
+    for hw, n in nets.items():
+        if n < 0:
+            raise NotARepresentation(f"net multiplicity {n} for highest weight {hw!r}")
+    return tuple(sorted((hw, n) for hw, n in nets.items() if n))
 
 
 def dual_highest_weight(chi: Weight, P: ParabolicSubgroup) -> Weight:

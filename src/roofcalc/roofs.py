@@ -284,7 +284,7 @@ def koszul_zero_locus_cohomology(
         cells[(0, base.degree)] = base.dimension
     for p in range(1, rank + 1):
         power = exterior_power(dual_weights, p, cap=cap)
-        for hw, mult in decompose_levi(power, P, cap=cap):
+        for hw, mult in decompose_levi(power, P):
             res = bwb(P, hw + twist)
             if res.status == SINGLE:
                 key = (p, res.degree)
@@ -426,10 +426,7 @@ class RoofReport:
 
 
 def verify_roof(
-    label: str,
-    r: Optional[int] = None,
-    cap: Optional[int] = None,
-    cache_dir: Optional[str] = None,
+    label: str, r: Optional[int] = None, cap: Optional[int] = None
 ) -> RoofReport:
     """Run the full pipeline for one catalog member and assemble the report."""
     fam = roof_data(label, r)
@@ -442,8 +439,8 @@ def verify_roof(
         P1 = parabolic(system, (a,))
         P2 = parabolic(system, (b,))
 
-    class_f1 = class_of_quotient(P1, cap=cap, cache_dir=cache_dir)
-    class_f2 = class_of_quotient(P2, cap=cap, cache_dir=cache_dir)
+    class_f1 = class_of_quotient(P1, cap=cap)
+    class_f2 = class_of_quotient(P2, cap=cap)
     classes_equal = class_f1 == class_f2
     residual = roof_identity_residual(class_f1, class_f2, fam.roof_rank)
     if classes_equal != residual.is_zero:

@@ -26,7 +26,7 @@ section whose last orthogonal coordinate vanishes.  Types F4 and G2 reject
 the map.
 
 Everything is exact: weight coordinates are Python ints, the only rational
-intermediates (orthogonal spin coordinates, heights) are Fractions.
+intermediates (orthogonal spin coordinates) are Fractions.
 """
 
 from __future__ import annotations
@@ -114,9 +114,6 @@ class RootSystem:
     # L-basis matrix (rows: L_j as a function of fundamental coordinates),
     # None for F4 and G2.
     orthogonal_basis_map: Optional[Tuple[Tuple[Fraction, ...], ...]]
-    # Sum of the simple-root-basis coordinates of omega_i; height(chi) is
-    # the dot product of this vector with chi.
-    height_coefficients: Tuple[Fraction, ...]
     # fundamental coordinates -> simple-root-basis coordinates, for
     # positivity tests on root images.
     root_coefficient_index: Mapping[Weight, Tuple[int, ...]]
@@ -137,17 +134,6 @@ class RootSystem:
         return sum(
             d * m * x
             for d, m, x in zip(self.symmetrizer, coefficients, chi, strict=True)
-        )
-
-    def height(self, chi: Weight) -> Fraction:
-        """<chi, rho-vee>: the sum of chi's simple-root-basis coordinates.
-
-        Strictly increases along the positive root cone, which is what the
-        dominant-weight peeling needs.
-        """
-        return sum(
-            (h * c for h, c in zip(self.height_coefficients, chi, strict=True)),
-            start=Fraction(0),
         )
 
 
@@ -250,24 +236,6 @@ def _orthogonal_matrix(
     return None
 
 
-def _height_coefficients(
-    cartan: Tuple[Tuple[int, ...], ...], rank: int
-) -> Tuple[Fraction, ...]:
-    # Solve cartan^T y = (1,...,1); then height(chi) = y . chi.
-    n = rank
-    aug = [[Fraction(cartan[j][i]) for j in range(n)] + [Fraction(1)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
-
-
 def _validate(type_label: str, rank: int) -> str:
     label = type_label.strip().upper()
     if label not in SUPPORTED_TYPES:
@@ -330,7 +298,6 @@ def _build_interned(label: str, rank: int) -> RootSystem:
         root_data=tuple(data),
         rho=rho,
         orthogonal_basis_map=_orthogonal_matrix(label, rank),
-        height_coefficients=_height_coefficients(cartan, rank),
         root_coefficient_index=index,
     )
 

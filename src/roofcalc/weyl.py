@@ -15,7 +15,6 @@ even though |W(C_8)| is above 10^7.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
@@ -266,6 +265,38 @@ def orbit(
     return tuple(sorted(seen))
 
 
+def straighten(
+    system: RootSystem, v: Sequence[int], nodes: Sequence[int]
+) -> Optional[Tuple[Weight, int]]:
+    """Move v into the chamber of the reflections at nodes (ascending, 1-based).
+
+    Reflects the lowest-index negative coordinate among nodes until none is
+    left.  Returns None at the first zero on nodes (v is singular for the
+    subgroup they generate), otherwise the image and the number of
+    reflections, which is the length of the straightening element.
+    """
+    simple = system.simple_roots
+    budget = len(system.positive_roots)
+    mu = list(v)
+    steps = 0
+    while True:
+        node = 0
+        for i in nodes:
+            c = mu[i - 1]
+            if c == 0:
+                return None
+            if c < 0 and not node:
+                node = i
+        if not node:
+            return Weight(mu), steps
+        c = mu[node - 1]
+        for j, a in enumerate(simple[node - 1]):
+            mu[j] -= c * a
+        steps += 1
+        if steps > budget:
+            raise AssertionError("straightening exceeded the inversion bound")
+
+
 def _full_orbit(
     system: RootSystem, chi: Weight, limit: int
 ) -> set[Weight]:
@@ -322,39 +353,12 @@ def minimal_coset_reps(
     return tuple(reps)
 
 
-def coset_lengths(
-    P: ParabolicSubgroup,
-    cap: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-) -> Tuple[int, ...]:
-    """Sorted lengths of the minimal coset representatives.
-
-    With cache_dir set, lengths are read from / written to a plain text
-    file of whitespace-separated integers keyed by (type, rank, crossed).
-    The cache is an optimisation only; results are identical without it.
-    """
-    path = None
-    if cache_dir is not None:
-        nodes = "-".join(str(i) for i in sorted(P.crossed)) or "none"
-        name = f"{P.system.type_label}{P.system.rank}_cross_{nodes}.lengths"
-        path = os.path.join(cache_dir, name)
-        if os.path.exists(path):
-            with open(path, "r", encoding="ascii") as fh:
-                values = tuple(int(tok) for tok in fh.read().split())
-            if values and min(values) < 0:
-                raise ValueError(f"corrupt coset length cache: {path}")
-            return values
+def coset_lengths(P: ParabolicSubgroup, cap: Optional[int] = None) -> Tuple[int, ...]:
+    """Sorted lengths of the minimal coset representatives."""
     system = P.system
     limit = resource_cap(cap)
     points = _full_orbit(system, _coset_probe(P), limit)
-    lengths = sorted(len(_descent_word_to_dominant(system, mu)) for mu in points)
-    values = tuple(lengths)
-    if path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(" ".join(str(v) for v in values))
-            fh.write("\n")
-    return values
+    return tuple(sorted(len(_descent_word_to_dominant(system, mu)) for mu in points))
 
 
 def weyl_group_order(system: RootSystem) -> int:

@@ -18,6 +18,7 @@ from roofcalc import (
     is_ample,
     line_bundle_rank_check,
     make_weight,
+    orbit,
     parabolic,
     weight_multiset,
     weyl_dimension,
@@ -138,9 +139,17 @@ def test_exterior_square_of_defining_symplectic_rep():
 def test_decompose_levi_rejects_non_characters():
     c3 = build_root_system("C", 3)
     G = full_group(c3)
-    bogus = WeightMultiset({make_weight(c3, (1, 0, 0)): 1})
-    with pytest.raises(NotARepresentation):
-        decompose_levi(bogus, G)
+    # the defining character, made not W-stable; its straightening nets
+    # {omega_1: 1} still match the size 6
+    unstable = dict(weight_multiset(LeviIrrep(G, fund(c3, 1))).counts)
+    del unstable[make_weight(c3, (-1, 1, 0))]
+    unstable[make_weight(c3, (-1, 2, -1))] = 1
+    # the bare W-orbit of 2 omega_1 is W-stable; its net at 0 is -1
+    bare_orbit = dict.fromkeys(orbit(make_weight(c3, (2, 0, 0)), G), 1)
+    assert len(bare_orbit) == 6
+    for counts in ({make_weight(c3, (1, 0, 0)): 1}, unstable, bare_orbit):
+        with pytest.raises(NotARepresentation):
+            decompose_levi(WeightMultiset(counts), G)
 
 
 def test_dominance_error_names_the_node():
