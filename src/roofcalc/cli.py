@@ -239,7 +239,7 @@ def _cmd_bwb(args) -> Tuple[dict, str, int]:
 def _cmd_class_quotient(args) -> Tuple[dict, str, int]:
     system = build_root_system(args.type, args.rank)
     P = parabolic(system, _csv_ints(args.cross, "--cross"))
-    poly = class_of_quotient(P, cap=args.cap)
+    poly = class_of_quotient(P)
     payload = {
         "type": system.type_label,
         "rank": system.rank,

@@ -2,11 +2,14 @@
 
 Classes of generalized flag varieties in the Grothendieck ring of
 varieties are polynomials in the Lefschetz class L with nonnegative
-integer coefficients: the Bruhat decomposition gives one affine cell per
-minimal coset representative, graded by length.  Isotropic Grassmannians
-IGr(d, 2n) also admit a closed product formula, which doubles as a point
-count over F_q on substituting q for L; the two routes are kept separate
-so they can certify each other.
+integer coefficients.  class_of_quotient computes [G/P] from Macdonald's
+height product, prod [ht beta + 1]_L / [ht beta]_L over the positive
+roots outside the Levi, in time polynomial in the rank.  The Bruhat
+decomposition (one affine cell per minimal coset representative, graded
+by length, see weyl.coset_lengths) gives the same polynomial and is kept
+as a cross-check in the tests.  Isotropic Grassmannians IGr(d, 2n) also
+admit a closed product formula, which doubles as a point count over F_q
+on substituting q for L; it certifies the C-family base classes.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from .weyl import ParabolicSubgroup, coset_lengths
+from .weyl import ParabolicSubgroup, height_exponents
 
 
 class ExactDivisionError(ArithmeticError):
@@ -154,14 +157,20 @@ class LPolynomial:
         return self.render()
 
 
-def class_of_quotient(P: ParabolicSubgroup, cap: Optional[int] = None) -> LPolynomial:
-    """[G/P] in the Grothendieck ring: one L^length per Bruhat cell."""
-    lengths = coset_lengths(P, cap=cap)
-    top = max(lengths)
-    coeffs = [0] * (top + 1)
-    for l in lengths:
-        coeffs[l] += 1
-    return LPolynomial(coeffs)
+def class_of_quotient(P: ParabolicSubgroup) -> LPolynomial:
+    """[G/P] in the Grothendieck ring, from the height product.
+
+    The factors [h]_L with positive exponent are multiplied out, then the
+    product of the rest is divided off exactly, once.
+    """
+    num = den = LPolynomial.one()
+    for h, e in height_exponents(P).items():
+        factor = LPolynomial.projective_space(h - 1)
+        for _ in range(e):
+            num = num * factor
+        for _ in range(-e):
+            den = den * factor
+    return num.exact_div(den)
 
 
 def _validate_igr(d: int, n: int) -> None:

@@ -13,10 +13,11 @@ bundle on the roof cuts a pair of zero loci (Z_1, Z_2) satisfying
 in the Grothendieck ring, with r the bundle rank.  Equal base classes
 therefore certify L^{r-1} ([Z_1] - [Z_2]) = 0.
 
-The pipeline computes both base classes from Bruhat cells, resolves
-O_{Z_i}(1) by the Koszul complex of the cutting section, pushes every
-term through Borel-Weil-Bott, and reads off H^*(Z_i, O(1)) whenever the
-first page of the resulting spectral sequence visibly degenerates.  For
+The pipeline computes both base classes from the height product
+(motive.class_of_quotient), resolves O_{Z_i}(1) by the Koszul complex of
+the cutting section, pushes every term through Borel-Weil-Bott, and
+reads off H^*(Z_i, O(1)) whenever the first page of the resulting
+spectral sequence visibly degenerates.  For
 zero loci of dimension at least 3 the ample generator restricts from
 the base and any isomorphism Z_1 = Z_2 would match the two O(1)
 polarizations, so unequal H^0 dimensions witness Z_1 != Z_2 and make
@@ -439,8 +440,8 @@ def verify_roof(
         P1 = parabolic(system, (a,))
         P2 = parabolic(system, (b,))
 
-    class_f1 = class_of_quotient(P1, cap=cap)
-    class_f2 = class_of_quotient(P2, cap=cap)
+    class_f1 = class_of_quotient(P1)
+    class_f2 = class_of_quotient(P2)
     classes_equal = class_f1 == class_f2
     residual = roof_identity_residual(class_f1, class_f2, fam.roof_rank)
     if classes_equal != residual.is_zero:

@@ -5,12 +5,16 @@ regular, the image of rho is a faithful canonical key, so equality and
 hashing use it; each element also carries a canonical reduced word
 (extracted by a greedy right-descent, smallest node first).
 
-Coset enumeration never materialises the full Weyl group.  The cosets
-w W_I correspond to the W-orbit of a probe weight that is zero on retained
-nodes and one on crossed nodes (its stabiliser is exactly W_I), and the
-length of the minimal representative is recovered by greedy descent of the
-orbit point back to the dominant chamber.  This keeps C_8 parabolics cheap
-even though |W(C_8)| is above 10^7.
+The Poincare polynomial of W / W_I has Macdonald's closed form, a product
+over the positive roots outside the Levi of [ht + 1]_L / [ht]_L;
+height_exponents collects its factors, and coset_count is its value at
+L = 1.  Enumeration is kept for the representatives themselves and as an
+independent cross-check of that product.  It never materialises the full
+Weyl group: the cosets w W_I correspond to the W-orbit of a probe weight
+that is zero on retained nodes and one on crossed nodes (its stabiliser is
+exactly W_I), and the length of the minimal representative is recovered
+by greedy descent of the orbit point back to the dominant chamber.  The
+coset count is checked against the resource cap before the orbit is built.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .limits import check_cap, resource_cap
 from .rootsys import (
@@ -297,9 +301,36 @@ def straighten(
             raise AssertionError("straightening exceeded the inversion bound")
 
 
-def _full_orbit(
-    system: RootSystem, chi: Weight, limit: int
-) -> set[Weight]:
+def height_exponents(P: ParabolicSubgroup) -> Dict[int, int]:
+    """Exponents e_h with [G/P] = prod_h [h]_L ** e_h, ascending in h.
+
+    Macdonald's product runs over the positive roots beta touching a
+    crossed node and multiplies [ht beta + 1]_L / [ht beta]_L, where
+    [h]_L = 1 + L + ... + L^(h-1).  Factors are collected by h and the
+    ratios cancelled; [1]_L = 1 and zero exponents are left out.
+    """
+    crossed = [i - 1 for i in P.crossed]
+    exponents: Dict[int, int] = {}
+    for data in P.system.root_data:
+        if any(data.coefficients[i] for i in crossed):
+            h = sum(data.coefficients)
+            exponents[h + 1] = exponents.get(h + 1, 0) + 1
+            exponents[h] = exponents.get(h, 0) - 1
+    return {h: e for h, e in sorted(exponents.items()) if h > 1 and e}
+
+
+def coset_count(P: ParabolicSubgroup) -> int:
+    """|W / W_I|, the height product at L = 1, where [h]_L is h."""
+    num = den = 1
+    for h, e in height_exponents(P).items():
+        if e > 0:
+            num *= h**e
+        else:
+            den *= h**-e
+    return num // den
+
+
+def _full_orbit(system: RootSystem, chi: Weight) -> set[Weight]:
     seen = {chi}
     frontier = [chi]
     while frontier:
@@ -312,9 +343,14 @@ def _full_orbit(
                 if image not in seen:
                     seen.add(image)
                     nxt.append(image)
-        check_cap("coset enumeration", len(seen), limit)
         frontier = nxt
     return seen
+
+
+def _coset_points(P: ParabolicSubgroup, cap: Optional[int]) -> set[Weight]:
+    """One orbit point per coset, once the exact count has passed the cap."""
+    check_cap("coset enumeration", coset_count(P), resource_cap(cap))
+    return _full_orbit(P.system, _coset_probe(P))
 
 
 def _descent_word_to_dominant(system: RootSystem, mu: Weight) -> Tuple[int, ...]:
@@ -340,10 +376,8 @@ def minimal_coset_reps(
     Sorted by (length, word); the identity represents W_I itself.
     """
     system = P.system
-    limit = resource_cap(cap)
-    points = _full_orbit(system, _coset_probe(P), limit)
     reps = []
-    for mu in sorted(points):
+    for mu in sorted(_coset_points(P, cap)):
         word = _descent_word_to_dominant(system, mu)
         w = from_word(system, word)
         if len(w.word) != len(word):
@@ -356,8 +390,7 @@ def minimal_coset_reps(
 def coset_lengths(P: ParabolicSubgroup, cap: Optional[int] = None) -> Tuple[int, ...]:
     """Sorted lengths of the minimal coset representatives."""
     system = P.system
-    limit = resource_cap(cap)
-    points = _full_orbit(system, _coset_probe(P), limit)
+    points = _coset_points(P, cap)
     return tuple(sorted(len(_descent_word_to_dominant(system, mu)) for mu in points))
 
 

@@ -1,9 +1,9 @@
 """The eight gated property suites.
 
 Each function runs its whole sweep, raises AssertionError on the first
-violation, and returns the number of cases checked.  They are invoked
-once as ordinary tests and once more by the acceptance gate, which
-asserts the case counts meet the required thresholds.
+violation, and returns the number of cases checked.  Criterion 5 of the
+acceptance gate runs each suite once, as its own test, and asserts that
+the case count meets the required threshold.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def suite_exterior_partition() -> int:
 
 
 def suite_igr_agreement() -> int:
-    """Product-formula classes, Bruhat classes and point counts agree.
+    """IGr product-formula classes, height-product classes and point counts agree.
 
     Exhaustive on 1 <= d <= min(3, n), n <= 4, with point counts checked
     at the five primes 2, 3, 5, 7, 11.

@@ -10,6 +10,8 @@ import time
 from contextlib import contextmanager
 from math import comb, factorial
 
+import pytest
+
 from roofcalc import (
     SINGLE,
     VANISHES,
@@ -129,11 +131,13 @@ def test_criterion_4_c_family_r3(capsys):
         assert h0 == (weyl_dimension(c8, omega5), weyl_dimension(c8, omega6))
 
 
-def test_criterion_5_property_suites(capsys):
-    with criterion(capsys, "criterion 5: property suites"):
-        for name, runner, threshold in ALL_SUITES:
-            cases = runner()
-            assert cases >= threshold, (name, cases, threshold)
+@pytest.mark.parametrize(
+    "name,runner,threshold", ALL_SUITES, ids=[s[0] for s in ALL_SUITES]
+)
+def test_criterion_5_property_suites(capsys, name, runner, threshold):
+    with criterion(capsys, f"criterion 5: property suite {name}"):
+        cases = runner()
+        assert cases >= threshold, (name, cases, threshold)
 
 
 def test_criterion_6_f4_regression_vectors(capsys):

@@ -1,19 +1,24 @@
 """Grothendieck-ring arithmetic and isotropic Grassmannian classes."""
 
 import random
+from math import comb
 
 import pytest
 
 from roofcalc import (
+    DEFAULT_CAP,
     ExactDivisionError,
     LPolynomial,
     build_root_system,
     class_of_quotient,
+    coset_lengths,
     igr_class,
     igr_point_count,
     parabolic,
     roof_identity_residual,
 )
+
+from oracles import all_nonempty_parabolics
 
 
 def test_construction_trims_trailing_zeros():
@@ -100,11 +105,52 @@ def test_class_of_quotient_projective_space():
     assert class_of_quotient(parabolic(a4, (1,))) == LPolynomial.projective_space(4)
 
 
+def _bruhat_class(P):
+    """[G/P] as one L^length per enumerated Bruhat cell."""
+    lengths = coset_lengths(P)
+    histogram = [0] * (max(lengths) + 1)
+    for ell in lengths:
+        histogram[ell] += 1
+    return LPolynomial(histogram)
+
+
+def test_class_of_quotient_matches_bruhat_cells():
+    # the height product against the length histogram of the enumerated
+    # minimal coset representatives, on every nonempty crossed set
+    cases = 0
+    for label, rank in (
+        ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
+        ("C", 2), ("C", 3), ("C", 4),
+        ("D", 4), ("F4", 4), ("G2", 2),
+    ):
+        for P in all_nonempty_parabolics(build_root_system(label, rank)):
+            assert class_of_quotient(P) == _bruhat_class(P), P
+            cases += 1
+    assert cases == 115
+
+
+def test_class_of_quotient_enumerates_nothing():
+    # Gr(15, 31) has comb(31, 15) cells, far above the default cap, so
+    # only a closed form can produce its class
+    n, k = 31, 15
+    assert comb(n, k) > DEFAULT_CAP
+    # q-Pascal: [m choose j] = [m-1 choose j-1] + L^j [m-1 choose j]
+    row = [LPolynomial.one()]
+    for m in range(1, n + 1):
+        prev = row + [LPolynomial.zero()]
+        row = [prev[0]] + [
+            prev[j - 1] + LPolynomial([0] * j + [1]) * prev[j] for j in range(1, m + 1)
+        ]
+    a30 = build_root_system("A", 30)
+    assert class_of_quotient(parabolic(a30, (k,))) == row[k]
+
+
 def test_igr_class_matches_bruhat_cells():
     for n in (2, 3, 4):
         system = build_root_system("C", n)
         for d in range(1, n + 1):
-            assert igr_class(d, n) == class_of_quotient(parabolic(system, (d,)))
+            P = parabolic(system, (d,))
+            assert igr_class(d, n) == class_of_quotient(P) == _bruhat_class(P)
 
 
 def test_igr_point_count_lagrangian_c2():

@@ -160,6 +160,17 @@ def test_coset_lengths_sorted_and_counted():
     assert len(lengths) == 1152 // 48  # |W(F4)| / |W(C3)|
 
 
+def test_coset_cap_reports_exact_count():
+    # the exact count is checked before anything is enumerated
+    full_flag = parabolic(build_root_system("F4", 4), (1, 2, 3, 4))
+    for enumerate_cosets in (coset_lengths, minimal_coset_reps):
+        with pytest.raises(ResourceCapExceeded) as exc:
+            enumerate_cosets(full_flag, cap=100)
+        assert exc.value.needed == 1152
+        assert exc.value.cap == 100
+    assert len(coset_lengths(full_flag, cap=1152)) == 1152
+
+
 def test_orbit_properties():
     c3 = build_root_system("C", 3)
     W = full_group(c3)
