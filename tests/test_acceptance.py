@@ -10,8 +10,6 @@ import time
 from contextlib import contextmanager
 from math import comb, factorial
 
-import pytest
-
 from roofcalc import (
     SINGLE,
     VANISHES,
@@ -131,13 +129,11 @@ def test_criterion_4_c_family_r3(capsys):
         assert h0 == (weyl_dimension(c8, omega5), weyl_dimension(c8, omega6))
 
 
-@pytest.mark.parametrize(
-    "name,runner,threshold", ALL_SUITES, ids=[s[0] for s in ALL_SUITES]
-)
-def test_criterion_5_property_suites(capsys, name, runner, threshold):
-    with criterion(capsys, f"criterion 5: property suite {name}"):
-        cases = runner()
-        assert cases >= threshold, (name, cases, threshold)
+def test_criterion_5_property_suites(capsys):
+    for name, runner, threshold in ALL_SUITES:
+        with criterion(capsys, f"criterion 5: property suite {name}"):
+            cases = runner()
+            assert cases >= threshold, (name, cases, threshold)
 
 
 def test_criterion_6_f4_regression_vectors(capsys):
