@@ -11,9 +11,9 @@ action w * chi = w(chi + rho) - rho:
     there is the irreducible G-module with highest weight w * chi.
 
 The straightening is weyl.straighten over every node: it reflects the
-lowest-index negative coordinate of chi + rho, and a zero coordinate at
-any step certifies singularity (the singular-pairing witness is carried
-along by the reflections).
+lowest-index negative coordinate of chi + rho until none is left.  Its
+image is the dominant conjugate of chi + rho, so chi + rho is singular
+exactly when that image has a zero coordinate.
 """
 
 from __future__ import annotations
@@ -54,14 +54,13 @@ def bwb(P: ParabolicSubgroup, chi: Weight) -> CohomologyResult:
     """Cohomology of E_P(chi) on G/P for a P-dominant chi."""
     system = P.system
     chi = _require_dominant(chi, P)
-    straightened = straighten(system, chi + system.rho, range(1, system.rank + 1))
-    if straightened is None:
+    v, letters = straighten(system, chi + system.rho, range(1, system.rank + 1))
+    if 0 in v:
         return CohomologyResult(status=VANISHES)
-    v, steps = straightened
     ghw = v - system.rho
     return CohomologyResult(
         status=SINGLE,
-        degree=steps,
+        degree=len(letters),
         g_highest_weight=ghw,
         dimension=weyl_dimension(system, ghw),
     )

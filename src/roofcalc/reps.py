@@ -163,32 +163,13 @@ class LeviIrrep:
         return weyl_dimension(self.parabolic, self.highest_weight)
 
 
-def _dominant_conjugate(P: ParabolicSubgroup, chi: Weight) -> Optional[Weight]:
-    """The Levi-dominant W_I-conjugate of chi (always exists, unique)."""
-    system = P.system
-    retained = sorted(P.retained)
-    mu = list(chi)
-    simple = system.simple_roots
-    while True:
-        node = 0
-        for i in retained:
-            if mu[i - 1] < 0:
-                node = i
-                break
-        if not node:
-            return Weight(mu)
-        c = mu[node - 1]
-        alpha = simple[node - 1]
-        for j in range(system.rank):
-            mu[j] -= c * alpha[j]
-
-
 def _dominant_multiplicities(
     P: ParabolicSubgroup, hw: Weight
 ) -> Tuple[Tuple[Weight, int], ...]:
     """Freudenthal recursion: multiplicities of the dominant weights <= hw."""
     system = P.system
     lroots = levi_root_data(P)
+    retained = sorted(P.retained)
     sym = system.symmetrizer
 
     # Dominant weights of the irrep: breadth-first subtraction of Levi
@@ -227,7 +208,7 @@ def _dominant_multiplicities(
             nu = mu + beta
             k = 1
             while True:
-                m = mult.get(_dominant_conjugate(P, nu), 0)
+                m = mult.get(straighten(system, nu, retained)[0], 0)
                 if not m:
                     break  # root strings through a weight have no gaps
                 total += m * (base + k * norm)
@@ -296,9 +277,10 @@ def decompose_levi(
     """Decompose a W_I-stable multiset into Levi highest weights.
 
     Signed Brauer-Klimyk straightening: each weight mu of multiplicity m
-    has mu + rho moved into the Levi chamber by weyl.straighten; a singular
-    weight contributes nothing, otherwise (-1)^steps * m goes to the
-    highest weight image - rho.  Summands come sorted by highest weight.
+    has mu + rho moved into the Levi chamber by weyl.straighten; if the
+    image has a zero on a retained node, mu + rho is singular and
+    contributes nothing, otherwise (-1)^steps * m goes to the highest
+    weight image - rho.  Summands come sorted by highest weight.
     Raises NotARepresentation if the multiset is not W_I-stable or a net
     multiplicity is negative, i.e. if it is not a genuine character.
     """
@@ -320,12 +302,11 @@ def decompose_levi(
     rho = system.rho
     nets: Dict[Weight, int] = {}
     for mu, m in counts.items():
-        straightened = straighten(system, [a + b for a, b in zip(mu, rho)], retained)
-        if straightened is None:
+        image, letters = straighten(system, [a + b for a, b in zip(mu, rho)], retained)
+        if any(image[i - 1] == 0 for i in retained):
             continue
-        image, steps = straightened
         hw = image - rho
-        nets[hw] = nets.get(hw, 0) + (-m if steps % 2 else m)
+        nets[hw] = nets.get(hw, 0) + (-m if len(letters) % 2 else m)
     for hw, n in nets.items():
         if n < 0:
             raise NotARepresentation(f"net multiplicity {n} for highest weight {hw!r}")

@@ -1,9 +1,11 @@
 """Weyl group elements, parabolic subgroups, orbits and coset enumeration.
 
-Elements are determined by their action on weights.  Because rho is
-regular, the image of rho is a faithful canonical key, so equality and
-hashing use it; each element also carries a canonical reduced word
-(extracted by a greedy right-descent, smallest node first).
+One chamber walk, straighten, does every descent here and in reps and
+bwb: it reflects the lowest-index negative coordinate until none is left.
+An element is its canonical reduced word plus a key: the word is the
+greedy right descent, smallest node first, read off by straightening
+w^-1(rho); the key is the image of rho, faithful because rho is regular,
+so equality and hashing use it.  Elements act by applying their word.
 
 The Poincare polynomial of W / W_I has Macdonald's closed form, a product
 over the positive roots outside the Levi of [ht + 1]_L / [ht]_L;
@@ -12,15 +14,15 @@ L = 1.  Enumeration is kept for the representatives themselves and as an
 independent cross-check of that product.  It never materialises the full
 Weyl group: the cosets w W_I correspond to the W-orbit of a probe weight
 that is zero on retained nodes and one on crossed nodes (its stabiliser is
-exactly W_I), and the length of the minimal representative is recovered
-by greedy descent of the orbit point back to the dominant chamber.  The
-coset count is checked against the resource cap before the orbit is built.
+exactly W_I).  Orbits and cosets share one breadth-first search, and the
+length of a minimal representative is the BFS depth of its point.  The
+exact orbit or coset count, a ratio of height products, is checked
+against the resource cap before anything is allocated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from math import factorial
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
@@ -46,7 +48,6 @@ class WeylElement:
     system: RootSystem
     word: Tuple[int, ...]
     canonical_key: Weight
-    columns: Tuple[Weight, ...] = field(compare=False)  # images of omega_i
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylElement):
@@ -66,20 +67,6 @@ class WeylElement:
         return f"WeylElement({'*'.join(f's{i}' for i in self.word)})"
 
 
-def _identity_columns(system: RootSystem) -> Tuple[Weight, ...]:
-    n = system.rank
-    return tuple(Weight(1 if j == i else 0 for j in range(n)) for i in range(n))
-
-
-def _columns_act(system: RootSystem, columns: Sequence[Weight], chi: Weight) -> Weight:
-    out = [0] * system.rank
-    for c, col in zip(chi, columns, strict=True):
-        if c:
-            for j, x in enumerate(col):
-                out[j] += c * x
-    return Weight(out)
-
-
 def _is_negative_root(system: RootSystem, chi: Weight) -> bool:
     coeffs = system.root_coefficient_index.get(-chi)
     if coeffs is not None:
@@ -89,64 +76,44 @@ def _is_negative_root(system: RootSystem, chi: Weight) -> bool:
     raise AssertionError(f"{chi!r} is not a root of {system!r}")
 
 
-def _canonical_word(system: RootSystem, columns: Sequence[Weight]) -> Tuple[int, ...]:
-    """Greedy right-descent: repeatedly strip s_i with w(alpha_i) < 0."""
-    cols = list(columns)
-    word_rev: list[int] = []
-    while True:
-        descent = 0
-        descent_image = None
-        for i in range(1, system.rank + 1):
-            image = _columns_act(system, cols, system.simple_roots[i - 1])
-            if _is_negative_root(system, image):
-                descent = i
-                descent_image = image
-                break
-        if not descent:
-            break
-        word_rev.append(descent)
-        # multiply by s_i on the right: (w s_i)(omega_i) = w(omega_i - alpha_i),
-        # so only column i changes
-        i0 = descent - 1
-        cols[i0] = cols[i0] - descent_image
-    return tuple(reversed(word_rev))
-
-
-def _from_columns(system: RootSystem, columns: Sequence[Weight]) -> WeylElement:
-    cols = tuple(columns)
-    word = _canonical_word(system, cols)
-    key = Weight([sum(col[j] for col in cols) for j in range(system.rank)])
-    return WeylElement(system=system, word=word, canonical_key=key, columns=cols)
+def _apply(system: RootSystem, word: Sequence[int], chi: Weight) -> Weight:
+    """s_{i_1} ... s_{i_k}(chi): the rightmost letter acts first."""
+    simple = system.simple_roots
+    mu = list(chi)
+    for i in reversed(word):
+        c = mu[i - 1]
+        for j, a in enumerate(simple[i - 1]):
+            mu[j] -= c * a
+    return Weight(mu)
 
 
 def identity(system: RootSystem) -> WeylElement:
-    return _from_columns(system, _identity_columns(system))
+    return from_word(system, ())
 
 
 def simple_reflection(system: RootSystem, i: int) -> WeylElement:
-    if not 1 <= i <= system.rank:
-        raise RootSystemError(f"node index {i} out of range 1..{system.rank}")
-    cols = [reflect(system, c, i) for c in _identity_columns(system)]
-    return _from_columns(system, cols)
+    return from_word(system, (i,))
 
 
 def from_word(system: RootSystem, word: Iterable[int]) -> WeylElement:
-    """Element of a (not necessarily reduced) word; the stored word is reduced."""
+    """Element of a (not necessarily reduced) word; the stored word is reduced.
+
+    The canonical word is the greedy right descent, smallest node first:
+    i is a right descent of w iff w^-1(rho) has a negative coordinate at
+    i, so straightening w^-1(rho) strips the descents in that order.
+    """
     letters = tuple(word)
     for i in letters:
         if not 1 <= i <= system.rank:
             raise RootSystemError(f"node index {i} out of range 1..{system.rank}")
-    cols = []
-    for c in _identity_columns(system):
-        for i in reversed(letters):
-            c = reflect(system, c, i)
-        cols.append(c)
-    return _from_columns(system, cols)
+    inverse_rho = _apply(system, letters[::-1], system.rho)
+    _, descents = straighten(system, inverse_rho, range(1, system.rank + 1))
+    reduced = descents[::-1]
+    return WeylElement(system, reduced, _apply(system, reduced, system.rho))
 
 
 def act(w: WeylElement, chi: Weight) -> Weight:
-    chi = make_weight(w.system, chi)
-    return _columns_act(w.system, w.columns, chi)
+    return _apply(w.system, w.word, make_weight(w.system, chi))
 
 
 def length(w: WeylElement) -> int:
@@ -166,8 +133,7 @@ def inversions(w: WeylElement) -> int:
 def compose(v: WeylElement, w: WeylElement) -> WeylElement:
     if v.system is not w.system:
         raise RootSystemError("cannot compose elements of different systems")
-    cols = tuple(act(v, col) for col in w.columns)
-    return _from_columns(v.system, cols)
+    return from_word(v.system, v.word + w.word)
 
 
 def inverse(w: WeylElement) -> WeylElement:
@@ -205,7 +171,6 @@ def full_group(system: RootSystem) -> ParabolicSubgroup:
     return parabolic(system, ())
 
 
-@lru_cache(maxsize=None)
 def levi_root_data(P: ParabolicSubgroup) -> Tuple[RootData, ...]:
     """Positive roots supported on the retained nodes."""
     out = []
@@ -225,79 +190,43 @@ def _coset_probe(P: ParabolicSubgroup) -> Weight:
     return Weight(1 if i + 1 in P.crossed else 0 for i in range(P.system.rank))
 
 
-@lru_cache(maxsize=None)
 def longest_element(P: ParabolicSubgroup) -> WeylElement:
-    """Longest element of W_I, via greedy descent of a Levi-regular weight."""
+    """Longest element of W_I: it straightens minus a Levi-regular weight."""
     system = P.system
-    mu = _levi_regular_probe(P)
-    letters: list[int] = []
-    retained = sorted(P.retained)
-    while True:
-        i = next((i for i in retained if mu[i - 1] > 0), 0)
-        if not i:
-            break
-        mu = reflect(system, mu, i)
-        letters.append(i)
-    w = from_word(system, tuple(reversed(letters)))
+    _, letters = straighten(system, -_levi_regular_probe(P), sorted(P.retained))
+    w = from_word(system, letters[::-1])
     if len(w.word) != len(letters):
         raise AssertionError("longest element word failed to stay reduced")
     return w
 
 
-def orbit(
-    chi: Weight, P: ParabolicSubgroup, cap: Optional[int] = None
-) -> Tuple[Weight, ...]:
-    """The W_I-orbit of chi, sorted lexicographically."""
-    system = P.system
-    chi = make_weight(system, chi)
-    limit = resource_cap(cap)
-    seen = {chi}
-    frontier = [chi]
-    retained = sorted(P.retained)
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for i in retained:
-                if mu[i - 1] == 0:
-                    continue
-                image = reflect(system, mu, i)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        check_cap("Weyl orbit", len(seen), limit)
-        frontier = nxt
-    return tuple(sorted(seen))
-
-
 def straighten(
     system: RootSystem, v: Sequence[int], nodes: Sequence[int]
-) -> Optional[Tuple[Weight, int]]:
+) -> Tuple[Weight, Tuple[int, ...]]:
     """Move v into the chamber of the reflections at nodes (ascending, 1-based).
 
     Reflects the lowest-index negative coordinate among nodes until none is
-    left.  Returns None at the first zero on nodes (v is singular for the
-    subgroup they generate), otherwise the image and the number of
-    reflections, which is the length of the straightening element.
+    left, and returns the image with the letters reflected, in order.  The
+    image is the dominant conjugate of v for the subgroup the nodes
+    generate, so v is singular for that subgroup iff the image has a zero
+    on nodes.  The number of letters is the length of the straightening
+    element.
     """
     simple = system.simple_roots
     budget = len(system.positive_roots)
     mu = list(v)
-    steps = 0
+    letters: list[int] = []
     while True:
-        node = 0
-        for i in nodes:
-            c = mu[i - 1]
-            if c == 0:
-                return None
-            if c < 0 and not node:
-                node = i
-        if not node:
-            return Weight(mu), steps
+        for node in nodes:
+            if mu[node - 1] < 0:
+                break
+        else:
+            return Weight(mu), tuple(letters)
         c = mu[node - 1]
         for j, a in enumerate(simple[node - 1]):
             mu[j] -= c * a
-        steps += 1
-        if steps > budget:
+        letters.append(node)
+        if len(letters) > budget:
             raise AssertionError("straightening exceeded the inversion bound")
 
 
@@ -330,42 +259,53 @@ def coset_count(P: ParabolicSubgroup) -> int:
     return num // den
 
 
-def _full_orbit(system: RootSystem, chi: Weight) -> set[Weight]:
+def _orbit_levels(
+    chi: Weight, P: ParabolicSubgroup, what: str, cap: Optional[int]
+) -> list[list[Weight]]:
+    """The W_I-orbit of chi by breadth-first search, level by level.
+
+    Level k holds the points k reflections away from chi; for a dominant
+    chi and the full group that is the length of the minimal coset
+    representative sending chi there.  The exact size |W_I| / |W_J|, with
+    W_J the stabiliser of the W_I-dominant conjugate of chi, is checked
+    against the cap before anything is enumerated.
+    """
+    system = P.system
+    retained = sorted(P.retained)
+    dominant, _ = straighten(system, chi, retained)
+    moved = [i for i in range(1, system.rank + 1) if i in P.crossed or dominant[i - 1]]
+    size = coset_count(parabolic(system, moved)) // coset_count(P)
+    check_cap(what, size, resource_cap(cap))
     seen = {chi}
-    frontier = [chi]
-    while frontier:
+    levels = [[chi]]
+    while True:
         nxt = []
-        for mu in frontier:
-            for i in range(1, system.rank + 1):
+        for mu in levels[-1]:
+            for i in retained:
                 if mu[i - 1] == 0:
                     continue
                 image = reflect(system, mu, i)
                 if image not in seen:
                     seen.add(image)
                     nxt.append(image)
-        frontier = nxt
-    return seen
+        if not nxt:
+            return levels
+        levels.append(nxt)
 
 
-def _coset_points(P: ParabolicSubgroup, cap: Optional[int]) -> set[Weight]:
-    """One orbit point per coset, once the exact count has passed the cap."""
-    check_cap("coset enumeration", coset_count(P), resource_cap(cap))
-    return _full_orbit(P.system, _coset_probe(P))
+def orbit(
+    chi: Weight, P: ParabolicSubgroup, cap: Optional[int] = None
+) -> Tuple[Weight, ...]:
+    """The W_I-orbit of chi, sorted lexicographically."""
+    chi = make_weight(P.system, chi)
+    levels = _orbit_levels(chi, P, "Weyl orbit", cap)
+    return tuple(sorted(mu for level in levels for mu in level))
 
 
-def _descent_word_to_dominant(system: RootSystem, mu: Weight) -> Tuple[int, ...]:
-    """Letters i_1, i_2, ... with s_{i_k} ... s_{i_1}(mu) dominant.
-
-    The minimal coset representative sending the dominant weight back to mu
-    is then s_{i_1} s_{i_2} ... s_{i_k}, and k is its length.
-    """
-    letters: list[int] = []
-    while True:
-        i = next((j + 1 for j, c in enumerate(mu) if c < 0), 0)
-        if not i:
-            return tuple(letters)
-        mu = reflect(system, mu, i)
-        letters.append(i)
+def _coset_levels(P: ParabolicSubgroup, cap: Optional[int]) -> list[list[Weight]]:
+    """One orbit point per coset, level k holding those of length k."""
+    W = full_group(P.system)
+    return _orbit_levels(_coset_probe(P), W, "coset enumeration", cap)
 
 
 def minimal_coset_reps(
@@ -376,22 +316,23 @@ def minimal_coset_reps(
     Sorted by (length, word); the identity represents W_I itself.
     """
     system = P.system
+    nodes = range(1, system.rank + 1)
     reps = []
-    for mu in sorted(_coset_points(P, cap)):
-        word = _descent_word_to_dominant(system, mu)
-        w = from_word(system, word)
-        if len(w.word) != len(word):
-            raise AssertionError("descent word failed to stay reduced")
-        reps.append((w, len(word)))
+    for depth, level in enumerate(_coset_levels(P, cap)):
+        for mu in level:
+            # s_{i_k} ... s_{i_1}(mu) is the probe, so w = s_{i_1} ... s_{i_k}
+            w = from_word(system, straighten(system, mu, nodes)[1])
+            if len(w.word) != depth:
+                raise AssertionError("representative length differs from BFS depth")
+            reps.append((w, depth))
     reps.sort(key=lambda pair: (pair[1], pair[0].word))
     return tuple(reps)
 
 
 def coset_lengths(P: ParabolicSubgroup, cap: Optional[int] = None) -> Tuple[int, ...]:
-    """Sorted lengths of the minimal coset representatives."""
-    system = P.system
-    points = _coset_points(P, cap)
-    return tuple(sorted(len(_descent_word_to_dominant(system, mu)) for mu in points))
+    """Sorted lengths of the minimal coset representatives (BFS depths)."""
+    levels = _coset_levels(P, cap)
+    return tuple(depth for depth, level in enumerate(levels) for _ in level)
 
 
 def weyl_group_order(system: RootSystem) -> int:

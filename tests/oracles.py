@@ -21,6 +21,7 @@ from roofcalc import (
     identity,
     make_weight,
     parabolic,
+    reflect,
     simple_reflection,
 )
 
@@ -59,6 +60,29 @@ def brute_force_weyl(system: RootSystem) -> List[WeylElement]:
                     new.append(v)
         frontier = new
     return list(seen.values())
+
+
+def greedy_right_descent(system: RootSystem, word) -> Tuple[int, ...]:
+    """The canonical reduced word of the element of word, from the definition.
+
+    Repeatedly strips the smallest i with w(alpha_i) a negative root (one
+    whose negative is in root_coefficient_index, the positive roots), acting
+    by the unreduced word letter by letter, and returns the stripped letters
+    in reverse order.
+    """
+    word = list(word)
+    stripped: List[int] = []
+    while True:
+        for i in range(1, system.rank + 1):
+            image = system.simple_roots[i - 1]
+            for j in reversed(word):
+                image = reflect(system, image, j)
+            if -image in system.root_coefficient_index:
+                word.append(i)
+                stripped.append(i)
+                break
+        else:
+            return tuple(reversed(stripped))
 
 
 def random_weight(rng: random.Random, system: RootSystem, lo: int = -4, hi: int = 4):

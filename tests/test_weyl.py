@@ -29,7 +29,12 @@ from roofcalc import (
 )
 from roofcalc.weyl import levi_root_data
 
-from oracles import brute_force_weyl
+from oracles import (
+    SMALL_SYSTEMS,
+    all_nonempty_parabolics,
+    brute_force_weyl,
+    greedy_right_descent,
+)
 
 
 def test_group_orders_by_brute_force():
@@ -54,6 +59,30 @@ def test_from_word_reduces():
     assert from_word(c3, (1, 2, 1)) == from_word(c3, (2, 1, 2))
     w = from_word(c3, (1, 2, 1, 1, 3, 3, 2))
     assert length(w) == inversions(w)
+
+
+def test_canonical_word_is_greedy_right_descent():
+    # `weyl cosets` prints these words, so the convention itself is pinned
+    rng = random.Random(17)
+    for label, rank in SMALL_SYSTEMS:
+        system = build_root_system(label, rank)
+        for _ in range(20):
+            word = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 12)))
+            assert from_word(system, word).word == greedy_right_descent(system, word)
+    for label, rank in (
+        ("A", 1),
+        ("A", 2),
+        ("A", 3),
+        ("A", 4),
+        ("C", 2),
+        ("C", 3),
+        ("D", 4),
+        ("G2", 2),
+    ):
+        system = build_root_system(label, rank)
+        for P in all_nonempty_parabolics(system):
+            for w, _ in minimal_coset_reps(P):
+                assert w.word == greedy_right_descent(system, w.word)
 
 
 def test_length_equals_inversions():
@@ -190,8 +219,10 @@ def test_orbit_properties():
 
 def test_orbit_cap_enforced():
     f4 = build_root_system("F4", 4)
-    with pytest.raises(ResourceCapExceeded):
+    with pytest.raises(ResourceCapExceeded) as exc:
         orbit(f4.rho, full_group(f4), cap=100)
+    # the exact orbit size, not a partly expanded BFS level
+    assert exc.value.needed == 1152
 
 
 def test_simple_reflection_matches_reflect():
