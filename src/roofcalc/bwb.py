@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from .reps import _require_dominant, weyl_dimension
-from .rootsys import RootSystem, Weight, make_weight
+from .rootsys import Weight, make_weight
 from .weyl import ParabolicSubgroup, WeylElement, act, straighten
 
 VANISHES = "Vanishes"

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .limits import check_cap, resource_cap
-from .rootsys import RootSystem, RootSystemError, Weight, make_weight
+from .rootsys import RootSystem, Weight, _apply, make_weight
 from .weyl import (
     ParabolicSubgroup,
     act,
@@ -72,7 +72,7 @@ class WeightMultiset:
             if m < 0:
                 raise ValueError(f"negative multiplicity {m} for {w!r}")
             if m:
-                clean[Weight(w)] = m
+                clean[w if isinstance(w, Weight) else Weight(w)] = m
                 total += m
         self.counts = MappingProxyType(dict(sorted(clean.items())))
         self.total = total
@@ -184,9 +184,7 @@ def _dominant_multiplicities(
             off = offsets[mu]
             for data in lroots:
                 cand = mu - data.weight
-                if not is_dominant(cand, P):
-                    continue
-                if cand in offsets:
+                if cand in offsets or any(cand[i - 1] < 0 for i in retained):
                     continue
                 offsets[cand] = tuple(
                     o + m for o, m in zip(off, data.coefficients)
@@ -285,17 +283,14 @@ def decompose_levi(
     multiplicity is negative, i.e. if it is not a genuine character.
     """
     system = P.system
-    simple = system.simple_roots
+    pairs = system._simple_pairs
     retained = sorted(P.retained)
     counts = ms.counts
     for w, m in counts.items():
-        w = make_weight(system, w)
+        if len(w) != system.rank:
+            make_weight(system, w)  # raises RootSystemError
         for i in retained:
-            c = w[i - 1]
-            if not c:
-                continue
-            image = tuple(a - c * b for a, b in zip(w, simple[i - 1]))
-            if counts.get(image, 0) != m:
+            if w[i - 1] and counts.get(_apply(pairs, (i,), w), 0) != m:
                 raise NotARepresentation(
                     f"multiplicity of {w!r} changes under the reflection at node {i}"
                 )

@@ -9,7 +9,10 @@ roots are numbered 1..rank following the usual Dynkin labels, and column i
 of the Cartan matrix is alpha_i written in fundamental coordinates, so the
 simple reflection acts by
 
-    s_i(chi) = chi - chi[i] * alpha_i .
+    s_i(chi) = chi - chi[i] * alpha_i ,
+
+which the one kernel, _apply, computes over the at most three nonzero
+(index, value) pairs of alpha_i that build_root_system stores.
 
 Type C_n uses the symplectic convention alpha_i = L_i - L_{i+1} for i < n
 and alpha_n = 2 L_n, hence omega_i = L_1 + ... + L_i.  For F4 the node
@@ -26,7 +29,9 @@ section whose last orthogonal coordinate vanishes.  Types F4 and G2 reject
 the map.
 
 Everything is exact: weight coordinates are Python ints, the only rational
-intermediates (orthogonal spin coordinates) are Fractions.
+intermediates (orthogonal spin coordinates) are Fractions.  Outside data
+is validated once, when a Weight is built from it; arithmetic on two
+Weights and the kernels trust their operands.
 """
 
 from __future__ import annotations
@@ -35,9 +40,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 SUPPORTED_TYPES = ("A", "C", "D", "F4", "G2")
+SimplePairs = Tuple[Tuple[Tuple[int, int], ...], ...]  # (0-based index, value)
 
 
 class RootSystemError(ValueError):
@@ -48,7 +54,8 @@ class Weight(tuple):
     """An integral weight in fundamental coordinates.
 
     Immutable, hashable, ordered lexicographically (tuple order), with
-    componentwise vector arithmetic.  Coordinates must be exact integers.
+    componentwise vector arithmetic.  The constructor checks that the
+    coordinates are exact integers; arithmetic on two Weights trusts them.
     """
 
     __slots__ = ()
@@ -63,19 +70,23 @@ class Weight(tuple):
         return tuple.__new__(cls, vals)
 
     def __add__(self, other) -> "Weight":
-        return Weight(a + b for a, b in zip(self, other, strict=True))
+        if not isinstance(other, Weight):
+            other = Weight(other)
+        return tuple.__new__(Weight, [a + b for a, b in zip(self, other, strict=True)])
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Weight":
-        return Weight(a - b for a, b in zip(self, other, strict=True))
+        if not isinstance(other, Weight):
+            other = Weight(other)
+        return tuple.__new__(Weight, [a - b for a, b in zip(self, other, strict=True)])
 
     def __neg__(self) -> "Weight":
-        return Weight(-a for a in self)
+        return tuple.__new__(Weight, [-a for a in self])
 
     def __mul__(self, k) -> "Weight":
         k = operator.index(k)
-        return Weight(k * a for a in self)
+        return tuple.__new__(Weight, [k * a for a in self])
 
     __rmul__ = __mul__
 
@@ -117,6 +128,7 @@ class RootSystem:
     # fundamental coordinates -> simple-root-basis coordinates, for
     # positivity tests on root images.
     root_coefficient_index: Mapping[Weight, Tuple[int, ...]]
+    _simple_pairs: SimplePairs
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type_label}, {self.rank})"
@@ -180,14 +192,25 @@ def _symmetrizer(type_label: str, rank: int) -> Tuple[int, ...]:
     return (1,) * rank
 
 
+def _apply(pairs: SimplePairs, word: Sequence[int], chi: Sequence[int]) -> Weight:
+    """s_{i_1} ... s_{i_k}(chi), the rightmost letter first, unchecked."""
+    mu = list(chi)
+    for i in reversed(word):
+        c = mu[i - 1]
+        if c:
+            for j, a in pairs[i - 1]:
+                mu[j] -= c * a
+    return tuple.__new__(Weight, mu)
+
+
 def _positive_root_closure(
-    cartan: Tuple[Tuple[int, ...], ...], rank: int
+    simple: Tuple[Weight, ...], pairs: SimplePairs
 ) -> list[tuple[Weight, Tuple[int, ...]]]:
     """All positive roots by reflection closure from the simple roots."""
-    columns = [Weight(cartan[i][j] for i in range(rank)) for j in range(rank)]
+    rank = len(simple)
     seen: dict[Weight, Tuple[int, ...]] = {}
     frontier: list[tuple[Weight, Tuple[int, ...]]] = []
-    for j, alpha in enumerate(columns):
+    for j, alpha in enumerate(simple):
         coeffs = tuple(1 if k == j else 0 for k in range(rank))
         seen[alpha] = coeffs
         frontier.append((alpha, coeffs))
@@ -196,15 +219,12 @@ def _positive_root_closure(
         for beta, coeffs in frontier:
             for i in range(rank):
                 c = beta[i]
-                image = beta - c * columns[i]
-                new_coeffs = list(coeffs)
-                new_coeffs[i] -= c
-                if min(new_coeffs) < 0:
-                    continue  # image is a negative root
-                image_coeffs = tuple(new_coeffs)
+                if c == 0 or coeffs[i] < c:
+                    continue  # the image is beta itself or a negative root
+                image = _apply(pairs, (i + 1,), beta)
                 if image not in seen:
-                    seen[image] = image_coeffs
-                    nxt.append((image, image_coeffs))
+                    seen[image] = coeffs[:i] + (coeffs[i] - c,) + coeffs[i + 1 :]
+                    nxt.append((image, seen[image]))
         frontier = nxt
     roots = sorted(seen.items(), key=lambda item: (sum(seen[item[0]]), item[1]))
     return [(w, coeffs) for w, coeffs in roots]
@@ -271,7 +291,8 @@ def _build_interned(label: str, rank: int) -> RootSystem:
             if sym[i] * cartan[i][j] != sym[j] * cartan[j][i]:
                 raise AssertionError("symmetrizer does not symmetrize the Cartan matrix")
     simple = tuple(Weight(cartan[i][j] for i in range(rank)) for j in range(rank))
-    closure = _positive_root_closure(cartan, rank)
+    pairs = tuple(tuple((i, a) for i, a in enumerate(alpha) if a) for alpha in simple)
+    closure = _positive_root_closure(simple, pairs)
 
     data = []
     index: dict[Weight, Tuple[int, ...]] = {}
@@ -299,6 +320,7 @@ def _build_interned(label: str, rank: int) -> RootSystem:
         rho=rho,
         orthogonal_basis_map=_orthogonal_matrix(label, rank),
         root_coefficient_index=index,
+        _simple_pairs=pairs,
     )
 
 
@@ -325,10 +347,7 @@ def reflect(system: RootSystem, chi: Weight, i: int) -> Weight:
     chi = make_weight(system, chi)
     if not 1 <= i <= system.rank:
         raise RootSystemError(f"node index {i} out of range 1..{system.rank}")
-    c = chi[i - 1]
-    if c == 0:
-        return chi
-    return chi - c * system.simple_roots[i - 1]
+    return _apply(system._simple_pairs, (i,), chi)
 
 
 def to_orthogonal(system: RootSystem, chi: Weight) -> Tuple[Fraction, ...]:

@@ -2,6 +2,9 @@
 
 One chamber walk, straighten, does every descent here and in reps and
 bwb: it reflects the lowest-index negative coordinate until none is left.
+Other reflections go through the rootsys kernel _apply.  Both subtract
+a simple root over its at most three nonzero (index, value) pairs, in O(1)
+whatever the rank, and neither validates the weights it is handed.
 An element is its canonical reduced word plus a key: the word is the
 greedy right descent, smallest node first, read off by straightening
 w^-1(rho); the key is the image of rho, faithful because rho is regular,
@@ -23,7 +26,6 @@ against the resource cap before anything is allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .limits import check_cap, resource_cap
@@ -32,8 +34,8 @@ from .rootsys import (
     RootSystem,
     RootSystemError,
     Weight,
+    _apply,
     make_weight,
-    reflect,
 )
 
 
@@ -76,17 +78,6 @@ def _is_negative_root(system: RootSystem, chi: Weight) -> bool:
     raise AssertionError(f"{chi!r} is not a root of {system!r}")
 
 
-def _apply(system: RootSystem, word: Sequence[int], chi: Weight) -> Weight:
-    """s_{i_1} ... s_{i_k}(chi): the rightmost letter acts first."""
-    simple = system.simple_roots
-    mu = list(chi)
-    for i in reversed(word):
-        c = mu[i - 1]
-        for j, a in enumerate(simple[i - 1]):
-            mu[j] -= c * a
-    return Weight(mu)
-
-
 def identity(system: RootSystem) -> WeylElement:
     return from_word(system, ())
 
@@ -106,14 +97,15 @@ def from_word(system: RootSystem, word: Iterable[int]) -> WeylElement:
     for i in letters:
         if not 1 <= i <= system.rank:
             raise RootSystemError(f"node index {i} out of range 1..{system.rank}")
-    inverse_rho = _apply(system, letters[::-1], system.rho)
+    pairs = system._simple_pairs
+    inverse_rho = _apply(pairs, letters[::-1], system.rho)
     _, descents = straighten(system, inverse_rho, range(1, system.rank + 1))
     reduced = descents[::-1]
-    return WeylElement(system, reduced, _apply(system, reduced, system.rho))
+    return WeylElement(system, reduced, _apply(pairs, reduced, system.rho))
 
 
 def act(w: WeylElement, chi: Weight) -> Weight:
-    return _apply(w.system, w.word, make_weight(w.system, chi))
+    return _apply(w.system._simple_pairs, w.word, make_weight(w.system, chi))
 
 
 def length(w: WeylElement) -> int:
@@ -212,7 +204,7 @@ def straighten(
     on nodes.  The number of letters is the length of the straightening
     element.
     """
-    simple = system.simple_roots
+    pairs = system._simple_pairs
     budget = len(system.positive_roots)
     mu = list(v)
     letters: list[int] = []
@@ -221,9 +213,9 @@ def straighten(
             if mu[node - 1] < 0:
                 break
         else:
-            return Weight(mu), tuple(letters)
+            return tuple.__new__(Weight, mu), tuple(letters)
         c = mu[node - 1]
-        for j, a in enumerate(simple[node - 1]):
+        for j, a in pairs[node - 1]:
             mu[j] -= c * a
         letters.append(node)
         if len(letters) > budget:
@@ -271,6 +263,7 @@ def _orbit_levels(
     against the cap before anything is enumerated.
     """
     system = P.system
+    pairs = system._simple_pairs
     retained = sorted(P.retained)
     dominant, _ = straighten(system, chi, retained)
     moved = [i for i in range(1, system.rank + 1) if i in P.crossed or dominant[i - 1]]
@@ -284,7 +277,7 @@ def _orbit_levels(
             for i in retained:
                 if mu[i - 1] == 0:
                     continue
-                image = reflect(system, mu, i)
+                image = _apply(pairs, (i,), mu)
                 if image not in seen:
                     seen.add(image)
                     nxt.append(image)
@@ -336,13 +329,5 @@ def coset_lengths(P: ParabolicSubgroup, cap: Optional[int] = None) -> Tuple[int,
 
 
 def weyl_group_order(system: RootSystem) -> int:
-    n = system.rank
-    if system.type_label == "A":
-        return factorial(n + 1)
-    if system.type_label == "C":
-        return (2**n) * factorial(n)
-    if system.type_label == "D":
-        return (2 ** (n - 1)) * factorial(n)
-    if system.type_label == "F4":
-        return 1152
-    return 12  # G2
+    """|W|: the height product with every node crossed, so W_I = 1."""
+    return coset_count(parabolic(system, range(1, system.rank + 1)))

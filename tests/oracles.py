@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import factorial
 from typing import Iterator, List, Tuple
 
 from roofcalc import (
@@ -60,6 +61,17 @@ def brute_force_weyl(system: RootSystem) -> List[WeylElement]:
                     new.append(v)
         frontier = new
     return list(seen.values())
+
+
+def weyl_group_order_formula(label: str, rank: int) -> int:
+    """|W| from the classification: (n+1)!, 2^n n!, 2^(n-1) n!, 1152, 12."""
+    if label == "A":
+        return factorial(rank + 1)
+    if label == "C":
+        return 2**rank * factorial(rank)
+    if label == "D":
+        return 2 ** (rank - 1) * factorial(rank)
+    return {"F4": 1152, "G2": 12}[label]
 
 
 def greedy_right_descent(system: RootSystem, word) -> Tuple[int, ...]:

@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -132,6 +133,41 @@ def test_json_output_is_byte_identical(capsys):
     # canonical form: sorted keys, two-space indent, trailing newline
     payload = json.loads(first)
     assert first == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# sha256 of the --format json stdout; a change that alters answers on
+# purpose re-records these and says which ones moved
+PINNED_JSON = (
+    (("roots", "C", "5"), 0,
+     "a95d148c48cdb92e230b5158369c9134bcd298848abca68060108b279763ef32"),
+    (("weyl", "cosets", "D", "5", "--cross", "2"), 0,
+     "9b1a3fb35bbd0deacce86051ce76805d3ff4904ad934a74e7729981f64229586"),
+    (("weyl", "orbit", "F4", "4", "--cross", "1", "--weight", "0,1,0,1"), 0,
+     "7a8f6aa44136680fd2673813a2474a662a1fc62dd787a5781e98f8da8735e9b6"),
+    (("bwb", "C", "4", "--cross", "2", "--weight=0,-5,1,2"), 0,
+     "435e8922579c76f9345db6d400823db4ab2df9ff78d481a93366ac08fb7cf48d"),
+    (("rep", "dim", "F4", "4", "--weight", "0,1,0,0"), 0,
+     "2eadec62b48dd8629bd17cfccba02e20fd93d197aedf4227a80566db6e7b5c42"),
+    (("class", "quotient", "C", "5", "--cross", "2"), 0,
+     "565d8d8faba81bc46aa62f8992f5404228bc8d9fa90c5c55257766f6bf325226"),
+    (("roof", "verify", "F4"), 0,
+     "a3931b1a2672515929983d2127243ce6298ccab4961996ad5209dfd79e01f787"),
+    (("roof", "verify", "G2"), 0,
+     "47bee3460a86c77ec0b3560a8af5dcf7376af4e7d9041ce6926247a84e68ab3c"),
+    (("roof", "verify", "C", "--r", "2"), 0,
+     "cbaf66fb7a7b9c4490f1ba068cc9c6786c39bf2cc62822ba13689c7e02da51d2"),
+    (("roof", "verify", "D", "--r", "6"), 1,
+     "f08e5364706d6842f359b25bd0de540a8e74da154005a50a343234c983673013"),
+    (("roof", "verify", "A_M", "--r", "8"), 1,
+     "65f2f140ad8464a027479f54414f45be50a662100c870f2ea5fa267abc2fd5d0"),
+)
+
+
+def test_json_output_matches_pinned_digests(capsys):
+    for argv, expected_code, digest in PINNED_JSON:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == expected_code, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_text_and_json_agree_numerically(capsys):

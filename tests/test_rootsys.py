@@ -7,12 +7,15 @@ import pytest
 from roofcalc import (
     RootSystemError,
     Weight,
+    WeightMultiset,
     build_root_system,
     from_orthogonal,
     is_positive_root,
     is_root,
     make_weight,
+    orbit,
     pair,
+    parabolic,
     reflect,
     to_orthogonal,
 )
@@ -183,6 +186,25 @@ def test_weight_arithmetic():
     assert 3 * a == Weight((3, -6, 9))
     assert a * 2 == Weight((2, -4, 6))
     assert hash(a) == hash((1, -2, 3))
+
+
+def test_outside_data_is_validated_at_the_boundary():
+    c3 = build_root_system("C", 3)
+    P = parabolic(c3, (1,))
+    for bad in (
+        lambda: Weight((1, 2)) + (0.5, 0),
+        lambda: make_weight(c3, (1.5, 0, 0)),
+        lambda: reflect(c3, (1, "a", 0), 1),
+        lambda: WeightMultiset({(0.5,): 1}),
+        lambda: orbit((1.5, 0, 0), P),
+    ):
+        with pytest.raises(RootSystemError):
+            bad()
+    # arithmetic on validated weights stays a Weight of ints, unchecked or not
+    a = Weight((1, -2, 3))
+    for result in (a + a, a - a, -a, 2 * a, a + (0, 1, 1), (0, 1, 1) + a):
+        assert type(result) is Weight
+        assert all(type(x) is int for x in result)
 
 
 def test_pair_and_reflect_on_fundamental_weights():

@@ -34,6 +34,7 @@ from oracles import (
     all_nonempty_parabolics,
     brute_force_weyl,
     greedy_right_descent,
+    weyl_group_order_formula,
 )
 
 
@@ -50,6 +51,14 @@ def test_group_orders_by_brute_force():
         system = build_root_system(label, rank)
         assert weyl_group_order(system) == order
         assert len(brute_force_weyl(system)) == order
+
+
+def test_group_orders_match_type_formulas():
+    cases = [("A", n) for n in range(1, 13)] + [("C", n) for n in range(2, 11)]
+    cases += [("D", n) for n in range(3, 11)] + [("F4", 4), ("G2", 2)]
+    for label, rank in cases:
+        order = weyl_group_order(build_root_system(label, rank))
+        assert order == weyl_group_order_formula(label, rank), (label, rank)
 
 
 def test_from_word_reduces():
