@@ -61,6 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", parents=[common], help="positive roots of a system")
+    p.set_defaults(run=_cmd_roots)
     p.add_argument("type", help="system type: A, C, D, F4 or G2")
     p.add_argument("rank", type=int)
 
@@ -69,12 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = wsub.add_parser(
         "cosets", parents=[common], help="minimal length coset representatives"
     )
+    p.set_defaults(run=_cmd_weyl_cosets)
     p.add_argument("type")
     p.add_argument("rank", type=int)
     p.add_argument("--cross", required=True, help="comma-separated crossed nodes")
     p = wsub.add_parser(
         "orbit", parents=[common], help="orbit of a weight under the Levi Weyl group"
     )
+    p.set_defaults(run=_cmd_weyl_orbit)
     p.add_argument("type")
     p.add_argument("rank", type=int)
     p.add_argument("--cross", required=True, help="comma-separated crossed nodes")
@@ -87,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = rsub.add_parser(
         "dim", parents=[common], help="dimension of the irrep of a dominant weight"
     )
+    p.set_defaults(run=_cmd_rep_dim)
     p.add_argument("type")
     p.add_argument("rank", type=int)
     p.add_argument("--weight", required=True)
@@ -94,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bwb", parents=[common], help="cohomology of an equivariant bundle on G/P"
     )
+    p.set_defaults(run=_cmd_bwb)
     p.add_argument("type")
     p.add_argument("rank", type=int)
     p.add_argument("--cross", required=True)
@@ -104,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser(
         "quotient", parents=[common], help="[G/P] as a polynomial in L"
     )
+    p.set_defaults(run=_cmd_class_quotient)
     p.add_argument("type")
     p.add_argument("rank", type=int)
     p.add_argument("--cross", required=True)
@@ -113,16 +119,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = cnt.add_parser(
         "igr", parents=[common], help="points of IGr(d, 2n) over F_q"
     )
+    p.set_defaults(run=_cmd_count_igr)
     p.add_argument("d", type=int)
     p.add_argument("n", type=int)
     p.add_argument("q", type=int)
 
     roof = sub.add_parser("roof", help="homogeneous roof catalog and verification")
     roofsub = roof.add_subparsers(dest="roof_command", required=True)
-    roofsub.add_parser("list", parents=[common], help="list the roof families")
+    p = roofsub.add_parser("list", parents=[common], help="list the roof families")
+    p.set_defaults(run=_cmd_roof_list)
     p = roofsub.add_parser(
         "verify", parents=[common], help="verify one family member end to end"
     )
+    p.set_defaults(run=_cmd_roof_verify)
     p.add_argument("family")
     p.add_argument("--r", type=int, default=None, help="family parameter")
 
@@ -275,31 +284,11 @@ def _cmd_roof_verify(args) -> Tuple[dict, str, int]:
     return report.to_json_dict(), report.render_text(), code
 
 
-def _dispatch(args) -> Tuple[dict, str, int]:
-    if args.command == "roots":
-        return _cmd_roots(args)
-    if args.command == "weyl":
-        if args.weyl_command == "cosets":
-            return _cmd_weyl_cosets(args)
-        return _cmd_weyl_orbit(args)
-    if args.command == "rep":
-        return _cmd_rep_dim(args)
-    if args.command == "bwb":
-        return _cmd_bwb(args)
-    if args.command == "class":
-        return _cmd_class_quotient(args)
-    if args.command == "count":
-        return _cmd_count_igr(args)
-    if args.roof_command == "list":
-        return _cmd_roof_list(args)
-    return _cmd_roof_verify(args)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, text, code = _dispatch(args)
+        payload, text, code = args.run(args)
     except ResourceCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

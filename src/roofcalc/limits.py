@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 
+from .rootsys import _index
+
 DEFAULT_CAP = 10_000_000
 ENV_VAR = "ROOFCALC_CAP"
 
@@ -31,7 +33,7 @@ class ResourceCapExceeded(RuntimeError):
 def resource_cap(override: int | None = None) -> int:
     """Resolve the effective cap: explicit argument, then env var, then default."""
     if override is not None:
-        cap = int(override)
+        cap = _index(override, "resource cap", ValueError)
         if cap < 1:
             raise ValueError(f"resource cap must be >= 1, got {override!r}")
         return cap

@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .limits import check_cap, resource_cap
-from .rootsys import RootSystem, Weight, _apply, make_weight
+from .rootsys import RootSystem, Weight, _apply, _index, make_weight
 from .weyl import (
     ParabolicSubgroup,
     act,
@@ -134,7 +134,7 @@ def weyl_dimension(system: SystemOrParabolic, chi: Weight) -> int:
     return q
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LeviIrrep:
     """Irreducible representation of the Levi of P with highest weight chi."""
 
@@ -143,17 +143,6 @@ class LeviIrrep:
 
     def __post_init__(self):
         _require_dominant(self.highest_weight, self.parabolic)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LeviIrrep):
-            return NotImplemented
-        return (
-            self.parabolic == other.parabolic
-            and self.highest_weight == other.highest_weight
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.parabolic, self.highest_weight))
 
     def __repr__(self) -> str:
         return f"LeviIrrep({self.parabolic!r}, {self.highest_weight!r})"
@@ -245,7 +234,7 @@ def exterior_power(
     ms: WeightMultiset, p: int, cap: Optional[int] = None
 ) -> WeightMultiset:
     """Weights of the p-th exterior power: sums over p-element sub-multisets."""
-    p = int(p)
+    p = _index(p, "exterior power degree", ValueError)
     if not 0 <= p <= ms.total:
         raise ValueError(f"exterior power degree {p} outside 0..{ms.total}")
     limit = resource_cap(cap)

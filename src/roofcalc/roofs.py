@@ -13,6 +13,11 @@ bundle on the roof cuts a pair of zero loci (Z_1, Z_2) satisfying
 in the Grothendieck ring, with r the bundle rank.  Equal base classes
 therefore certify L^{r-1} ([Z_1] - [Z_2]) = 0.
 
+The table _FAMILIES is the one description of each roof family: the
+catalog listing, the parameter range, the group and crossed pair at r,
+and the closed-form dimensions are all read from its row, and _resolve
+turns a row into the family and the parabolics of its two bases.
+
 The pipeline computes both base classes from the height product
 (motive.class_of_quotient), resolves O_{Z_i}(1) by the Koszul complex of
 the cutting section, pushes every term through Borel-Weil-Bott, and
@@ -44,36 +49,37 @@ from .reps import (
     weight_multiset,
     weyl_dimension,
 )
-from .rootsys import RootSystem, Weight, build_root_system, make_weight
+from .rootsys import RootSystem, Weight, _index, build_root_system, make_weight
 from .weyl import ParabolicSubgroup, levi_root_data, parabolic
 
 DETERMINED = "Determined"
 INCONCLUSIVE = "Inconclusive"
 
-FAMILY_LABELS = ("AxA", "A_M", "A_G", "C", "D", "F4", "G2")
-
-# (group pattern, crossed pattern, roof rank pattern, parameter range)
-_CATALOG_ROWS = {
-    "AxA": ("A_r x A_r", "node 1 in each factor", "r+1", "r >= 1"),
-    "A_M": ("A_r", "{1, r}", "r", "r >= 2"),
-    "A_G": ("A_2r", "{r, r+1}", "r+1", "r >= 2"),
-    "C": ("C_{3r-1}", "{2r-1, 2r}", "2r", "r >= 1"),
-    "D": ("D_r", "{r-1, r}", "r", "r >= 4"),
-    "F4": ("F4", "{2, 3}", "3", "fixed"),
-    "G2": ("G2", "{1, 2}", "2", "fixed"),
+# The one description of every roof family, in catalog order:
+#   label: ((group, crossed pair, roof rank) as catalog text,
+#           least r, or None for a fixed member,
+#           r -> (group type, group rank, crossed pair),
+#           r -> closed-form (base dimension, bundle rank))
+# A crossed pair (a, a) names node a in each of two equal factors.
+_FAMILIES = {
+    "AxA": (("A_r x A_r", "node 1 in each factor", "r+1"), 1,
+            lambda r: ("A", r, (1, 1)), lambda r: (r, r + 1)),
+    "A_M": (("A_r", "{1, r}", "r"), 2,
+            lambda r: ("A", r, (1, r)), lambda r: (r, r)),
+    "A_G": (("A_2r", "{r, r+1}", "r+1"), 2,
+            lambda r: ("A", 2 * r, (r, r + 1)), lambda r: (r * (r + 1), r + 1)),
+    "C": (("C_{3r-1}", "{2r-1, 2r}", "2r"), 1,
+          lambda r: ("C", 3 * r - 1, (2 * r - 1, 2 * r)),
+          lambda r: (6 * r * r - 3 * r, 2 * r)),
+    "D": (("D_r", "{r-1, r}", "r"), 4,
+          lambda r: ("D", r, (r - 1, r)), lambda r: (r * (r - 1) // 2, r)),
+    "F4": (("F4", "{2, 3}", "3"), None,
+           lambda r: ("F4", 4, (2, 3)), lambda r: (20, 3)),
+    "G2": (("G2", "{1, 2}", "2"), None,
+           lambda r: ("G2", 2, (1, 2)), lambda r: (5, 2)),
 }
 
-# closed-form (base dimension, bundle rank) per family, cross-checked
-# against the root-count derivation in roof_data
-_EXPECTED_DIMS = {
-    "AxA": lambda r: (r, r + 1),
-    "A_M": lambda r: (r, r),
-    "A_G": lambda r: (r * (r + 1), r + 1),
-    "C": lambda r: (6 * r * r - 3 * r, 2 * r),
-    "D": lambda r: (r * (r - 1) // 2, r),
-    "F4": lambda r: (20, 3),
-    "G2": lambda r: (5, 2),
-}
+FAMILY_LABELS = tuple(_FAMILIES)
 
 
 def catalog() -> Tuple[Dict[str, str], ...]:
@@ -81,12 +87,12 @@ def catalog() -> Tuple[Dict[str, str], ...]:
     return tuple(
         {
             "label": label,
-            "group": row[0],
-            "crossed_pair": row[1],
-            "roof_rank": row[2],
-            "parameter": row[3],
+            "group": text[0],
+            "crossed_pair": text[1],
+            "roof_rank": text[2],
+            "parameter": "fixed" if least is None else f"r >= {least}",
         }
-        for label, row in ((l, _CATALOG_ROWS[l]) for l in FAMILY_LABELS)
+        for label, (text, least, _, _) in _FAMILIES.items()
     )
 
 
@@ -106,10 +112,14 @@ class RoofFamily:
     group_rank: int
     product: bool
     crossed_pair: Tuple[int, int]
-    roof_rank: int
     base_dims: int
     bundle_rank: int
     bundle_weight: Optional[Weight]
+
+    @property
+    def roof_rank(self) -> int:
+        """r in the certificate L^{r-1}([Z1]-[Z2]) = 0: the bundle rank."""
+        return self.bundle_rank
 
     @property
     def zero_locus_dimension(self) -> int:
@@ -126,57 +136,43 @@ def _fundamental(system: RootSystem, node: int) -> Weight:
     )
 
 
-def roof_data(label: str, r: Optional[int] = None) -> RoofFamily:
-    """Resolve a family label and parameter to concrete roof data.
+def _resolve(
+    label: str, r: Optional[int]
+) -> Tuple[RoofFamily, ParabolicSubgroup, ParabolicSubgroup]:
+    """The family at r with the parabolics P1, P2 of its two bases.
 
-    The fixed members F4 and G2 reject a parameter; every other family
-    requires one.  Derived dimensions are recomputed from root counts
-    and must match the closed-form table.
+    Derived dimensions are recomputed from root counts and must match
+    the closed-form column of _FAMILIES.
     """
-    if label not in FAMILY_LABELS:
+    if label not in _FAMILIES:
         known = ", ".join(FAMILY_LABELS)
         raise ValueError(f"unknown roof family {label!r}; known families: {known}")
-    if label in ("F4", "G2"):
+    _, least, shape, expected_dims = _FAMILIES[label]
+    if least is None:
         if r is not None:
             raise ValueError(f"family {label} is a fixed member and takes no parameter")
-        if label == "F4":
-            group_type, group_rank, crossed = "F4", 4, (2, 3)
-        else:
-            group_type, group_rank, crossed = "G2", 2, (1, 2)
-        product = False
     else:
         if r is None:
             raise ValueError(f"family {label} requires the parameter r")
-        r = int(r)
-        floor = {"AxA": 1, "A_M": 2, "A_G": 2, "C": 1, "D": 4}[label]
-        if r < floor:
-            raise ValueError(f"family {label} requires r >= {floor}, got {r}")
-        product = label == "AxA"
-        if label == "AxA":
-            group_type, group_rank, crossed = "A", r, (1, 1)
-        elif label == "A_M":
-            group_type, group_rank, crossed = "A", r, (1, r)
-        elif label == "A_G":
-            group_type, group_rank, crossed = "A", 2 * r, (r, r + 1)
-        elif label == "C":
-            group_type, group_rank, crossed = "C", 3 * r - 1, (2 * r - 1, 2 * r)
-        else:
-            group_type, group_rank, crossed = "D", r, (r - 1, r)
+        r = _index(r, f"the parameter r of family {label}", ValueError)
+        if r < least:
+            raise ValueError(f"family {label} requires r >= {least}, got {r}")
+    group_type, group_rank, crossed = shape(r)
+    a, b = crossed
+    product = a == b
 
     system = build_root_system(group_type, group_rank)
-    a, b = crossed
+    P1 = parabolic(system, (a,))
+    base_dim = _quotient_dimension(P1)
     if product:
-        P1 = P2 = parabolic(system, (a,))
+        P2 = P1
         bundle_weight = None
-        base_dim = _quotient_dimension(P1)
         # fiber of P^r x P^r over either factor is the other factor
         bundle_rank = base_dim + 1
         group = f"A{group_rank} x A{group_rank}"
     else:
-        P1 = parabolic(system, (a,))
         P2 = parabolic(system, (b,))
         bundle_weight = _fundamental(system, a) + _fundamental(system, b)
-        base_dim = _quotient_dimension(P1)
         other = _quotient_dimension(P2)
         if base_dim != other:
             raise AssertionError(
@@ -185,24 +181,24 @@ def roof_data(label: str, r: Optional[int] = None) -> RoofFamily:
         bundle_rank = weyl_dimension(P1, bundle_weight)
         if bundle_rank != weyl_dimension(P2, bundle_weight):
             raise AssertionError(f"bundle ranks disagree between sides for {label}")
-        roof_dim = _quotient_dimension(parabolic(system, (a, b)))
-        if roof_dim != base_dim + bundle_rank - 1:
+        roof = parabolic(system, (a, b))
+        if _quotient_dimension(roof) != base_dim + bundle_rank - 1:
             raise AssertionError(
                 f"roof is not a projectivized rank-{bundle_rank} bundle over a "
                 f"{base_dim}-dimensional base"
             )
-        if not is_ample(bundle_weight, parabolic(system, (a, b))):
+        if not is_ample(bundle_weight, roof):
             raise AssertionError(f"roof line bundle is not ample for {label}")
         # exceptional type labels already carry their rank
         group = group_type if group_type in ("F4", "G2") else f"{group_type}{group_rank}"
 
-    expected = _EXPECTED_DIMS[label](r if r is not None else 0)
+    expected = expected_dims(r)
     if (base_dim, bundle_rank) != expected:
         raise AssertionError(
             f"derived (dim, rank) {(base_dim, bundle_rank)} does not match "
             f"the table value {expected} for {label}"
         )
-    return RoofFamily(
+    fam = RoofFamily(
         label=label,
         r=r,
         group=group,
@@ -210,11 +206,20 @@ def roof_data(label: str, r: Optional[int] = None) -> RoofFamily:
         group_rank=group_rank,
         product=product,
         crossed_pair=crossed,
-        roof_rank=bundle_rank,
         base_dims=base_dim,
         bundle_rank=bundle_rank,
         bundle_weight=bundle_weight,
     )
+    return fam, P1, P2
+
+
+def roof_data(label: str, r: Optional[int] = None) -> RoofFamily:
+    """Resolve a family label and parameter to concrete roof data.
+
+    The fixed members F4 and G2 reject a parameter; every other family
+    requires an integer one, at least the family's least r.
+    """
+    return _resolve(label, r)[0]
 
 
 @dataclass(frozen=True)
@@ -430,16 +435,9 @@ def verify_roof(
     label: str, r: Optional[int] = None, cap: Optional[int] = None
 ) -> RoofReport:
     """Run the full pipeline for one catalog member and assemble the report."""
-    fam = roof_data(label, r)
-    system = build_root_system(fam.group_type, fam.group_rank)
+    fam, P1, P2 = _resolve(label, r)
     a, b = fam.crossed_pair
     notes = []
-    if fam.product:
-        P1 = P2 = parabolic(system, (a,))
-    else:
-        P1 = parabolic(system, (a,))
-        P2 = parabolic(system, (b,))
-
     class_f1 = class_of_quotient(P1)
     class_f2 = class_of_quotient(P2)
     classes_equal = class_f1 == class_f2
@@ -471,10 +469,10 @@ def verify_roof(
         )
     else:
         koszul_z1 = koszul_zero_locus_cohomology(
-            P1, fam.bundle_weight, _fundamental(system, a), cap=cap
+            P1, fam.bundle_weight, _fundamental(P1.system, a), cap=cap
         )
         koszul_z2 = koszul_zero_locus_cohomology(
-            P2, fam.bundle_weight, _fundamental(system, b), cap=cap
+            P2, fam.bundle_weight, _fundamental(P2.system, b), cap=cap
         )
 
     lefschetz_applicable = fam.zero_locus_dimension > 2

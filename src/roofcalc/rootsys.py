@@ -40,7 +40,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 SUPPORTED_TYPES = ("A", "C", "D", "F4", "G2")
 SimplePairs = Tuple[Tuple[Tuple[int, int], ...], ...]  # (0-based index, value)
@@ -122,9 +122,6 @@ class RootSystem:
     positive_roots: Tuple[Weight, ...]
     root_data: Tuple[RootData, ...]
     rho: Weight
-    # L-basis matrix (rows: L_j as a function of fundamental coordinates),
-    # None for F4 and G2.
-    orthogonal_basis_map: Optional[Tuple[Tuple[Fraction, ...], ...]]
     # fundamental coordinates -> simple-root-basis coordinates, for
     # positivity tests on root images.
     root_coefficient_index: Mapping[Weight, Tuple[int, ...]]
@@ -230,30 +227,12 @@ def _positive_root_closure(
     return [(w, coeffs) for w, coeffs in roots]
 
 
-def _orthogonal_matrix(
-    type_label: str, rank: int
-) -> Optional[Tuple[Tuple[Fraction, ...], ...]]:
-    n = rank
-    if type_label in ("A", "C"):
-        # c_j = sum_{i >= j} chi_i  (omega_i = L_1 + ... + L_i)
-        return tuple(
-            tuple(Fraction(1) if i >= j else Fraction(0) for i in range(n))
-            for j in range(n)
-        )
-    if type_label == "D":
-        rows = []
-        half = Fraction(1, 2)
-        for j in range(n):
-            row = [Fraction(0)] * n
-            for i in range(n - 2):
-                if i >= j:
-                    row[i] = Fraction(1)
-            # spin columns
-            row[n - 2] = half if j <= n - 2 else -half
-            row[n - 1] = half
-            rows.append(tuple(row))
-        return tuple(rows)
-    return None
+def _index(value, what: str, error: type = RootSystemError) -> int:
+    """operator.index(value); anything but an exact integer raises error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def _validate(type_label: str, rank: int) -> str:
@@ -279,7 +258,8 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     The label is case-insensitive; interning happens after normalization
     so every spelling of a system yields the same object.
     """
-    return _build_interned(_validate(type_label, int(rank)), int(rank))
+    rank = _index(rank, "rank")
+    return _build_interned(_validate(type_label, rank), rank)
 
 
 @lru_cache(maxsize=None)
@@ -318,7 +298,6 @@ def _build_interned(label: str, rank: int) -> RootSystem:
         positive_roots=tuple(d.weight for d in data),
         root_data=tuple(data),
         rho=rho,
-        orthogonal_basis_map=_orthogonal_matrix(label, rank),
         root_coefficient_index=index,
         _simple_pairs=pairs,
     )
@@ -350,27 +329,36 @@ def reflect(system: RootSystem, chi: Weight, i: int) -> Weight:
     return _apply(system._simple_pairs, (i,), chi)
 
 
-def to_orthogonal(system: RootSystem, chi: Weight) -> Tuple[Fraction, ...]:
-    """Express chi in L-basis coordinates (types A, C, D only)."""
-    chi = make_weight(system, chi)
-    mat = system.orthogonal_basis_map
-    if mat is None:
+def _require_orthogonal(system: RootSystem) -> None:
+    if system.type_label not in ("A", "C", "D"):
         raise RootSystemError(
             f"type {system.type_label} has no orthogonal basis map here"
         )
-    return tuple(
-        sum((r * c for r, c in zip(row, chi, strict=True)), start=Fraction(0))
-        for row in mat
-    )
+
+
+def to_orthogonal(system: RootSystem, chi: Weight) -> Tuple[Fraction, ...]:
+    """Express chi in L-basis coordinates (types A, C, D only)."""
+    chi = make_weight(system, chi)
+    _require_orthogonal(system)
+    n = system.rank
+    coords, head = [Fraction(0)] * n, n
+    if system.type_label == "D":
+        # the spin nodes n-1 and n add (chi_{n-1} + chi_n) / 2 to every
+        # c_j but the last, which gets (chi_n - chi_{n-1}) / 2
+        spin = Fraction(chi[n - 2] + chi[n - 1], 2)
+        coords = [spin] * (n - 1) + [Fraction(chi[n - 1] - chi[n - 2], 2)]
+        head = n - 2
+    # suffix sums: c_j gains chi_j + ... + chi_{head} (omega_i = L_1 + ... + L_i)
+    total = 0
+    for j in reversed(range(head)):
+        total += chi[j]
+        coords[j] += total
+    return tuple(coords)
 
 
 def from_orthogonal(system: RootSystem, coords: Iterable) -> Weight:
     """Inverse of to_orthogonal; rejects vectors outside the weight lattice."""
-    mat = system.orthogonal_basis_map
-    if mat is None:
-        raise RootSystemError(
-            f"type {system.type_label} has no orthogonal basis map here"
-        )
+    _require_orthogonal(system)
     c = [Fraction(x) for x in coords]
     n = system.rank
     if len(c) != n:

@@ -35,6 +35,7 @@ from .rootsys import (
     RootSystemError,
     Weight,
     _apply,
+    _index,
     make_weight,
 )
 
@@ -150,7 +151,7 @@ class ParabolicSubgroup:
 
 
 def parabolic(system: RootSystem, crossed: Iterable[int]) -> ParabolicSubgroup:
-    nodes = frozenset(int(i) for i in crossed)
+    nodes = frozenset(_index(i, "crossed node") for i in crossed)
     for i in nodes:
         if not 1 <= i <= system.rank:
             raise RootSystemError(f"crossed node {i} out of range 1..{system.rank}")

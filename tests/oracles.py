@@ -9,6 +9,7 @@ touching the probe-orbit machinery.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import factorial
 from typing import Iterator, List, Tuple
@@ -72,6 +73,26 @@ def weyl_group_order_formula(label: str, rank: int) -> int:
     if label == "D":
         return 2 ** (rank - 1) * factorial(rank)
     return {"F4": 1152, "G2": 12}[label]
+
+
+def orthogonal_matrix(label: str, rank: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """L-basis matrix of type A, C or D: row j is L_j's coefficient on each
+    fundamental coordinate (omega_i = L_1 + ... + L_i below the spin nodes;
+    the D spin weights are (1/2, ..., 1/2, -+1/2))."""
+    n = rank
+    if label in ("A", "C"):
+        return tuple(
+            tuple(Fraction(1) if i >= j else Fraction(0) for i in range(n))
+            for j in range(n)
+        )
+    half = Fraction(1, 2)
+    rows = []
+    for j in range(n):
+        row = [Fraction(1) if j <= i < n - 2 else Fraction(0) for i in range(n)]
+        row[n - 2] = half if j <= n - 2 else -half
+        row[n - 1] = half
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def greedy_right_descent(system: RootSystem, word) -> Tuple[int, ...]:

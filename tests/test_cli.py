@@ -160,12 +160,38 @@ PINNED_JSON = (
      "f08e5364706d6842f359b25bd0de540a8e74da154005a50a343234c983673013"),
     (("roof", "verify", "A_M", "--r", "8"), 1,
      "65f2f140ad8464a027479f54414f45be50a662100c870f2ea5fa267abc2fd5d0"),
+    (("roof", "list"), 0,
+     "5c101b40c2f2e270f2d19b44e211d336a3f4778ea456ecd4e296e3c37abfb330"),
+    (("roof", "verify", "AxA", "--r", "2"), 1,
+     "ce15a8eaa1124c65c2bc772e27355ef98eae2ddf8c9f649d90cd8f7286adc788"),
+    (("roof", "verify", "A_G", "--r", "3"), 1,
+     "79107843902566c2f8775b3b30911353c8070fd63c7c6c45213a7c1e7cd9c037"),
+    # the Inconclusive first page of Z1
+    (("roof", "verify", "C", "--r", "1"), 1,
+     "31835e090178989231f1ee57a5d99f926422d0bbf4982a57878f01b0a217eac6"),
+    (("roof", "verify", "D", "--r", "4"), 1,
+     "97d7fd1cabde1815169f303b0c86424efc851b3fd0ff7bbcdc50091edadccb67"),
+)
+
+# sha256 of the default text stdout, pinned the same way
+PINNED_TEXT = (
+    (("roof", "list"), 0,
+     "4201b17c8335067ad01d01f8a0d1e2ea54e54e6bbffade566251daa9ec2eae2c"),
+    (("roof", "verify", "F4"), 0,
+     "fb48f3c07ed7b7d97c783b3adc8b584ff4fd47a2b066dd5df731a841e847345e"),
 )
 
 
 def test_json_output_matches_pinned_digests(capsys):
     for argv, expected_code, digest in PINNED_JSON:
         code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == expected_code, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_text_output_matches_pinned_digests(capsys):
+    for argv, expected_code, digest in PINNED_TEXT:
+        code, out, _ = run(capsys, *argv)
         assert code == expected_code, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 

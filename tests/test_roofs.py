@@ -1,6 +1,7 @@
 """Roof catalog, Koszul zero-locus cohomology, and the verification report."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,19 @@ def test_catalog_shape():
     ]
     for row in rows:
         assert set(row) == {"label", "group", "crossed_pair", "roof_rank", "parameter"}
+
+
+def test_readme_catalog_matches_catalog():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Roof catalog", 1)[1].split("\n## ", 1)[0]
+    table = [line for line in section.splitlines() if line.startswith("|")]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")] for line in table[2:]
+    ]
+    assert rows == [
+        [row[k] for k in ("label", "group", "crossed_pair", "roof_rank", "parameter")]
+        for row in catalog()
+    ]
 
 
 def test_roof_data_table():

@@ -1,15 +1,19 @@
 """Root system construction: Cartan data, roots, orthogonal coordinates."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from roofcalc import (
+    LeviIrrep,
     RootSystemError,
     Weight,
     WeightMultiset,
     build_root_system,
+    exterior_power,
     from_orthogonal,
+    full_group,
     is_positive_root,
     is_root,
     make_weight,
@@ -17,8 +21,13 @@ from roofcalc import (
     pair,
     parabolic,
     reflect,
+    resource_cap,
+    roof_data,
     to_orthogonal,
+    weight_multiset,
 )
+
+from oracles import orthogonal_matrix, random_weight
 
 
 def test_positive_root_counts():
@@ -97,6 +106,26 @@ def test_orthogonal_round_trip():
             chi = make_weight(s, coords)
             assert from_orthogonal(s, to_orthogonal(s, chi)) == chi
         assert from_orthogonal(s, to_orthogonal(s, s.rho)) == s.rho
+
+
+def test_orthogonal_coordinates_match_the_matrix():
+    rng = random.Random(7)
+    systems = (
+        [("A", n) for n in range(1, 13)]
+        + [("C", n) for n in range(1, 11)]
+        + [("D", n) for n in range(3, 13)]
+    )
+    for label, rank in systems:
+        s = build_root_system(label, rank)
+        mat = orthogonal_matrix(label, rank)
+        for _ in range(20):
+            chi = random_weight(rng, s, -9, 9)
+            expected = tuple(
+                sum((r * c for r, c in zip(row, chi)), start=Fraction(0))
+                for row in mat
+            )
+            assert to_orthogonal(s, chi) == expected, (label, rank, chi)
+            assert all(type(x) is Fraction for x in to_orthogonal(s, chi))
 
 
 def test_orthogonal_spin_coordinates():
@@ -205,6 +234,25 @@ def test_outside_data_is_validated_at_the_boundary():
     for result in (a + a, a - a, -a, 2 * a, a + (0, 1, 1), (0, 1, 1) + a):
         assert type(result) is Weight
         assert all(type(x) is int for x in result)
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: build_root_system("A", 2.9),
+        lambda: parabolic(build_root_system("C", 3), (1.9,)),
+        lambda: roof_data("C", 2.5),
+        lambda: exterior_power(
+            weight_multiset(LeviIrrep(full_group(build_root_system("C", 2)), Weight((1, 0)))),
+            1.7,
+        ),
+        lambda: resource_cap(2.5),
+    ),
+    ids=("build_root_system", "parabolic", "roof_data", "exterior_power", "resource_cap"),
+)
+def test_non_integral_input_is_rejected_not_truncated(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
 
 
 def test_pair_and_reflect_on_fundamental_weights():
