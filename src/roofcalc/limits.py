@@ -4,7 +4,8 @@ Orbit and coset enumeration, weight multisets and exterior powers can be
 asked for objects whose size is exponential in the rank.  Every such entry
 point takes an optional ``cap`` argument; when omitted, the cap comes from
 the ROOFCALC_CAP environment variable, falling back to DEFAULT_CAP.  The
-cap counts elements (orbit points, weights, subsets), not bytes.
+cap counts elements (orbit points, weights, subsets, straightenings), not
+bytes.
 """
 
 from __future__ import annotations

@@ -12,6 +12,10 @@ short roots have squared length 2; with full-group rho in place of the
 Levi half-sum (the difference pairs to zero with every Levi root), all
 intermediates are exact integers.  Characters split into Levi irreducibles
 by signed (Brauer-Klimyk) straightening of each weight, with the same rho.
+The Koszul complex takes its exterior powers straight in that basis, by
+Newton's identity over Adams operations; listing the weights of an
+exterior power (exterior_power) and splitting them (decompose_levi) is
+the independent cross-check.
 """
 
 from __future__ import annotations
@@ -142,7 +146,8 @@ class LeviIrrep:
     highest_weight: Weight
 
     def __post_init__(self):
-        _require_dominant(self.highest_weight, self.parabolic)
+        hw = _require_dominant(self.highest_weight, self.parabolic)
+        object.__setattr__(self, "highest_weight", hw)
 
     def __repr__(self) -> str:
         return f"LeviIrrep({self.parabolic!r}, {self.highest_weight!r})"
@@ -295,6 +300,62 @@ def decompose_levi(
         if n < 0:
             raise NotARepresentation(f"net multiplicity {n} for highest weight {hw!r}")
     return tuple(sorted((hw, n) for hw, n in nets.items() if n))
+
+
+def _exterior_power_summands(
+    ms: WeightMultiset, P: ParabolicSubgroup, cap: Optional[int] = None
+) -> Tuple[Tuple[Tuple[Weight, int], ...], ...]:
+    """Levi decomposition of every exterior power of a character V = ms.
+
+    Entry p (0..ms.total) lists the summands of Lambda^p V as
+    decompose_levi(exterior_power(ms, p), P) would, without listing the
+    weights of Lambda^p V.  Newton's identity over the Adams operations,
+    p Lambda^p = sum_{k=1..p} (-1)^(k-1) psi^k(V) Lambda^(p-k), where
+    psi^k(V) has the weights k mu with the multiplicities of V, is
+    multiplied out in the irreducible-character basis by signed
+    (Brauer-Klimyk) straightening: chi_lambda psi^k(V) collects
+    (-1)^steps m at image - rho for every weight mu of multiplicity m
+    whose lambda + k mu + rho straightens to a regular image.  Degree p
+    makes len(ms) straightenings per summand of Lambda^0..Lambda^(p-1),
+    a count checked against the cap before the degree starts.
+    """
+    limit = resource_cap(cap)
+    system = P.system
+    retained = sorted(P.retained)
+    rho = system.rho
+    weights = tuple(ms)
+    powers: list[Dict[Weight, int]] = [{Weight((0,) * system.rank): 1}]
+    for p in range(1, ms.total + 1):
+        check_cap(
+            f"exterior power {p} by Newton's identity (straightenings)",
+            len(weights) * sum(len(term) for term in powers),
+            limit,
+        )
+        acc: Dict[Weight, int] = {}
+        for k in range(1, p + 1):
+            sign = 1 if k % 2 else -1
+            for lam, c in powers[p - k].items():
+                shifted = [a + b for a, b in zip(lam, rho)]
+                for mu, m in weights:
+                    image, letters = straighten(
+                        system, [s + k * x for s, x in zip(shifted, mu)], retained
+                    )
+                    if any(image[i - 1] == 0 for i in retained):
+                        continue
+                    hw = image - rho
+                    n = sign * c * m
+                    acc[hw] = acc.get(hw, 0) + (-n if len(letters) % 2 else n)
+        term: Dict[Weight, int] = {}
+        for hw, n in acc.items():
+            q, r = divmod(n, p)
+            if r or q < 0:
+                raise AssertionError(
+                    f"Newton's identity left {n}/{p} at {hw!r} in exterior power {p}"
+                )
+            if q:
+                term[hw] = q
+        powers.append(term)
+    return tuple(tuple(sorted(term.items())) for term in powers)
 
 
 def dual_highest_weight(chi: Weight, P: ParabolicSubgroup) -> Weight:

@@ -20,7 +20,9 @@ turns a row into the family and the parabolics of its two bases.
 
 The pipeline computes both base classes from the height product
 (motive.class_of_quotient), resolves O_{Z_i}(1) by the Koszul complex of
-the cutting section, pushes every term through Borel-Weil-Bott, and
+the cutting section, splits every term into Levi irreducibles by
+Newton's identity in the character basis (no weight of an exterior
+power is listed), pushes each summand through Borel-Weil-Bott, and
 reads off H^*(Z_i, O(1)) whenever the first page of the resulting
 spectral sequence visibly degenerates.  For
 zero loci of dimension at least 3 the ample generator restricts from
@@ -42,9 +44,8 @@ from .bwb import SINGLE, bwb
 from .motive import LPolynomial, class_of_quotient, igr_class, roof_identity_residual
 from .reps import (
     LeviIrrep,
-    decompose_levi,
+    _exterior_power_summands,
     dual_highest_weight,
-    exterior_power,
     is_ample,
     weight_multiset,
     weyl_dimension,
@@ -274,23 +275,21 @@ def koszul_zero_locus_cohomology(
 
     The section lives in the rank-r bundle of the P-dominant weight
     bundle_hw; the Koszul complex twists O(twist) by the exterior
-    powers of the dual bundle, whose weights are the p-fold sums of the
-    dual irrep's weight multiset.  Each exterior power is decomposed
-    into Levi irreps and every summand goes through Borel-Weil-Bott.
+    powers of the dual bundle.  Their Levi decompositions come in one
+    pass from Newton's identity over Adams operations, multiplied out
+    in the irreducible-character basis by signed straightening
+    (reps._exterior_power_summands), and every summand goes through
+    Borel-Weil-Bott.
     """
     system = P.system
     bundle_hw = make_weight(system, bundle_hw)
     twist = make_weight(system, twist)
     dual = dual_highest_weight(bundle_hw, P)
     dual_weights = weight_multiset(LeviIrrep(P, dual), cap=cap)
-    rank = dual_weights.total
     cells: Dict[Tuple[int, int], int] = {}
-    base = bwb(P, twist)
-    if base.status == SINGLE:
-        cells[(0, base.degree)] = base.dimension
-    for p in range(1, rank + 1):
-        power = exterior_power(dual_weights, p, cap=cap)
-        for hw, mult in decompose_levi(power, P):
+    powers = _exterior_power_summands(dual_weights, P, cap=cap)
+    for p, summands in enumerate(powers):
+        for hw, mult in summands:
             res = bwb(P, hw + twist)
             if res.status == SINGLE:
                 key = (p, res.degree)

@@ -252,6 +252,25 @@ def test_cap_env_variable(capsys, monkeypatch):
     assert json.loads(out)["count"] == 1152
 
 
+def test_cap_bounds_koszul_straightenings(capsys):
+    # C r=3: the largest count is 54 straightenings, for the sixth
+    # exterior power on the Z1 side; the dual bundle has only 6 weights
+    code, out, err = run(capsys, "roof", "verify", "C", "--r", "3", "--cap", "53")
+    assert code == 3
+    assert out == ""
+    assert "exterior power 6" in err and "54" in err
+    code, _, _ = run(capsys, "roof", "verify", "C", "--r", "3", "--cap", "54")
+    assert code == 0
+
+
+def test_roof_verify_a_m_27_within_default_cap(capsys):
+    # Lambda^13 of the rank-27 bundle has comb(27, 13) > 10^7 weights
+    code, out, _ = run(capsys, "roof", "verify", "A_M", "--r", "27", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["h0_z1"], payload["h0_z2"]) == (28, 28)
+
+
 def test_console_script_entry_point(capsys, monkeypatch):
     # The `roofcalc` executable is declared in pyproject.toml; check the
     # declaration itself so the test holds from a source checkout, and

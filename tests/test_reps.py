@@ -162,6 +162,16 @@ def test_dominance_error_names_the_node():
     LeviIrrep(P, make_weight(c3, (1, -1, 0)))
 
 
+def test_levi_irrep_stores_a_weight_from_a_plain_tuple():
+    c2 = build_root_system("C", 2)
+    G = full_group(c2)
+    rep = LeviIrrep(G, (1, 0))
+    assert type(rep.highest_weight) is Weight
+    assert rep == LeviIrrep(G, make_weight(c2, (1, 0)))
+    ms = weight_multiset(rep)
+    assert ms.total == rep.dimension == 4
+
+
 def test_is_ample_and_line_bundle_rank():
     c3 = build_root_system("C", 3)
     P = parabolic(c3, (2,))

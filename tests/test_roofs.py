@@ -15,13 +15,19 @@ from roofcalc import (
     catalog,
     class_of_quotient,
     igr_class,
+    LeviIrrep,
+    decompose_levi,
+    dual_highest_weight,
+    exterior_power,
     koszul_zero_locus_cohomology,
     make_weight,
     parabolic,
     roof_data,
     verify_roof,
+    weight_multiset,
     weyl_group_order,
 )
+from roofcalc.reps import _exterior_power_summands
 from roofcalc.roofs import _collision_free
 
 JSON_KEYS = {
@@ -140,6 +146,38 @@ def test_koszul_consistency_when_higher_terms_vanish():
                 expected = {base.degree: base.dimension} if base.status == SINGLE else {}
                 assert res.status == DETERMINED
                 assert res.degrees() == expected
+
+
+def test_newton_exterior_powers_match_enumeration():
+    # the Koszul route (Newton's identity in the character basis) against
+    # listing every weight of every exterior power and straightening it
+    for label, r in (("C", 2), ("C", 3), ("D", 9), ("A_M", 10), ("A_G", 4),
+                     ("F4", None), ("G2", None)):
+        fam = roof_data(label, r)
+        system = build_root_system(fam.group_type, fam.group_rank)
+        for node in fam.crossed_pair:
+            P = parabolic(system, (node,))
+            dual = dual_highest_weight(fam.bundle_weight, P)
+            ms = weight_multiset(LeviIrrep(P, dual))
+            enumerated = tuple(
+                decompose_levi(exterior_power(ms, p), P) for p in range(ms.total + 1)
+            )
+            assert _exterior_power_summands(ms, P) == enumerated, (label, r, node)
+
+
+def test_pinned_h0_beyond_enumeration():
+    # C r=6..8 as recorded from the exterior-power enumeration; A_M and D
+    # continue the enumerated patterns h0 = r + 1 (r <= 14) and
+    # h0 = 2^(r-1) (r <= 12)
+    for label, r, h0 in (
+        ("C", 6, (233646504, 417225900)),
+        ("C", 7, (9721421440, 17620076360)),
+        ("C", 8, (409972529754, 751616304549)),
+        ("A_M", 20, (21, 21)),
+        ("D", 20, (524288, 524288)),
+    ):
+        rep = verify_roof(label, r)
+        assert (rep.h0_z1, rep.h0_z2) == h0, (label, r)
 
 
 def test_collision_free_rules():
