@@ -3,7 +3,14 @@
 Every subcommand supports --format text|json.  JSON output is
 deterministic: keys are sorted, indentation is fixed, and all payload
 data comes from already-sorted engine structures, so identical inputs
-produce byte-identical bytes.
+produce byte-identical bytes.  _dumps writes it, byte for byte what
+json.dumps(payload, indent=2, sort_keys=True) gives, without the
+pure-Python encoder that json falls back to whenever indent is set.
+
+Each handler returns its JSON payload, a callable that renders the text
+report and the exit code; main renders only the format asked for.  The
+argparse tree is built once per process, on the first call of main, and
+reused: parsing does not change it.
 
 Exit codes: 0 success; 1 when `roof verify` finds no nontrivial
 equivalence; 2 on validation errors (bad flags, bad math inputs); 3
@@ -14,9 +21,10 @@ variable ROOFCALC_CAP).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .bwb import SINGLE, bwb
 from .limits import DEFAULT_CAP, ENV_VAR, ResourceCapExceeded
@@ -37,7 +45,50 @@ def _csv_ints(text: str, what: str) -> Tuple[int, ...]:
         ) from None
 
 
+Handled = Tuple[dict, Callable[[], str], int]  # payload, text renderer, exit code
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _dumps(o, pad: str = "\n") -> str:
+    """json.dumps(o, indent=2, sort_keys=True); pad is the current line break.
+
+    Takes str, int, bool, None, list, tuple and dict with str keys;
+    anything else, floats and non-str keys included, raises TypeError.
+    """
+    if isinstance(o, str):
+        return _escape(o)
+    if o is None:
+        return "null"
+    if isinstance(o, bool):
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if all(type(x) is int for x in o):
+            body = sep.join(map(int.__repr__, o))
+        else:
+            body = sep.join(_dumps(x, inner) for x in o)
+        return "[" + inner + body + pad + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        for key in o:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        body = sep.join(
+            _escape(k) + ": " + _dumps(v, inner) for k, v in sorted(o.items())
+        )
+        return "{" + inner + body + pad + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared after it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -138,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_roots(args) -> Tuple[dict, str, int]:
-    system = build_root_system(args.type, args.rank)
+def _cmd_roots(args) -> Handled:
+    system = build_root_system(args.type, args.rank, cap=args.cap)
     rows = [
         {
             "fundamental": list(data.weight),
@@ -155,16 +206,22 @@ def _cmd_roots(args) -> Tuple[dict, str, int]:
         "count": len(rows),
         "positive_roots": rows,
     }
-    lines = [f"positive roots of {system.type_label} rank {system.rank}: {len(rows)}"]
-    for data in system.root_data:
-        lines.append(
-            f"  fund {tuple(data.weight)}   roots {data.coefficients}   "
-            f"norm {data.norm}"
-        )
-    return payload, "\n".join(lines), 0
+
+    def text() -> str:
+        lines = [
+            f"positive roots of {system.type_label} rank {system.rank}: {len(rows)}"
+        ]
+        for data in system.root_data:
+            lines.append(
+                f"  fund {tuple(data.weight)}   roots {data.coefficients}   "
+                f"norm {data.norm}"
+            )
+        return "\n".join(lines)
+
+    return payload, text, 0
 
 
-def _cmd_weyl_cosets(args) -> Tuple[dict, str, int]:
+def _cmd_weyl_cosets(args) -> Handled:
     system = build_root_system(args.type, args.rank)
     P = parabolic(system, _csv_ints(args.cross, "--cross"))
     reps = minimal_coset_reps(P, cap=args.cap)
@@ -177,17 +234,21 @@ def _cmd_weyl_cosets(args) -> Tuple[dict, str, int]:
             {"length": ell, "word": list(w.word)} for w, ell in reps
         ],
     }
-    lines = [
-        f"{len(reps)} minimal coset representatives, "
-        f"{system.type_label} rank {system.rank} crossed {sorted(P.crossed)}"
-    ]
-    for w, ell in reps:
-        word = " ".join(str(i) for i in w.word) if w.word else "e"
-        lines.append(f"  length {ell}: {word}")
-    return payload, "\n".join(lines), 0
+
+    def text() -> str:
+        lines = [
+            f"{len(reps)} minimal coset representatives, "
+            f"{system.type_label} rank {system.rank} crossed {sorted(P.crossed)}"
+        ]
+        for w, ell in reps:
+            word = " ".join(str(i) for i in w.word) if w.word else "e"
+            lines.append(f"  length {ell}: {word}")
+        return "\n".join(lines)
+
+    return payload, text, 0
 
 
-def _cmd_weyl_orbit(args) -> Tuple[dict, str, int]:
+def _cmd_weyl_orbit(args) -> Handled:
     system = build_root_system(args.type, args.rank)
     P = parabolic(system, _csv_ints(args.cross, "--cross"))
     chi = make_weight(system, _csv_ints(args.weight, "--weight"))
@@ -200,12 +261,16 @@ def _cmd_weyl_orbit(args) -> Tuple[dict, str, int]:
         "size": len(points),
         "orbit": [list(w) for w in points],
     }
-    lines = [f"orbit size {len(points)}"]
-    lines.extend(f"  {tuple(w)}" for w in points)
-    return payload, "\n".join(lines), 0
+
+    def text() -> str:
+        lines = [f"orbit size {len(points)}"]
+        lines.extend(f"  {tuple(w)}" for w in points)
+        return "\n".join(lines)
+
+    return payload, text, 0
 
 
-def _cmd_rep_dim(args) -> Tuple[dict, str, int]:
+def _cmd_rep_dim(args) -> Handled:
     system = build_root_system(args.type, args.rank)
     chi = make_weight(system, _csv_ints(args.weight, "--weight"))
     dim = weyl_dimension(system, chi)
@@ -215,10 +280,10 @@ def _cmd_rep_dim(args) -> Tuple[dict, str, int]:
         "weight": list(chi),
         "dimension": dim,
     }
-    return payload, str(dim), 0
+    return payload, lambda: str(dim), 0
 
 
-def _cmd_bwb(args) -> Tuple[dict, str, int]:
+def _cmd_bwb(args) -> Handled:
     system = build_root_system(args.type, args.rank)
     P = parabolic(system, _csv_ints(args.cross, "--cross"))
     chi = make_weight(system, _csv_ints(args.weight, "--weight"))
@@ -235,58 +300,66 @@ def _cmd_bwb(args) -> Tuple[dict, str, int]:
         else None,
         "dimension": res.dimension,
     }
-    if res.status == SINGLE:
-        text = (
+
+    def text() -> str:
+        if res.status != SINGLE:
+            return "Vanishes"
+        return (
             f"Single at degree {res.degree}: highest weight "
             f"{tuple(res.g_highest_weight)}, dimension {res.dimension}"
         )
-    else:
-        text = "Vanishes"
+
     return payload, text, 0
 
 
-def _cmd_class_quotient(args) -> Tuple[dict, str, int]:
+def _cmd_class_quotient(args) -> Handled:
     system = build_root_system(args.type, args.rank)
     P = parabolic(system, _csv_ints(args.cross, "--cross"))
     poly = class_of_quotient(P)
+    rendered = str(poly)
     payload = {
         "type": system.type_label,
         "rank": system.rank,
         "crossed": sorted(P.crossed),
         "coefficients": list(poly.coeffs),
-        "rendered": str(poly),
+        "rendered": rendered,
     }
-    return payload, str(poly), 0
+    return payload, lambda: rendered, 0
 
 
-def _cmd_count_igr(args) -> Tuple[dict, str, int]:
+def _cmd_count_igr(args) -> Handled:
     value = igr_point_count(args.d, args.n, args.q)
     payload = {"d": args.d, "n": args.n, "q": args.q, "count": value}
-    return payload, str(value), 0
+    return payload, lambda: str(value), 0
 
 
-def _cmd_roof_list(args) -> Tuple[dict, str, int]:
+def _cmd_roof_list(args) -> Handled:
     rows = catalog()
     payload = {"families": [dict(row) for row in rows]}
-    header = f"{'label':<6} {'group':<10} {'crossed':<22} {'roof rank':<10} parameter"
-    lines = [header]
-    for row in rows:
-        lines.append(
-            f"{row['label']:<6} {row['group']:<10} {row['crossed_pair']:<22} "
-            f"{row['roof_rank']:<10} {row['parameter']}"
+
+    def text() -> str:
+        header = (
+            f"{'label':<6} {'group':<10} {'crossed':<22} {'roof rank':<10} parameter"
         )
-    return payload, "\n".join(lines), 0
+        lines = [header]
+        for row in rows:
+            lines.append(
+                f"{row['label']:<6} {row['group']:<10} {row['crossed_pair']:<22} "
+                f"{row['roof_rank']:<10} {row['parameter']}"
+            )
+        return "\n".join(lines)
+
+    return payload, text, 0
 
 
-def _cmd_roof_verify(args) -> Tuple[dict, str, int]:
+def _cmd_roof_verify(args) -> Handled:
     report = verify_roof(args.family, args.r, cap=args.cap)
     code = 0 if report.nontrivial_equivalence else 1
-    return report.to_json_dict(), report.render_text(), code
+    return report.to_json_dict(), report.render_text, code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload, text, code = args.run(args)
     except ResourceCapExceeded as exc:
@@ -295,10 +368,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (RootSystemError, DominanceError, NotARepresentation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    print(_dumps(payload) if args.format == "json" else text())
     return code
 
 

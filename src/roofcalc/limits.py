@@ -4,15 +4,16 @@ Orbit and coset enumeration, weight multisets and exterior powers can be
 asked for objects whose size is exponential in the rank.  Every such entry
 point takes an optional ``cap`` argument; when omitted, the cap comes from
 the ROOFCALC_CAP environment variable, falling back to DEFAULT_CAP.  The
-cap counts elements (orbit points, weights, subsets, straightenings), not
-bytes.
+cap counts elements (orbit points, weights, subsets, straightenings, root
+coordinates), not bytes.  _index, the exact-integer check every public
+entry point applies to a rank, node, degree, parameter or cap, lives here
+too, so that rootsys can check its cap without an import cycle.
 """
 
 from __future__ import annotations
 
+import operator
 import os
-
-from .rootsys import _index
 
 DEFAULT_CAP = 10_000_000
 ENV_VAR = "ROOFCALC_CAP"
@@ -31,10 +32,18 @@ class ResourceCapExceeded(RuntimeError):
         )
 
 
+def _index(value, what: str, error: type = ValueError) -> int:
+    """operator.index(value); anything but an exact integer raises error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 def resource_cap(override: int | None = None) -> int:
     """Resolve the effective cap: explicit argument, then env var, then default."""
     if override is not None:
-        cap = _index(override, "resource cap", ValueError)
+        cap = _index(override, "resource cap")
         if cap < 1:
             raise ValueError(f"resource cap must be >= 1, got {override!r}")
         return cap

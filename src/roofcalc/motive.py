@@ -157,20 +157,47 @@ class LPolynomial:
         return self.render()
 
 
+def _times_lh_minus_1(p: list[int], h: int) -> list[int]:
+    """p * (L^h - 1), a shift and a subtraction."""
+    out = [0] * h + p
+    for k, c in enumerate(p):
+        out[k] -= c
+    return out
+
+
+def _over_lh_minus_1(p: list[int], h: int) -> list[int]:
+    """p / (L^h - 1) by q_k = q_(k-h) - p_k; the remainder must be zero."""
+    n = max(len(p) - h, 0)
+    q = [0] * n
+    for k in range(n):
+        q[k] = (q[k - h] if k >= h else 0) - p[k]
+    # above deg q, p * (L^h - 1) has coefficient q_(k-h) and nothing else
+    for k in range(n, len(p)):
+        if p[k] != (q[k - h] if 0 <= k - h < n else 0):
+            raise ExactDivisionError("inexact polynomial division")
+    return q
+
+
 def class_of_quotient(P: ParabolicSubgroup) -> LPolynomial:
     """[G/P] in the Grothendieck ring, from the height product.
 
-    The factors [h]_L with positive exponent are multiplied out, then the
-    product of the rest is divided off exactly, once.
+    The exponents e_h of prod_h [h]_L ** e_h sum to zero once h = 1 is
+    counted (its [1]_L = 1 is left out of height_exponents), so the
+    (L - 1) denominators of [h]_L = (L^h - 1) / (L - 1) cancel and
+    [G/P] = prod_h (L^h - 1) ** e_h.  Every factor with e_h > 0 is
+    multiplied in before any is divided off, so each quotient is exact;
+    each step is O(degree).
     """
-    num = den = LPolynomial.one()
-    for h, e in height_exponents(P).items():
-        factor = LPolynomial.projective_space(h - 1)
+    exponents = height_exponents(P)
+    exponents[1] = -sum(exponents.values())
+    coeffs = [1]
+    for h, e in exponents.items():
         for _ in range(e):
-            num = num * factor
+            coeffs = _times_lh_minus_1(coeffs, h)
+    for h, e in exponents.items():
         for _ in range(-e):
-            den = den * factor
-    return num.exact_div(den)
+            coeffs = _over_lh_minus_1(coeffs, h)
+    return LPolynomial(coeffs)
 
 
 def _validate_igr(d: int, n: int) -> None:

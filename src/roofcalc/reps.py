@@ -25,8 +25,8 @@ from math import comb
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple, Union
 
-from .limits import check_cap, resource_cap
-from .rootsys import RootSystem, Weight, _apply, _index, make_weight
+from .limits import _index, check_cap, resource_cap
+from .rootsys import RootSystem, Weight, _apply, make_weight
 from .weyl import (
     ParabolicSubgroup,
     act,

@@ -41,6 +41,7 @@ from itertools import combinations
 from typing import Dict, Optional, Tuple
 
 from .bwb import SINGLE, bwb
+from .limits import _index
 from .motive import LPolynomial, class_of_quotient, igr_class, roof_identity_residual
 from .reps import (
     LeviIrrep,
@@ -50,7 +51,7 @@ from .reps import (
     weight_multiset,
     weyl_dimension,
 )
-from .rootsys import RootSystem, Weight, _index, build_root_system, make_weight
+from .rootsys import RootSystem, Weight, build_root_system, make_weight
 from .weyl import ParabolicSubgroup, levi_root_data, parabolic
 
 DETERMINED = "Determined"

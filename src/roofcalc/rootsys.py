@@ -40,7 +40,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
+
+from .limits import _index, check_cap, resource_cap
 
 SUPPORTED_TYPES = ("A", "C", "D", "F4", "G2")
 SimplePairs = Tuple[Tuple[Tuple[int, int], ...], ...]  # (0-based index, value)
@@ -227,14 +229,6 @@ def _positive_root_closure(
     return [(w, coeffs) for w, coeffs in roots]
 
 
-def _index(value, what: str, error: type = RootSystemError) -> int:
-    """operator.index(value); anything but an exact integer raises error."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
-
-
 def _validate(type_label: str, rank: int) -> str:
     label = type_label.strip().upper()
     if label not in SUPPORTED_TYPES:
@@ -252,14 +246,36 @@ def _validate(type_label: str, rank: int) -> str:
     return label
 
 
-def build_root_system(type_label: str, rank: int) -> RootSystem:
+# |Phi+| in closed form, per type, as a function of the rank
+_POSITIVE_ROOT_COUNT = {
+    "A": lambda n: n * (n + 1) // 2,
+    "C": lambda n: n * n,
+    "D": lambda n: n * (n - 1),
+    "F4": lambda n: 24,
+    "G2": lambda n: 6,
+}
+
+
+def build_root_system(
+    type_label: str, rank: int, cap: Optional[int] = None
+) -> RootSystem:
     """Construct (and intern) the root system of the given type and rank.
 
     The label is case-insensitive; interning happens after normalization
-    so every spelling of a system yields the same object.
+    so every spelling of a system yields the same object.  The system
+    stores rank coordinates for each positive root; that count,
+    |Phi+| * rank in closed form, is checked against the resource cap
+    before the interned lookup, so the outcome does not depend on which
+    systems the process built before.
     """
-    rank = _index(rank, "rank")
-    return _build_interned(_validate(type_label, rank), rank)
+    rank = _index(rank, "rank", RootSystemError)
+    label = _validate(type_label, rank)
+    check_cap(
+        f"root system {label} rank {rank}",
+        _POSITIVE_ROOT_COUNT[label](rank) * rank,
+        resource_cap(cap),
+    )
+    return _build_interned(label, rank)
 
 
 @lru_cache(maxsize=None)

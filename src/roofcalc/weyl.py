@@ -28,14 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from .limits import check_cap, resource_cap
+from .limits import _index, check_cap, resource_cap
 from .rootsys import (
     RootData,
     RootSystem,
     RootSystemError,
     Weight,
     _apply,
-    _index,
     make_weight,
 )
 
@@ -151,7 +150,7 @@ class ParabolicSubgroup:
 
 
 def parabolic(system: RootSystem, crossed: Iterable[int]) -> ParabolicSubgroup:
-    nodes = frozenset(_index(i, "crossed node") for i in crossed)
+    nodes = frozenset(_index(i, "crossed node", RootSystemError) for i in crossed)
     for i in nodes:
         if not 1 <= i <= system.rank:
             raise RootSystemError(f"crossed node {i} out of range 1..{system.rank}")

@@ -1,11 +1,15 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from roofcalc.cli import main
+import roofcalc.cli
+from roofcalc.cli import _dumps, main
 
 
 def run(capsys, *argv):
@@ -133,6 +137,77 @@ def test_json_output_is_byte_identical(capsys):
     # canonical form: sorted keys, two-space indent, trailing newline
     payload = json.loads(first)
     assert first == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_text = st.text() | st.text(alphabet='"\\/\n\t\x00\x1f\x7f \u00e9\u2028\U0001f600a')
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | _text
+)
+_payloads = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.integers() | st.booleans(), max_size=6)
+    | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_payloads)
+def test_dumps_matches_json_dumps(payload):
+    assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_dumps_raises_on_what_it_does_not_write():
+    for payload in (1.5, [1, 2.0], {"a": {1: 0}}, {None: 1}, {1, 2}, b"x"):
+        with pytest.raises(TypeError):
+            _dumps(payload)
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    roofcalc.cli.build_parser.cache_clear()
+    assert run(capsys, "rep", "dim", "G2", "2", "--weight", "1,0") == (0, "14\n", "")
+    tree = len(built)
+    assert tree > 0
+    # a cap from one call does not stay for the next
+    cosets = ("weyl", "cosets", "F4", "4", "--cross", "1,2,3,4")
+    assert run(capsys, *cosets, "--cap", "100")[0] == 3
+    assert run(capsys, *cosets)[0] == 0
+    # nor does a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["roots"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "count", "igr", "2", "2", "3") == (0, "40\n", "")
+    # nor the format
+    code, out, _ = run(capsys, "count", "igr", "2", "2", "3", "--format", "json")
+    assert json.loads(out) == {"count": 40, "d": 2, "n": 2, "q": 3}
+    assert run(capsys, "count", "igr", "2", "2", "3") == (0, "40\n", "")
+    assert len(built) == tree
+
+
+def test_roots_honors_cap(capsys):
+    # G2 stores 6 positive roots of 2 coordinates
+    code, out, err = run(capsys, "roots", "G2", "2", "--cap", "11")
+    assert (code, out) == (3, "")
+    assert "12" in err
+    assert run(capsys, "roots", "G2", "2", "--cap", "12")[0] == 0
+    # checked before anything is built
+    code, _, err = run(capsys, "roots", "A", "1000")
+    assert code == 3
+    assert "500500000" in err
 
 
 # sha256 of the --format json stdout; a change that alters answers on

@@ -1,9 +1,11 @@
 """Generated-input checks for the algebraic building blocks."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roofcalc import (
+    ExactDivisionError,
     LPolynomial,
     Weight,
     build_root_system,
@@ -12,6 +14,7 @@ from roofcalc import (
     make_weight,
     reflect,
 )
+from roofcalc.motive import _over_lh_minus_1, _times_lh_minus_1
 
 coeff_lists = st.lists(st.integers(min_value=-30, max_value=30), max_size=8)
 coords3 = st.tuples(
@@ -44,6 +47,25 @@ def test_exact_division_inverts_multiplication(a, b):
     if pb.is_zero:
         return
     assert (pa * pb).exact_div(pb) == pa
+
+
+@given(coeff_lists, coeff_lists, st.integers(min_value=1, max_value=6))
+def test_lh_minus_1_kernels_match_general_arithmetic(a, b, h):
+    # class_of_quotient's O(degree) product and quotient by L^h - 1
+    # against the general product and long division
+    factor = LPolynomial([-1] + [0] * (h - 1) + [1])
+    p = list(LPolynomial(a).coeffs)
+    product = _times_lh_minus_1(p, h)
+    assert LPolynomial(product) == LPolynomial(p) * factor
+    assert _over_lh_minus_1(product, h) == p
+    pb = LPolynomial(b)
+    try:
+        expected = pb.exact_div(factor)
+    except ExactDivisionError:
+        with pytest.raises(ExactDivisionError):
+            _over_lh_minus_1(list(pb.coeffs), h)
+    else:
+        assert LPolynomial(_over_lh_minus_1(list(pb.coeffs), h)) == expected
 
 
 @given(coords3, coords3, st.integers(min_value=-10, max_value=10))

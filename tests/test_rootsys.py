@@ -7,6 +7,7 @@ import pytest
 
 from roofcalc import (
     LeviIrrep,
+    ResourceCapExceeded,
     RootSystemError,
     Weight,
     WeightMultiset,
@@ -196,6 +197,23 @@ def test_build_validation():
 def test_systems_are_interned():
     assert build_root_system("C", 3) is build_root_system("C", 3)
     assert build_root_system("f4", 4) is build_root_system("F4", 4)
+
+
+def test_root_build_cap_is_checked_before_the_interned_lookup():
+    # |Phi+| * rank root coordinates: 27 for C3, checked even when C3 was
+    # built before, so the outcome does not depend on process history
+    c3 = build_root_system("C", 3)
+    with pytest.raises(ResourceCapExceeded, match="27"):
+        build_root_system("C", 3, cap=26)
+    assert build_root_system("C", 3, cap=27) is c3
+    for label, rank in (("A", 7), ("C", 7), ("D", 7), ("F4", 4), ("G2", 2)):
+        needed = len(build_root_system(label, rank).positive_roots) * rank
+        with pytest.raises(ResourceCapExceeded):
+            build_root_system(label, rank, cap=needed - 1)
+        build_root_system(label, rank, cap=needed)
+    # A1000 would need 500500 roots of 1000 coordinates each
+    with pytest.raises(ResourceCapExceeded, match="500500000"):
+        build_root_system("A", 1000)
 
 
 def test_make_weight_validation():
