@@ -1,21 +1,28 @@
 """Command-line surface for the engine.
 
-Every subcommand supports --format text|json.  JSON output is
+Every subcommand supports --format text|json and --cap.  JSON output is
 deterministic: keys are sorted, indentation is fixed, and all payload
 data comes from already-sorted engine structures, so identical inputs
 produce byte-identical bytes.  _dumps writes it, byte for byte what
 json.dumps(payload, indent=2, sort_keys=True) gives, without the
 pure-Python encoder that json falls back to whenever indent is set.
 
-Each handler returns its JSON payload, a callable that renders the text
-report and the exit code; main renders only the format asked for.  The
-argparse tree is built once per process, on the first call of main, and
-reused: parsing does not change it.
+Each argument is declared once, in a parent parser; _LEAVES gives each
+subcommand its help, its handler and the parents it takes.  _resolve
+turns `<type> <rank>`, --cross and --weight into the root system (built
+under --cap), the parabolic and the weight, with the payload fields
+that echo them.  Each handler returns its JSON payload, a callable that
+renders the text report and the exit code; main renders only the format
+asked for, inside the same error mapping as the handler.  The argparse
+tree is built once per process, on the first call of main, and reused:
+parsing does not change it.
 
 Exit codes: 0 success; 1 when `roof verify` finds no nontrivial
-equivalence; 2 on validation errors (bad flags, bad math inputs); 3
-when a computation exceeds the resource cap (flag --cap or environment
-variable ROOFCALC_CAP).
+equivalence; 2 on validation errors (bad flags, bad math inputs, an
+answer too large to print); 3 when a computation exceeds the resource
+cap (flag --cap or environment variable ROOFCALC_CAP).  When the reader
+closes stdout early, the output stops quietly and the code stays the
+command's own.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -31,8 +39,8 @@ from .limits import DEFAULT_CAP, ENV_VAR, ResourceCapExceeded
 from .motive import class_of_quotient, igr_point_count
 from .reps import DominanceError, NotARepresentation, weyl_dimension
 from .roofs import catalog, verify_roof
-from .rootsys import RootSystemError, build_root_system, make_weight
-from .weyl import minimal_coset_reps, orbit, parabolic
+from .rootsys import RootSystem, RootSystemError, Weight, build_root_system, make_weight
+from .weyl import ParabolicSubgroup, minimal_coset_reps, orbit, parabolic
 
 
 def _csv_ints(text: str, what: str) -> Tuple[int, ...]:
@@ -102,6 +110,25 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"resource cap override (default {DEFAULT_CAP}, or ${ENV_VAR})",
     )
+    parent = {
+        name: argparse.ArgumentParser(add_help=False)
+        for name in ("system", "cross", "weight", "igr", "family")
+    }
+    parent["system"].add_argument("type", help="system type: A, C, D, F4 or G2")
+    parent["system"].add_argument("rank", type=int)
+    parent["cross"].add_argument(
+        "--cross", required=True, help="comma-separated crossed nodes"
+    )
+    parent["weight"].add_argument(
+        "--weight", required=True, help="comma-separated fundamental coordinates"
+    )
+    parent["igr"].add_argument("d", type=int)
+    parent["igr"].add_argument("n", type=int)
+    parent["igr"].add_argument("q", type=int)
+    parent["family"].add_argument("family")
+    parent["family"].add_argument(
+        "--r", type=int, default=None, help="family parameter"
+    )
 
     parser = argparse.ArgumentParser(
         prog="roofcalc",
@@ -109,88 +136,42 @@ def build_parser() -> argparse.ArgumentParser:
         "Borel-Weil-Bott cohomology, Grothendieck-ring classes, and "
         "L-equivalence certificates for homogeneous roofs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("roots", parents=[common], help="positive roots of a system")
-    p.set_defaults(run=_cmd_roots)
-    p.add_argument("type", help="system type: A, C, D, F4 or G2")
-    p.add_argument("rank", type=int)
-
-    weyl = sub.add_parser("weyl", help="Weyl group computations")
-    wsub = weyl.add_subparsers(dest="weyl_command", required=True)
-    p = wsub.add_parser(
-        "cosets", parents=[common], help="minimal length coset representatives"
-    )
-    p.set_defaults(run=_cmd_weyl_cosets)
-    p.add_argument("type")
-    p.add_argument("rank", type=int)
-    p.add_argument("--cross", required=True, help="comma-separated crossed nodes")
-    p = wsub.add_parser(
-        "orbit", parents=[common], help="orbit of a weight under the Levi Weyl group"
-    )
-    p.set_defaults(run=_cmd_weyl_orbit)
-    p.add_argument("type")
-    p.add_argument("rank", type=int)
-    p.add_argument("--cross", required=True, help="comma-separated crossed nodes")
-    p.add_argument(
-        "--weight", required=True, help="comma-separated fundamental coordinates"
-    )
-
-    rep = sub.add_parser("rep", help="representation data")
-    rsub = rep.add_subparsers(dest="rep_command", required=True)
-    p = rsub.add_parser(
-        "dim", parents=[common], help="dimension of the irrep of a dominant weight"
-    )
-    p.set_defaults(run=_cmd_rep_dim)
-    p.add_argument("type")
-    p.add_argument("rank", type=int)
-    p.add_argument("--weight", required=True)
-
-    p = sub.add_parser(
-        "bwb", parents=[common], help="cohomology of an equivariant bundle on G/P"
-    )
-    p.set_defaults(run=_cmd_bwb)
-    p.add_argument("type")
-    p.add_argument("rank", type=int)
-    p.add_argument("--cross", required=True)
-    p.add_argument("--weight", required=True)
-
-    cls = sub.add_parser("class", help="Grothendieck-ring classes")
-    csub = cls.add_subparsers(dest="class_command", required=True)
-    p = csub.add_parser(
-        "quotient", parents=[common], help="[G/P] as a polynomial in L"
-    )
-    p.set_defaults(run=_cmd_class_quotient)
-    p.add_argument("type")
-    p.add_argument("rank", type=int)
-    p.add_argument("--cross", required=True)
-
-    count = sub.add_parser("count", help="finite-field point counts")
-    cnt = count.add_subparsers(dest="count_command", required=True)
-    p = cnt.add_parser(
-        "igr", parents=[common], help="points of IGr(d, 2n) over F_q"
-    )
-    p.set_defaults(run=_cmd_count_igr)
-    p.add_argument("d", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("q", type=int)
-
-    roof = sub.add_parser("roof", help="homogeneous roof catalog and verification")
-    roofsub = roof.add_subparsers(dest="roof_command", required=True)
-    p = roofsub.add_parser("list", parents=[common], help="list the roof families")
-    p.set_defaults(run=_cmd_roof_list)
-    p = roofsub.add_parser(
-        "verify", parents=[common], help="verify one family member end to end"
-    )
-    p.set_defaults(run=_cmd_roof_verify)
-    p.add_argument("family")
-    p.add_argument("--r", type=int, default=None, help="family parameter")
-
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, help_text, run, takes in _LEAVES:
+        group, _, leaf = name.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(
+                group, help=_GROUP_HELP[group]
+            ).add_subparsers(dest=f"{group}_command", required=True)
+        p = subs[group].add_parser(
+            leaf, parents=[common, *(parent[x] for x in takes)], help=help_text
+        )
+        p.set_defaults(run=run)
     return parser
 
 
-def _cmd_roots(args) -> Handled:
+def _resolve(
+    args,
+) -> Tuple[RootSystem, Optional[ParabolicSubgroup], Optional[Weight], dict]:
+    """The system, parabolic and weight the arguments name, and their echo.
+
+    The system is built under --cap.  A subcommand that takes no --cross
+    or no --weight gets None in that place and no payload field for it.
+    """
     system = build_root_system(args.type, args.rank, cap=args.cap)
+    echo = {"type": system.type_label, "rank": system.rank}
+    P = chi = None
+    if "cross" in args:
+        P = parabolic(system, _csv_ints(args.cross, "--cross"))
+        echo["crossed"] = sorted(P.crossed)
+    if "weight" in args:
+        chi = make_weight(system, _csv_ints(args.weight, "--weight"))
+        echo["weight"] = list(chi)
+    return system, P, chi, echo
+
+
+def _cmd_roots(args) -> Handled:
+    system, _, _, echo = _resolve(args)
     rows = [
         {
             "fundamental": list(data.weight),
@@ -200,12 +181,7 @@ def _cmd_roots(args) -> Handled:
         }
         for data in system.root_data
     ]
-    payload = {
-        "type": system.type_label,
-        "rank": system.rank,
-        "count": len(rows),
-        "positive_roots": rows,
-    }
+    payload = {**echo, "count": len(rows), "positive_roots": rows}
 
     def text() -> str:
         lines = [
@@ -222,13 +198,10 @@ def _cmd_roots(args) -> Handled:
 
 
 def _cmd_weyl_cosets(args) -> Handled:
-    system = build_root_system(args.type, args.rank)
-    P = parabolic(system, _csv_ints(args.cross, "--cross"))
+    system, P, _, echo = _resolve(args)
     reps = minimal_coset_reps(P, cap=args.cap)
     payload = {
-        "type": system.type_label,
-        "rank": system.rank,
-        "crossed": sorted(P.crossed),
+        **echo,
         "count": len(reps),
         "representatives": [
             {"length": ell, "word": list(w.word)} for w, ell in reps
@@ -238,7 +211,7 @@ def _cmd_weyl_cosets(args) -> Handled:
     def text() -> str:
         lines = [
             f"{len(reps)} minimal coset representatives, "
-            f"{system.type_label} rank {system.rank} crossed {sorted(P.crossed)}"
+            f"{system.type_label} rank {system.rank} crossed {echo['crossed']}"
         ]
         for w, ell in reps:
             word = " ".join(str(i) for i in w.word) if w.word else "e"
@@ -249,18 +222,9 @@ def _cmd_weyl_cosets(args) -> Handled:
 
 
 def _cmd_weyl_orbit(args) -> Handled:
-    system = build_root_system(args.type, args.rank)
-    P = parabolic(system, _csv_ints(args.cross, "--cross"))
-    chi = make_weight(system, _csv_ints(args.weight, "--weight"))
+    _, P, chi, echo = _resolve(args)
     points = orbit(chi, P, cap=args.cap)
-    payload = {
-        "type": system.type_label,
-        "rank": system.rank,
-        "crossed": sorted(P.crossed),
-        "weight": list(chi),
-        "size": len(points),
-        "orbit": [list(w) for w in points],
-    }
+    payload = {**echo, "size": len(points), "orbit": [list(w) for w in points]}
 
     def text() -> str:
         lines = [f"orbit size {len(points)}"]
@@ -271,28 +235,16 @@ def _cmd_weyl_orbit(args) -> Handled:
 
 
 def _cmd_rep_dim(args) -> Handled:
-    system = build_root_system(args.type, args.rank)
-    chi = make_weight(system, _csv_ints(args.weight, "--weight"))
+    system, _, chi, echo = _resolve(args)
     dim = weyl_dimension(system, chi)
-    payload = {
-        "type": system.type_label,
-        "rank": system.rank,
-        "weight": list(chi),
-        "dimension": dim,
-    }
-    return payload, lambda: str(dim), 0
+    return {**echo, "dimension": dim}, lambda: str(dim), 0
 
 
 def _cmd_bwb(args) -> Handled:
-    system = build_root_system(args.type, args.rank)
-    P = parabolic(system, _csv_ints(args.cross, "--cross"))
-    chi = make_weight(system, _csv_ints(args.weight, "--weight"))
+    _, P, chi, echo = _resolve(args)
     res = bwb(P, chi)
     payload = {
-        "type": system.type_label,
-        "rank": system.rank,
-        "crossed": sorted(P.crossed),
-        "weight": list(chi),
+        **echo,
         "status": res.status,
         "degree": res.degree,
         "g_highest_weight": list(res.g_highest_weight)
@@ -313,17 +265,10 @@ def _cmd_bwb(args) -> Handled:
 
 
 def _cmd_class_quotient(args) -> Handled:
-    system = build_root_system(args.type, args.rank)
-    P = parabolic(system, _csv_ints(args.cross, "--cross"))
+    _, P, _, echo = _resolve(args)
     poly = class_of_quotient(P)
     rendered = str(poly)
-    payload = {
-        "type": system.type_label,
-        "rank": system.rank,
-        "crossed": sorted(P.crossed),
-        "coefficients": list(poly.coeffs),
-        "rendered": rendered,
-    }
+    payload = {**echo, "coefficients": list(poly.coeffs), "rendered": rendered}
     return payload, lambda: rendered, 0
 
 
@@ -358,17 +303,53 @@ def _cmd_roof_verify(args) -> Handled:
     return report.to_json_dict(), report.render_text, code
 
 
+_GROUP_HELP = {
+    "weyl": "Weyl group computations",
+    "rep": "representation data",
+    "class": "Grothendieck-ring classes",
+    "count": "finite-field point counts",
+    "roof": "homogeneous roof catalog and verification",
+}
+# subcommand, help, handler, and the parents in build_parser that hold
+# its arguments beyond --format and --cap
+_LEAVES = (
+    ("roots", "positive roots of a system", _cmd_roots, ("system",)),
+    ("weyl cosets", "minimal length coset representatives", _cmd_weyl_cosets,
+     ("system", "cross")),
+    ("weyl orbit", "orbit of a weight under the Levi Weyl group", _cmd_weyl_orbit,
+     ("system", "cross", "weight")),
+    ("rep dim", "dimension of the irrep of a dominant weight", _cmd_rep_dim,
+     ("system", "weight")),
+    ("bwb", "cohomology of an equivariant bundle on G/P", _cmd_bwb,
+     ("system", "cross", "weight")),
+    ("class quotient", "[G/P] as a polynomial in L", _cmd_class_quotient,
+     ("system", "cross")),
+    ("count igr", "points of IGr(d, 2n) over F_q", _cmd_count_igr, ("igr",)),
+    ("roof list", "list the roof families", _cmd_roof_list, ()),
+    ("roof verify", "verify one family member end to end", _cmd_roof_verify,
+     ("family",)),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, text, code = args.run(args)
+        out = _dumps(payload) if args.format == "json" else text()
     except ResourceCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (RootSystemError, DominanceError, NotARepresentation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(_dumps(payload) if args.format == "json" else text())
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at the null device, so that the
+        # interpreter's flush at exit has nothing left to fail on.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

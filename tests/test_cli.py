@@ -2,7 +2,13 @@
 
 import argparse
 import hashlib
+import itertools
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -327,6 +333,33 @@ def test_cap_env_variable(capsys, monkeypatch):
     assert json.loads(out)["count"] == 1152
 
 
+# F4 stores 24 positive roots of 4 coordinates, 96 in all
+F4_TYPE_RANK_LEAVES = (
+    ("roots", "F4", "4"),
+    ("weyl", "cosets", "F4", "4", "--cross", "1"),
+    ("weyl", "orbit", "F4", "4", "--cross", "1", "--weight", "0,0,0,1"),
+    ("rep", "dim", "F4", "4", "--weight", "0,0,0,1"),
+    ("bwb", "F4", "4", "--cross", "1", "--weight", "0,0,0,1"),
+    ("class", "quotient", "F4", "4", "--cross", "2"),
+)
+
+
+def test_cap_flag_bounds_every_root_build(capsys, monkeypatch):
+    for argv in F4_TYPE_RANK_LEAVES:
+        code, out, err = run(capsys, *argv, "--cap", "95")
+        assert (code, out) == (3, ""), argv
+        assert "root system F4 rank 4 needs 96" in err, argv
+        assert run(capsys, *argv, "--cap", "96")[0] == 0, argv
+    # the flag wins over the environment for the root build too
+    monkeypatch.setenv("ROOFCALC_CAP", "50")
+    code, out, _ = run(
+        capsys, "weyl", "cosets", "F4", "4", "--cross", "1",
+        "--cap", "2000", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["count"] == 24
+
+
 def test_cap_bounds_koszul_straightenings(capsys):
     # C r=3: the largest count is 54 straightenings, for the sixth
     # exterior power on the Z1 side; the dual bundle has only 6 weights
@@ -336,6 +369,70 @@ def test_cap_bounds_koszul_straightenings(capsys):
     assert "exterior power 6" in err and "54" in err
     code, _, _ = run(capsys, "roof", "verify", "C", "--r", "3", "--cap", "54")
     assert code == 0
+
+
+def test_render_errors_exit_2(capsys):
+    # answers past the interpreter's 4300-digit int-to-str limit fail
+    # while the report is rendered, after the computation returned
+    huge = ",".join(["9" * 1000] * 10)
+    for argv in (
+        ("count", "igr", "150", "150", "9"),
+        ("count", "igr", "150", "150", "9", "--format", "json"),
+        ("rep", "dim", "A", "10", "--weight", huge),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[:3]
+        assert err.startswith("error:") and err.count("\n") == 1, argv[:3]
+
+
+def test_closed_pipe_exits_quietly():
+    # the text of roots A 37 (about 175 kB) is larger than a pipe buffer,
+    # so the write is still pending when the reader goes away
+    src = Path(roofcalc.cli.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "roofcalc.cli", "roots", "A", "37"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"positive roots of A rank 37: 703\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+
+
+def _leaves(parser, path=()):
+    """The name paths of the subcommands of parser that have none of their own."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, (*path, name))
+
+
+def test_every_leaf_has_help_and_a_readme_line(capsys):
+    leaves = sorted(_leaves(roofcalc.cli.build_parser()))
+    for leaf in leaves:
+        # the leaf builds and formats the arguments of all its parents
+        with pytest.raises(SystemExit) as exc:
+            main([*leaf, "-h"])
+        assert exc.value.code == 0, leaf
+        assert capsys.readouterr().out.startswith("usage: roofcalc " + " ".join(leaf))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    listed = []
+    for line in block.splitlines():
+        if line.startswith("roofcalc "):
+            words = re.split(r"\s{2,}", line)[0].split()[1:]
+            listed.append(tuple(itertools.takewhile(lambda w: w[0] not in "<[-", words)))
+    assert sorted(listed) == leaves
+    assert len(leaves) == 9
 
 
 def test_roof_verify_a_m_27_within_default_cap(capsys):
