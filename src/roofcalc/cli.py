@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .bwb import SINGLE, bwb
 from .limits import DEFAULT_CAP, ENV_VAR, ResourceCapExceeded
-from .motive import class_of_quotient, igr_point_count
+from .motive import _igr_count_bits, class_of_quotient, igr_point_count
 from .reps import DominanceError, NotARepresentation, weyl_dimension
 from .roofs import catalog, verify_roof
 from .rootsys import RootSystem, RootSystemError, Weight, build_root_system, make_weight
@@ -273,7 +273,17 @@ def _cmd_class_quotient(args) -> Handled:
 
 
 def _cmd_count_igr(args) -> Handled:
-    value = igr_point_count(args.d, args.n, args.q)
+    # The count has at least `bits` bits, so at least (bits - 1) * 3 // 10 + 1
+    # digits (log10 2 > 0.3): refuse one that cannot be printed before
+    # computing it.
+    bits = _igr_count_bits(args.d, args.n, args.q)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and (bits - 1) * 3 // 10 >= limit:
+        raise ValueError(
+            f"the point count has more than {limit} digits, past the "
+            "interpreter's limit for integer-to-string conversion"
+        )
+    value = igr_point_count(args.d, args.n, args.q, cap=args.cap)
     payload = {"d": args.d, "n": args.n, "q": args.q, "count": value}
     return payload, lambda: str(value), 0
 

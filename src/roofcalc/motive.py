@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
+from .limits import check_cap, resource_cap
 from .weyl import ParabolicSubgroup, height_exponents
 
 
@@ -207,15 +208,33 @@ def _validate_igr(d: int, n: int) -> None:
         raise ValueError(f"isotropic dimension d must satisfy 1 <= d <= n, got {d}")
 
 
-def igr_point_count(d: int, n: int, q: int) -> int:
-    """Number of F_q-points of IGr(d, 2n): prod (q^{2(n-j+1)}-1)/(q^j-1).
+def _igr_count_bits(d: int, n: int, q: int) -> int:
+    """A lower bound on the bits of #IGr(d, 2n)(F_q), from its dimension.
 
-    Numerator and denominator are multiplied out before the single exact
-    division (the individual factors need not divide).
+    The count is a monic polynomial in q of degree dim IGr(d, 2n) =
+    2d(n - d) + d(d + 1)/2 with nonnegative coefficients, so it is at
+    least q^dim >= 2^(dim * (bit_length(q) - 1)).
     """
     _validate_igr(d, n)
     if q < 2:
         raise ValueError(f"point counts need q >= 2, got {q}")
+    dim = 2 * d * (n - d) + d * (d + 1) // 2
+    return dim * (q.bit_length() - 1) + 1
+
+
+def igr_point_count(d: int, n: int, q: int, cap: Optional[int] = None) -> int:
+    """Number of F_q-points of IGr(d, 2n): prod (q^{2(n-j+1)}-1)/(q^j-1).
+
+    The bits of the answer (a lower bound from the dimension) are
+    checked against the cap first.  Numerator and denominator are
+    multiplied out before the single exact division (the individual
+    factors need not divide).
+    """
+    check_cap(
+        f"point count of IGr({d}, {2 * n}) over F_{q} (bits)",
+        _igr_count_bits(d, n, q),
+        resource_cap(cap),
+    )
     num = 1
     den = 1
     for j in range(1, d + 1):
@@ -228,15 +247,19 @@ def igr_point_count(d: int, n: int, q: int) -> int:
 
 
 def igr_class(d: int, n: int) -> LPolynomial:
-    """[IGr(d, 2n)] via the same product formula, as exact polynomial division."""
+    """[IGr(d, 2n)] via the same product formula, in O(degree) per factor.
+
+    Every numerator factor L^(2(n-j+1)) - 1 is multiplied in before the
+    denominator factors L^j - 1 are divided off, so each quotient is
+    exact.
+    """
     _validate_igr(d, n)
-    num = LPolynomial.one()
-    den = LPolynomial.one()
+    coeffs = [1]
     for j in range(1, d + 1):
-        e = 2 * (n - j + 1)
-        num = num * LPolynomial([-1] + [0] * (e - 1) + [1])
-        den = den * LPolynomial([-1] + [0] * (j - 1) + [1])
-    return num.exact_div(den)
+        coeffs = _times_lh_minus_1(coeffs, 2 * (n - j + 1))
+    for j in range(1, d + 1):
+        coeffs = _over_lh_minus_1(coeffs, j)
+    return LPolynomial(coeffs)
 
 
 def roof_identity_residual(f1: LPolynomial, f2: LPolynomial, r: int) -> LPolynomial:

@@ -13,7 +13,9 @@ Levi half-sum (the difference pairs to zero with every Levi root), all
 intermediates are exact integers.  Characters split into Levi irreducibles
 by signed (Brauer-Klimyk) straightening of each weight, with the same rho.
 The Koszul complex takes its exterior powers straight in that basis, by
-Newton's identity over Adams operations; listing the weights of an
+Newton's identity over Adams operations up to the middle degree; the
+perfect pairing Lambda^p V x Lambda^(n-p) V -> Lambda^n V = det V gives
+the upper half as duals twisted by det V.  Listing the weights of an
 exterior power (exterior_power) and splitting them (decompose_levi) is
 the independent cross-check.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple, Union
 
@@ -29,9 +32,7 @@ from .limits import _index, check_cap, resource_cap
 from .rootsys import RootSystem, Weight, _apply, make_weight
 from .weyl import (
     ParabolicSubgroup,
-    act,
     levi_root_data,
-    longest_element,
     orbit,
     parabolic,
     straighten,
@@ -124,14 +125,12 @@ def weyl_dimension(system: SystemOrParabolic, chi: Weight) -> int:
     <rho, beta-vee>, evaluated in big integers with a single exact division.
     """
     P = _as_parabolic(system)
-    chi = _require_dominant(chi, P)
+    chi_rho = [x + 1 for x in _require_dominant(chi, P)]
     num = 1
     den = 1
     for data in levi_root_data(P):
-        a = sum(c * (x + 1) for c, x in zip(data.coroot, chi, strict=True))
-        b = sum(data.coroot)
-        num *= a
-        den *= b
+        num *= sum(map(mul, data.coroot, chi_rho))
+        den *= sum(data.coroot)
     q, r = divmod(num, den)
     if r:
         raise AssertionError("Weyl dimension formula produced a non-integer")
@@ -307,25 +306,32 @@ def _exterior_power_summands(
 ) -> Tuple[Tuple[Tuple[Weight, int], ...], ...]:
     """Levi decomposition of every exterior power of a character V = ms.
 
-    Entry p (0..ms.total) lists the summands of Lambda^p V as
+    Entry p (0..n, n = ms.total) lists the summands of Lambda^p V as
     decompose_levi(exterior_power(ms, p), P) would, without listing the
-    weights of Lambda^p V.  Newton's identity over the Adams operations,
-    p Lambda^p = sum_{k=1..p} (-1)^(k-1) psi^k(V) Lambda^(p-k), where
-    psi^k(V) has the weights k mu with the multiplicities of V, is
-    multiplied out in the irreducible-character basis by signed
-    (Brauer-Klimyk) straightening: chi_lambda psi^k(V) collects
-    (-1)^steps m at image - rho for every weight mu of multiplicity m
-    whose lambda + k mu + rho straightens to a regular image.  Degree p
-    makes len(ms) straightenings per summand of Lambda^0..Lambda^(p-1),
-    a count checked against the cap before the degree starts.
+    weights of Lambda^p V.  For p <= n // 2, Newton's identity over the
+    Adams operations, p Lambda^p = sum_{k=1..p} (-1)^(k-1) psi^k(V)
+    Lambda^(p-k), where psi^k(V) has the weights k mu with the
+    multiplicities of V, is multiplied out in the irreducible-character
+    basis by signed (Brauer-Klimyk) straightening: chi_lambda psi^k(V)
+    collects (-1)^steps m at image - rho for every weight mu of
+    multiplicity m whose lambda + k mu + rho straightens to a regular
+    image.  Degree p makes len(ms) straightenings per summand of
+    Lambda^0..Lambda^(p-1), a count checked against the cap before the
+    degree starts.  The wedge pairing into Lambda^n V = det V is perfect,
+    so Lambda^(n-p) V = (Lambda^p V)^dual (x) det V: each summand hw of
+    Lambda^p gives the Levi-dominant conjugate of -hw, which is
+    -w_0(hw), plus det V, the sum of the weights of V and a Levi
+    character.  That upper half makes one straightening per summand of a
+    degree already checked.
     """
     limit = resource_cap(cap)
     system = P.system
     retained = sorted(P.retained)
     rho = system.rho
     weights = tuple(ms)
+    top = ms.total
     powers: list[Dict[Weight, int]] = [{Weight((0,) * system.rank): 1}]
-    for p in range(1, ms.total + 1):
+    for p in range(1, top // 2 + 1):
         check_cap(
             f"exterior power {p} by Newton's identity (straightenings)",
             len(weights) * sum(len(term) for term in powers),
@@ -355,16 +361,25 @@ def _exterior_power_summands(
             if q:
                 term[hw] = q
         powers.append(term)
+    det = Weight(sum(m * mu[i] for mu, m in weights) for i in range(system.rank))
+    for p in range(top // 2 + 1, top + 1):
+        powers.append(
+            {
+                straighten(system, -hw, retained)[0] + det: c
+                for hw, c in powers[top - p].items()
+            }
+        )
     return tuple(tuple(sorted(term.items())) for term in powers)
 
 
 def dual_highest_weight(chi: Weight, P: ParabolicSubgroup) -> Weight:
-    """Highest weight of the dual irrep: -w_0(chi) for the Levi longest w_0."""
+    """Highest weight of the dual irrep: -w_0(chi) for the Levi longest w_0.
+
+    That is the Levi-dominant conjugate of -chi, which straightening -chi
+    over the retained nodes gives.
+    """
     chi = _require_dominant(chi, P)
-    res = -act(longest_element(P), chi)
-    if not is_dominant(res, P):
-        raise AssertionError("dual highest weight came out non-dominant")
-    return res
+    return straighten(P.system, -chi, sorted(P.retained))[0]
 
 
 def line_bundle_rank_check(chi: Weight, P: ParabolicSubgroup) -> bool:

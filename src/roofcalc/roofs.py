@@ -21,11 +21,12 @@ turns a row into the family and the parabolics of its two bases.
 The pipeline computes both base classes from the height product
 (motive.class_of_quotient), resolves O_{Z_i}(1) by the Koszul complex of
 the cutting section, splits every term into Levi irreducibles by
-Newton's identity in the character basis (no weight of an exterior
-power is listed), pushes each summand through Borel-Weil-Bott, and
-reads off H^*(Z_i, O(1)) whenever the first page of the resulting
-spectral sequence visibly degenerates.  For
-zero loci of dimension at least 3 the ample generator restricts from
+Newton's identity in the character basis up to the middle degree and by
+duality, Lambda^(n-p) = (Lambda^p)^dual (x) det, above it (no weight of
+an exterior power is listed), pushes each summand through
+Borel-Weil-Bott, and reads off H^*(Z_i, O(1)) whenever the first page of
+the resulting spectral sequence visibly degenerates.  For zero loci of
+dimension at least 3 the ample generator restricts from
 the base and any isomorphism Z_1 = Z_2 would match the two O(1)
 polarizations, so unequal H^0 dimensions witness Z_1 != Z_2 and make
 the certificate nontrivial.  Nothing here constructs sections or the
@@ -139,12 +140,12 @@ def _fundamental(system: RootSystem, node: int) -> Weight:
 
 
 def _resolve(
-    label: str, r: Optional[int]
+    label: str, r: Optional[int], cap: Optional[int] = None
 ) -> Tuple[RoofFamily, ParabolicSubgroup, ParabolicSubgroup]:
     """The family at r with the parabolics P1, P2 of its two bases.
 
-    Derived dimensions are recomputed from root counts and must match
-    the closed-form column of _FAMILIES.
+    The group is built under cap.  Derived dimensions are recomputed
+    from root counts and must match the closed-form column of _FAMILIES.
     """
     if label not in _FAMILIES:
         known = ", ".join(FAMILY_LABELS)
@@ -163,7 +164,7 @@ def _resolve(
     a, b = crossed
     product = a == b
 
-    system = build_root_system(group_type, group_rank)
+    system = build_root_system(group_type, group_rank, cap=cap)
     P1 = parabolic(system, (a,))
     base_dim = _quotient_dimension(P1)
     if product:
@@ -277,10 +278,11 @@ def koszul_zero_locus_cohomology(
     The section lives in the rank-r bundle of the P-dominant weight
     bundle_hw; the Koszul complex twists O(twist) by the exterior
     powers of the dual bundle.  Their Levi decompositions come in one
-    pass from Newton's identity over Adams operations, multiplied out
-    in the irreducible-character basis by signed straightening
-    (reps._exterior_power_summands), and every summand goes through
-    Borel-Weil-Bott.
+    pass (reps._exterior_power_summands): Newton's identity over Adams
+    operations, multiplied out in the irreducible-character basis by
+    signed straightening, up to the middle degree, and the duals of
+    those terms twisted by the determinant above it.  Every summand goes
+    through Borel-Weil-Bott.
     """
     system = P.system
     bundle_hw = make_weight(system, bundle_hw)
@@ -435,7 +437,7 @@ def verify_roof(
     label: str, r: Optional[int] = None, cap: Optional[int] = None
 ) -> RoofReport:
     """Run the full pipeline for one catalog member and assemble the report."""
-    fam, P1, P2 = _resolve(label, r)
+    fam, P1, P2 = _resolve(label, r, cap)
     a, b = fam.crossed_pair
     notes = []
     class_f1 = class_of_quotient(P1)

@@ -165,12 +165,12 @@ def full_group(system: RootSystem) -> ParabolicSubgroup:
 
 def levi_root_data(P: ParabolicSubgroup) -> Tuple[RootData, ...]:
     """Positive roots supported on the retained nodes."""
-    out = []
-    for data in P.system.root_data:
-        support = {i + 1 for i, m in enumerate(data.coefficients) if m}
-        if support <= P.retained:
-            out.append(data)
-    return tuple(out)
+    crossed = [i - 1 for i in P.crossed]
+    return tuple(
+        data
+        for data in P.system.root_data
+        if not any(data.coefficients[i] for i in crossed)
+    )
 
 
 def _levi_regular_probe(P: ParabolicSubgroup) -> Weight:

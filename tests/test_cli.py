@@ -15,6 +15,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import roofcalc.cli
+from roofcalc import (
+    ResourceCapExceeded,
+    build_root_system,
+    igr_point_count,
+    koszul_zero_locus_cohomology,
+    make_weight,
+    parabolic,
+    roof_data,
+)
 from roofcalc.cli import _dumps, main
 
 
@@ -360,15 +369,51 @@ def test_cap_flag_bounds_every_root_build(capsys, monkeypatch):
     assert json.loads(out)["count"] == 24
 
 
-def test_cap_bounds_koszul_straightenings(capsys):
-    # C r=3: the largest count is 54 straightenings, for the sixth
-    # exterior power on the Z1 side; the dual bundle has only 6 weights
-    code, out, err = run(capsys, "roof", "verify", "C", "--r", "3", "--cap", "53")
-    assert code == 3
-    assert out == ""
-    assert "exterior power 6" in err and "54" in err
-    code, _, _ = run(capsys, "roof", "verify", "C", "--r", "3", "--cap", "54")
-    assert code == 0
+def test_cap_bounds_koszul_straightenings():
+    # C r=3: the largest count is 24 straightenings, for the third
+    # exterior power on the Z1 side (Newton stops at the middle degree of
+    # the 6-dimensional dual bundle; duality fills the rest).  C8 stores
+    # 512 root coordinates, so `roof verify --cap` trips on the build
+    # first: the group is built outside the cap here.
+    fam = roof_data("C", 3)
+    system = build_root_system(fam.group_type, fam.group_rank)
+    node = fam.crossed_pair[0]
+    P = parabolic(system, (node,))
+    twist = make_weight(
+        system, tuple(int(j == node) for j in range(1, system.rank + 1))
+    )
+    with pytest.raises(ResourceCapExceeded) as err:
+        koszul_zero_locus_cohomology(P, fam.bundle_weight, twist, cap=23)
+    assert "exterior power 3" in str(err.value) and err.value.needed == 24
+    assert koszul_zero_locus_cohomology(P, fam.bundle_weight, twist, cap=24).h0 == 3808
+
+
+def test_roof_verify_cap_bounds_the_build(capsys, monkeypatch):
+    code, out, err = run(capsys, "roof", "verify", "C", "--r", "3", "--cap", "511")
+    assert (code, out) == (3, "")
+    assert "root system C rank 8 needs 512" in err
+    assert run(capsys, "roof", "verify", "C", "--r", "3", "--cap", "512")[0] == 0
+    # the flag wins over the environment for the build too
+    monkeypatch.setenv("ROOFCALC_CAP", "50")
+    assert run(capsys, "roof", "verify", "F4", "--cap", "1000")[0] == 0
+    code, _, err = run(capsys, "roof", "verify", "F4")
+    assert code == 3 and "root system F4 rank 4 needs 96" in err
+
+
+def test_count_igr_checks_its_size_first(capsys):
+    # IGr(40, 80) has dimension 820, so its count over F_2 has at least
+    # 821 bits
+    code, out, err = run(capsys, "count", "igr", "40", "40", "2", "--cap", "820")
+    assert (code, out) == (3, "")
+    assert "IGr(40, 80) over F_2 (bits) needs 821" in err
+    assert run(capsys, "count", "igr", "40", "40", "2", "--cap", "821")[0] == 0
+    with pytest.raises(ResourceCapExceeded):
+        igr_point_count(40, 40, 2, cap=820)
+    # about 4.5 million bits: past the int-to-str limit, refused before
+    # the product is taken
+    code, out, err = run(capsys, "count", "igr", "3000", "3000", "2")
+    assert (code, out) == (2, "")
+    assert "digits" in err and err.count("\n") == 1
 
 
 def test_render_errors_exit_2(capsys):

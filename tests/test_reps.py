@@ -20,9 +20,11 @@ from roofcalc import (
     make_weight,
     orbit,
     parabolic,
+    roof_data,
     weight_multiset,
     weyl_dimension,
 )
+from roofcalc.reps import _exterior_power_summands
 
 
 def fund(system, i):
@@ -193,3 +195,26 @@ def test_levi_dimension_splits_as_product():
     left = weyl_dimension(full_group(a2), make_weight(a2, (1, 1)))
     right = weyl_dimension(full_group(c2), make_weight(c2, (1, 1)))
     assert weyl_dimension(P, chi) == left * right
+
+
+def test_exterior_powers_have_binomial_dimensions_and_dual_halves():
+    # beyond enumeration: every Lambda^p V has dimension C(n, p), and
+    # Lambda^(n-p) V is the dual of Lambda^p V twisted by det V, the sum
+    # of the weights of V
+    for label, r in (("C", 6), ("A_M", 20), ("D", 12), ("F4", None), ("G2", None)):
+        fam = roof_data(label, r)
+        system = build_root_system(fam.group_type, fam.group_rank)
+        for node in fam.crossed_pair:
+            P = parabolic(system, (node,))
+            ms = weight_multiset(LeviIrrep(P, dual_highest_weight(fam.bundle_weight, P)))
+            n = ms.total
+            det = Weight(tuple(sum(m * w[i] for w, m in ms) for i in range(system.rank)))
+            powers = _exterior_power_summands(ms, P)
+            assert len(powers) == n + 1, (label, node)
+            for p, summands in enumerate(powers):
+                dim = sum(m * weyl_dimension(P, hw) for hw, m in summands)
+                assert dim == comb(n, p), (label, node, p)
+                twisted = sorted(
+                    (dual_highest_weight(hw, P) + det, m) for hw, m in summands
+                )
+                assert tuple(twisted) == powers[n - p], (label, node, p)

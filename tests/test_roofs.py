@@ -180,6 +180,17 @@ def test_pinned_h0_beyond_enumeration():
         assert (rep.h0_z1, rep.h0_z2) == h0, (label, r)
 
 
+def test_pinned_h0_at_larger_ranks():
+    # computed with Newton's identity in every Koszul degree, a route to
+    # the upper half independent of duality
+    for label, r, h0 in (
+        ("C", 14, (2682251865977033138160, 5096278545356362962504)),
+        ("A_M", 40, (41, 41)),
+    ):
+        rep = verify_roof(label, r)
+        assert (rep.h0_z1, rep.h0_z2) == h0, (label, r)
+
+
 def test_collision_free_rules():
     # single column: always degenerate
     assert _collision_free(((0, 0, 5), (0, 3, 2)))
