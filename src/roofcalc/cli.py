@@ -5,7 +5,11 @@ deterministic: keys are sorted, indentation is fixed, and all payload
 data comes from already-sorted engine structures, so identical inputs
 produce byte-identical bytes.  _dumps writes it, byte for byte what
 json.dumps(payload, indent=2, sort_keys=True) gives, without the
-pure-Python encoder that json falls back to whenever indent is set.
+pure-Python encoder that json falls back to whenever indent is set.  A
+list or tuple whose items are all of exact type int (no bools, no int
+subclasses), such as a weight's coordinates, is written by one
+%-format call with a "%d" slot per item; everything else is written
+item by item.
 
 Each argument is declared once, in a parent parser; _LEAVES gives each
 subcommand its help, its handler and the parents it takes.  _resolve
@@ -76,11 +80,9 @@ def _dumps(o, pad: str = "\n") -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        if all(type(x) is int for x in o):
-            body = sep.join(map(int.__repr__, o))
-        else:
-            body = sep.join(_dumps(x, inner) for x in o)
-        return "[" + inner + body + pad + "]"
+        if set(map(type, o)) == {int}:
+            return ("[" + inner + sep.join(["%d"] * len(o)) + pad + "]") % tuple(o)
+        return "[" + inner + sep.join([_dumps(x, inner) for x in o]) + pad + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -88,7 +90,7 @@ def _dumps(o, pad: str = "\n") -> str:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
         body = sep.join(
-            _escape(k) + ": " + _dumps(v, inner) for k, v in sorted(o.items())
+            [_escape(k) + ": " + _dumps(v, inner) for k, v in sorted(o.items())]
         )
         return "{" + inner + body + pad + "}"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -174,9 +176,9 @@ def _cmd_roots(args) -> Handled:
     system, _, _, echo = _resolve(args)
     rows = [
         {
-            "fundamental": list(data.weight),
-            "root_basis": list(data.coefficients),
-            "coroot": list(data.coroot),
+            "fundamental": data.weight,
+            "root_basis": data.coefficients,
+            "coroot": data.coroot,
             "norm": data.norm,
         }
         for data in system.root_data

@@ -5,10 +5,10 @@ asked for objects whose size is exponential in the rank.  Every such entry
 point takes an optional ``cap`` argument; when omitted, the cap comes from
 the ROOFCALC_CAP environment variable, falling back to DEFAULT_CAP.  The
 cap counts elements (orbit points, weights, subsets, straightenings, root
-coordinates, the bits of a point count), not bytes.  _index, the
-exact-integer check every public entry point applies to a rank, node,
-degree, parameter or cap, lives here too, so that rootsys can check its
-cap without an import cycle.
+coordinates, the digit products of a point count's division), not bytes.
+_index, the exact-integer check every public entry point applies to a
+rank, node, degree, parameter or cap, lives here too, so that rootsys
+can check its cap without an import cycle.
 """
 
 from __future__ import annotations

@@ -225,14 +225,19 @@ def _igr_count_bits(d: int, n: int, q: int) -> int:
 def igr_point_count(d: int, n: int, q: int, cap: Optional[int] = None) -> int:
     """Number of F_q-points of IGr(d, 2n): prod (q^{2(n-j+1)}-1)/(q^j-1).
 
-    The bits of the answer (a lower bound from the dimension) are
-    checked against the cap first.  Numerator and denominator are
-    multiplied out before the single exact division (the individual
-    factors need not divide).
+    Numerator and denominator are multiplied out before the single exact
+    division (the individual factors need not divide).  Its cost, not only
+    the size of the answer, is checked against the cap first: ints are
+    stored in 30-bit digits, long division takes about one digit product
+    per (denominator digit, quotient digit) pair, and the numerator's
+    product costs the same order.  The denominator has at most
+    d(d+1)/2 * bit_length(q) bits, the quotient at least _igr_count_bits.
     """
+    answer_bits = _igr_count_bits(d, n, q)
+    den_bits = d * (d + 1) // 2 * q.bit_length()
     check_cap(
-        f"point count of IGr({d}, {2 * n}) over F_{q} (bits)",
-        _igr_count_bits(d, n, q),
+        f"point count of IGr({d}, {2 * n}) over F_{q} (30-bit digit products)",
+        -(-den_bits // 30) * -(-answer_bits // 30),
         resource_cap(cap),
     )
     num = 1

@@ -28,6 +28,16 @@ to_orthogonal / from_orthogonal; type A is normalised to the lattice
 section whose last orthogonal coordinate vanishes.  Types F4 and G2 reject
 the map.
 
+The positive roots come from one enumeration, _positive_root_closure,
+which only ever reflects upward: from a positive root beta it takes
+s_i(beta) at the nodes i where <beta, alpha_i-vee> < 0, which raises the
+height by -<beta, alpha_i-vee>.  That reaches every positive root from
+the simple ones, because a non-simple positive root beta has some node
+with <beta, alpha_i-vee> > 0 and is the upward image of the lower
+positive root s_i(beta) (Humphreys, Introduction to Lie Algebras,
+section 10.2).  The coroot and norm of each root are then read off its
+simple-root coefficients in one pass.
+
 Everything is exact: weight coordinates are Python ints, the only rational
 intermediates (orthogonal spin coordinates) are Fractions.  Outside data
 is validated once, when a Weight is built from it; arithmetic on two
@@ -40,6 +50,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import floordiv, mod, mul
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .limits import _index, check_cap, resource_cap
@@ -205,28 +217,34 @@ def _apply(pairs: SimplePairs, word: Sequence[int], chi: Sequence[int]) -> Weigh
 def _positive_root_closure(
     simple: Tuple[Weight, ...], pairs: SimplePairs
 ) -> list[tuple[Weight, Tuple[int, ...]]]:
-    """All positive roots by reflection closure from the simple roots."""
+    """All positive roots, each found as an upward reflection of a lower one.
+
+    A positive root beta that is not simple has a node i with
+    <beta, alpha_i-vee> > 0 (otherwise (beta, beta) = sum_i m_i d_i
+    <beta, alpha_i-vee> <= 0), and s_i beta is then a positive root of
+    lower height (s_i permutes the positive roots other than alpha_i)
+    with <s_i beta, alpha_i-vee> < 0.  So reflecting only upward, at the
+    nodes where the pairing is negative, reaches every positive root from
+    the simple ones, and an upward image of a positive root is positive
+    without a coefficient test.  Sorted by (height, coefficients).
+    """
     rank = len(simple)
-    seen: dict[Weight, Tuple[int, ...]] = {}
-    frontier: list[tuple[Weight, Tuple[int, ...]]] = []
-    for j, alpha in enumerate(simple):
-        coeffs = tuple(1 if k == j else 0 for k in range(rank))
-        seen[alpha] = coeffs
-        frontier.append((alpha, coeffs))
+    seen: dict[Weight, Tuple[int, ...]] = {
+        alpha: (0,) * j + (1,) + (0,) * (rank - j - 1) for j, alpha in enumerate(simple)
+    }
+    frontier = list(seen.items())
     while frontier:
         nxt: list[tuple[Weight, Tuple[int, ...]]] = []
         for beta, coeffs in frontier:
-            for i in range(rank):
-                c = beta[i]
-                if c == 0 or coeffs[i] < c:
-                    continue  # the image is beta itself or a negative root
+            for i, c in enumerate(beta):
+                if c >= 0:
+                    continue
                 image = _apply(pairs, (i + 1,), beta)
                 if image not in seen:
-                    seen[image] = coeffs[:i] + (coeffs[i] - c,) + coeffs[i + 1 :]
-                    nxt.append((image, seen[image]))
+                    seen[image] = up = coeffs[:i] + (coeffs[i] - c,) + coeffs[i + 1 :]
+                    nxt.append((image, up))
         frontier = nxt
-    roots = sorted(seen.items(), key=lambda item: (sum(seen[item[0]]), item[1]))
-    return [(w, coeffs) for w, coeffs in roots]
+    return sorted(seen.items(), key=lambda item: (sum(item[1]), item[1]))
 
 
 def _validate(type_label: str, rank: int) -> str:
@@ -290,20 +308,17 @@ def _build_interned(label: str, rank: int) -> RootSystem:
     pairs = tuple(tuple((i, a) for i, a in enumerate(alpha) if a) for alpha in simple)
     closure = _positive_root_closure(simple, pairs)
 
+    # beta-vee = 2 beta / (beta, beta): in the simple coroot basis its
+    # coordinates are d_j m_j / half with half = (beta, beta) / 2
     data = []
-    index: dict[Weight, Tuple[int, ...]] = {}
     for weight, coeffs in closure:
-        norm = sum(
-            d * m * x for d, m, x in zip(sym, coeffs, weight, strict=True)
-        )
-        coroot = []
-        for d, m in zip(sym, coeffs, strict=True):
-            num = 2 * d * m
-            if num % norm:
-                raise AssertionError("coroot coordinates must be integral")
-            coroot.append(num // norm)
-        data.append(RootData(weight, coeffs, tuple(coroot), norm))
-        index[weight] = coeffs
+        dm = tuple(map(mul, sym, coeffs))
+        norm = sum(map(mul, dm, weight))
+        half = norm // 2
+        if norm % 2 or any(map(mod, dm, repeat(half))):
+            raise AssertionError("coroot coordinates must be integral")
+        coroot = dm if half == 1 else tuple(map(floordiv, dm, repeat(half)))
+        data.append(RootData(weight, coeffs, coroot, norm))
     rho = Weight((1,) * rank)
     return RootSystem(
         type_label=label,
@@ -314,7 +329,7 @@ def _build_interned(label: str, rank: int) -> RootSystem:
         positive_roots=tuple(d.weight for d in data),
         root_data=tuple(data),
         rho=rho,
-        root_coefficient_index=index,
+        root_coefficient_index=dict(closure),
         _simple_pairs=pairs,
     )
 

@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import argparse
+import enum
 import hashlib
 import itertools
 import json
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import roofcalc.cli
 from roofcalc import (
     ResourceCapExceeded,
+    Weight,
     build_root_system,
     igr_point_count,
     koszul_zero_locus_cohomology,
@@ -166,7 +168,8 @@ _payloads = st.recursive(
     _scalars,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.lists(st.integers() | st.booleans(), max_size=6)
+    | st.lists(st.integers() | st.booleans(), max_size=40)
+    | st.lists(st.integers(), max_size=40).map(Weight)
     | st.dictionaries(_text, inner, max_size=4),
     max_leaves=24,
 )
@@ -174,6 +177,38 @@ _payloads = st.recursive(
 
 @given(_payloads)
 def test_dumps_matches_json_dumps(payload):
+    assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+class _Node(enum.IntEnum):
+    FIRST = 1
+    SECOND = 2
+
+
+def test_dumps_int_vectors():
+    big = 2**64
+    for payload in (
+        [1, True, 0],
+        [False, 0],
+        (True,),
+        [1, _Node.SECOND, 3],
+        [_Node.FIRST],
+        {"node": _Node.SECOND, "nodes": (_Node.FIRST, 0)},
+        [big, -big, big * big, -(big**3) - 1, 0],
+        Weight((3, -1, 0, 2**70)),
+        [Weight((1, 0)), Weight(()), (Weight((-2,)),)],
+        # equal lengths at two depths, and an int vector beside a mixed one
+        [[1, 2], [3, 4], 5, 6],
+        {"a": [1, 2], "b": [[1, 2], [3, 4]], "c": [1, None], "d": [1, "2"]},
+    ):
+        assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("kind, rank", [("A", 37), ("C", 31), ("D", 31)])
+def test_dumps_matches_json_dumps_on_roots_payloads(kind, rank):
+    args = roofcalc.cli.build_parser().parse_args(["roots", kind, str(rank)])
+    payload, _, code = args.run(args)
+    assert code == 0
     assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -402,13 +437,15 @@ def test_roof_verify_cap_bounds_the_build(capsys, monkeypatch):
 
 def test_count_igr_checks_its_size_first(capsys):
     # IGr(40, 80) has dimension 820, so its count over F_2 has at least
-    # 821 bits
-    code, out, err = run(capsys, "count", "igr", "40", "40", "2", "--cap", "820")
+    # 821 bits (28 digits of 30 bits); the denominator prod_{j<=40} (2^j - 1)
+    # is bounded by 820 * bit_length(2) = 1640 bits (55 digits), and the
+    # division costs 55 * 28 = 1540 digit products
+    code, out, err = run(capsys, "count", "igr", "40", "40", "2", "--cap", "1539")
     assert (code, out) == (3, "")
-    assert "IGr(40, 80) over F_2 (bits) needs 821" in err
-    assert run(capsys, "count", "igr", "40", "40", "2", "--cap", "821")[0] == 0
+    assert "IGr(40, 80) over F_2 (30-bit digit products) needs 1540" in err
+    assert run(capsys, "count", "igr", "40", "40", "2", "--cap", "1540")[0] == 0
     with pytest.raises(ResourceCapExceeded):
-        igr_point_count(40, 40, 2, cap=820)
+        igr_point_count(40, 40, 2, cap=1539)
     # about 4.5 million bits: past the int-to-str limit, refused before
     # the product is taken
     code, out, err = run(capsys, "count", "igr", "3000", "3000", "2")

@@ -9,6 +9,7 @@ from roofcalc import (
     DEFAULT_CAP,
     ExactDivisionError,
     LPolynomial,
+    ResourceCapExceeded,
     build_root_system,
     class_of_quotient,
     coset_lengths,
@@ -175,6 +176,18 @@ def test_igr_validation():
         igr_point_count(1, 0, 5)
     with pytest.raises(ValueError):
         igr_point_count(1, 2, 1)
+
+
+def test_igr_cap_bounds_the_division_not_only_the_answer():
+    # d = n = 800 has an answer of at least 320401 bits (10681 digits of
+    # 30 bits), far under the default cap, and a denominator of at most
+    # 640800 bits (21360 digits): its division is refused at once
+    with pytest.raises(ResourceCapExceeded) as exc:
+        igr_point_count(800, 800, 2)
+    assert exc.value.needed == 21360 * 10681
+    # a one-digit denominator stays cheap at any n: IGr(1, 2n) = P^(2n-1)
+    n = 10**6
+    assert igr_point_count(1, n, 2) == 2 ** (2 * n) - 1
 
 
 def test_roof_identity_residual():

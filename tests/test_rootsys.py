@@ -31,15 +31,59 @@ from roofcalc import (
 from oracles import orthogonal_matrix, random_weight
 
 
+def _systems_up_to(rank):
+    for n in range(1, rank + 1):
+        yield build_root_system("A", n)
+        yield build_root_system("C", n)
+        if n >= 3:
+            yield build_root_system("D", n)
+    yield build_root_system("F4", 4)
+    yield build_root_system("G2", 2)
+
+
 def test_positive_root_counts():
-    for n in range(1, 8):
+    for n in range(1, 41):
         assert len(build_root_system("A", n).positive_roots) == n * (n + 1) // 2
-    for n in range(2, 8):
         assert len(build_root_system("C", n).positive_roots) == n * n
-    for n in range(3, 8):
+    for n in range(3, 41):
         assert len(build_root_system("D", n).positive_roots) == n * (n - 1)
     assert len(build_root_system("F4", 4).positive_roots) == 24
     assert len(build_root_system("G2", 2).positive_roots) == 6
+
+
+def test_every_positive_root_is_an_upward_reflection_of_a_lower_one():
+    # the completeness argument of the upward-only closure: a non-simple
+    # positive root gamma has a node i with <gamma, alpha_i-vee> > 0, and
+    # beta = s_i gamma is a lower positive root with <beta, alpha_i-vee> < 0
+    for s in _systems_up_to(16):
+        index = s.root_coefficient_index
+        for gamma, coeffs in index.items():
+            if sum(coeffs) == 1:
+                assert gamma in s.simple_roots
+                continue
+            lower = [
+                (i, reflect(s, gamma, i + 1)) for i, c in enumerate(gamma) if c > 0
+            ]
+            assert lower, (s, gamma)
+            for i, beta in lower:
+                assert beta in index, (s, gamma, i)
+                assert beta[i] < 0
+                assert sum(index[beta]) == sum(coeffs) - gamma[i]
+
+
+def test_root_data_is_consistent_and_sorted():
+    for s in _systems_up_to(16):
+        for d in s.root_data:
+            # <beta, beta-vee> = 2
+            assert sum(w * c for w, c in zip(d.weight, d.coroot)) == 2
+            # the fundamental coordinates are sum_j m_j alpha_j
+            assert d.weight == Weight(
+                sum(m * a[i] for m, a in zip(d.coefficients, s.simple_roots))
+                for i in range(s.rank)
+            )
+        keys = [(sum(d.coefficients), d.coefficients) for d in s.root_data]
+        assert keys == sorted(keys)
+        assert s.positive_roots == tuple(d.weight for d in s.root_data)
 
 
 def test_cartan_matrices():
