@@ -8,8 +8,14 @@ json.dumps(payload, indent=2, sort_keys=True) gives, without the
 pure-Python encoder that json falls back to whenever indent is set.  A
 list or tuple whose items are all of exact type int (no bools, no int
 subclasses), such as a weight's coordinates, is written by one
-%-format call with a "%d" slot per item; everything else is written
-item by item.
+%-format call with a "%d" slot per item.  A list or tuple of two or
+more dicts of one shape, such as the rows of `roots`, is written from
+one row template, repeated once per row and filled by one %-format call
+with the rows' ints flattened: one shape means the same str keys in the
+same order in every row, each value an exact int or a list or tuple of
+exact ints of the same length in every row.  Everything else is written
+item by item, and so is any list that fails these tests, which therefore
+gives the same bytes or the same TypeError.
 
 Each argument is declared once, in a parent parser; _LEAVES gives each
 subcommand its help, its handler and the parents it takes.  _resolve
@@ -36,6 +42,8 @@ import functools
 import json
 import os
 import sys
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, Optional, Sequence, Tuple
 
 from .bwb import SINGLE, bwb
@@ -66,6 +74,8 @@ def _dumps(o, pad: str = "\n") -> str:
 
     Takes str, int, bool, None, list, tuple and dict with str keys;
     anything else, floats and non-str keys included, raises TypeError.
+    Lists of exact ints and lists of same-shape int rows (_dumps_rows)
+    are each written by one %-format call, the rest item by item.
     """
     if isinstance(o, str):
         return _escape(o)
@@ -80,8 +90,13 @@ def _dumps(o, pad: str = "\n") -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        if set(map(type, o)) == {int}:
+        types = set(map(type, o))
+        if types == {int}:
             return ("[" + inner + sep.join(["%d"] * len(o)) + pad + "]") % tuple(o)
+        if types == {dict} and len(o) > 1:
+            rows = _dumps_rows(o, inner)
+            if rows is not None:
+                return "[" + inner + rows + pad + "]"
         return "[" + inner + sep.join([_dumps(x, inner) for x in o]) + pad + "]"
     if isinstance(o, dict):
         if not o:
@@ -94,6 +109,54 @@ def _dumps(o, pad: str = "\n") -> str:
         )
         return "{" + inner + body + pad + "}"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _dumps_rows(rows, pad: str) -> Optional[str]:
+    """The rows of a list of dicts of one shape, comma-joined, or None.
+
+    One shape: every row has the first row's str keys in the first
+    row's order, and each value is an exact int, or a list or tuple of
+    exact ints whose length is the same in every row.  Such rows are
+    written from one row template, repeated once per row and filled by
+    one %-format call with the flattened ints; pad is the line break
+    before each row.  On any other list the answer is None, and the
+    item-by-item path writes the same bytes or raises the same TypeError.
+    """
+    first = rows[0]
+    keys = tuple(first)
+    if (
+        not keys
+        or not all(map(isinstance, keys, repeat(str)))
+        or set(map(tuple, rows)) != {keys}
+    ):
+        return None
+    inner = pad + "  "
+    vinner = inner + "  "
+    vsep = "," + vinner
+    fields, columns = [], []
+    for key in sorted(keys):
+        value = first[key]
+        column = list(map(itemgetter(key), rows))
+        field = _escape(key).replace("%", "%%") + ": "
+        if type(value) is int:
+            fields.append(field + "%d")
+            columns.append(zip(column))
+        elif isinstance(value, (list, tuple)) and set(map(type, value)) <= {int}:
+            n = len(value)
+            if not all(map(isinstance, column, repeat((list, tuple)))) or set(
+                map(len, column)
+            ) != {n}:
+                return None
+            vector = "[" + vinner + vsep.join(["%d"] * n) + inner + "]" if n else "[]"
+            fields.append(field + vector)
+            columns.append(column)
+        else:
+            return None
+    flat = tuple(chain.from_iterable(chain.from_iterable(zip(*columns))))
+    if not set(map(type, flat)) <= {int}:
+        return None
+    row = "{" + inner + ("," + inner).join(fields) + pad + "}"
+    return ("," + pad).join([row] * len(rows)) % flat
 
 
 @functools.cache

@@ -309,13 +309,16 @@ def _build_interned(label: str, rank: int) -> RootSystem:
     closure = _positive_root_closure(simple, pairs)
 
     # beta-vee = 2 beta / (beta, beta): in the simple coroot basis its
-    # coordinates are d_j m_j / half with half = (beta, beta) / 2
+    # coordinates are d_j m_j / half with half = (beta, beta) / 2; with
+    # all d_j = 1 (simply laced) d_j m_j is m_j, and with half = 1 the
+    # coordinates are d_j m_j themselves, integral with no test
+    simply_laced = set(sym) == {1}
     data = []
     for weight, coeffs in closure:
-        dm = tuple(map(mul, sym, coeffs))
+        dm = coeffs if simply_laced else tuple(map(mul, sym, coeffs))
         norm = sum(map(mul, dm, weight))
         half = norm // 2
-        if norm % 2 or any(map(mod, dm, repeat(half))):
+        if norm % 2 or half != 1 and any(map(mod, dm, repeat(half))):
             raise AssertionError("coroot coordinates must be integral")
         coroot = dm if half == 1 else tuple(map(floordiv, dm, repeat(half)))
         data.append(RootData(weight, coeffs, coroot, norm))

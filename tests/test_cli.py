@@ -164,13 +164,51 @@ _scalars = (
     | st.integers(min_value=-(2**200), max_value=2**200)
     | _text
 )
+
+
+@st.composite
+def _rows_of_one_shape(draw, values):
+    """2-5 dict rows of one shape, of which one is sometimes perturbed."""
+    keys = draw(
+        st.lists(
+            st.sampled_from(["%d", "100%", "a"]) | _text, min_size=1, max_size=4, unique=True
+        )
+    )
+    widths = [draw(st.none() | st.integers(0, 4)) for _ in keys]
+    vector = st.sampled_from([list, tuple, Weight])
+
+    def value(width):
+        if width is None:
+            return draw(st.integers())
+        ints = draw(st.lists(st.integers(), min_size=width, max_size=width))
+        return draw(vector)(ints)
+
+    rows = [
+        {k: value(w) for k, w in zip(keys, widths)}
+        for _ in range(draw(st.integers(2, 5)))
+    ]
+    i = draw(st.integers(0, len(rows) - 1))
+    key = draw(st.sampled_from(keys))
+    change = draw(st.sampled_from(["none", "value", "drop", "add", "reorder"]))
+    if change == "value":
+        rows[i][key] = draw(values)
+    elif change == "drop":
+        del rows[i][key]
+    elif change == "add":
+        rows[i][draw(_text)] = draw(values)
+    elif change == "reorder":
+        rows[i] = dict(reversed(list(rows[i].items())))
+    return rows
+
+
 _payloads = st.recursive(
     _scalars,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.lists(st.integers() | st.booleans(), max_size=40)
     | st.lists(st.integers(), max_size=40).map(Weight)
-    | st.dictionaries(_text, inner, max_size=4),
+    | st.dictionaries(_text, inner, max_size=4)
+    | _rows_of_one_shape(inner),
     max_leaves=24,
 )
 
@@ -212,8 +250,75 @@ def test_dumps_matches_json_dumps_on_roots_payloads(kind, rank):
     assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
+def test_dumps_rows_of_one_shape():
+    # rows of one shape are written from one template
+    templated = (
+        [
+            {"v": [1, -2], "t": (3, 4), "w": Weight((5, 2**70)), "n": 7},
+            {"v": [8, 9], "t": (-10, 11), "w": Weight((0, 0)), "n": -12},
+            {"v": [0, 0], "t": (1, 1), "w": Weight((1, -1)), "n": 0},
+        ],
+        [{"a": [], "b": ()}, {"a": [], "b": ()}],
+        [{"e": [], "n": 1}, {"e": (), "n": 2}],
+        [{"%d": 1, "100%": [2, 3]}, {"%d": 4, "100%": [5, 6]}],
+    )
+    # anything else goes item by item, to the same bytes
+    item_by_item = (
+        [{"a": [1, 2]}, {"a": [1, True]}],
+        [{"n": 1}, {"n": _Node.SECOND}],
+        [{"n": _Node.FIRST}, {"n": 2}],
+        [{"a": 1, "b": [2]}, {"a": 3}],
+        [{"a": 1}, {"a": 3, "b": [2]}],
+        [{"a": 1, "b": [2]}, {"b": [3], "a": 4}],
+        [{"a": [1, 2]}, {"a": [3]}],
+        [{"a": [1]}, {"a": []}],
+        [{"a": 1}, {"a": [1]}],
+        [{"a": [1]}, {"a": 1}],
+        [{"a": [1]}, {"a": "x"}],
+        [{"a": [1]}, {"a": None}],
+        [{"s": "x"}, {"s": "y"}],
+        [{"a": [1, "2"]}, {"a": [3, "4"]}],
+        [{}, {}],
+    )
+    for rows in templated:
+        assert roofcalc.cli._dumps_rows(rows, "\n  ") is not None
+        assert _dumps(rows) == json.dumps(rows, indent=2, sort_keys=True)
+    for rows in item_by_item:
+        assert roofcalc.cli._dumps_rows(rows, "\n  ") is None
+        assert _dumps(rows) == json.dumps(rows, indent=2, sort_keys=True)
+    # rows the writer refuses raise what the first refused row raises alone
+    for rows in (
+        [{1: 0}, {1: 0}],
+        [{"a": 1, 2: 0}, {"a": 1, 2: 0}],
+        [{"a": [1]}, {"a": [1.0]}],
+    ):
+        with pytest.raises(TypeError) as alone:
+            [_dumps(row) for row in rows]
+        with pytest.raises(TypeError, match=re.escape(str(alone.value))):
+            _dumps(rows)
+    # one row, and lists of row lists
+    for payload in (
+        [{"a": 1, "b": [2]}],
+        [[{"a": 1}, {"a": 2}], [{"a": [3]}, {"a": [4]}], [{"a": 5}]],
+        {"rows": [[{"%d": [1]}, {"%d": [2]}]] * 2},
+    ):
+        assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
 def test_dumps_raises_on_what_it_does_not_write():
-    for payload in (1.5, [1, 2.0], {"a": {1: 0}}, {None: 1}, {1, 2}, b"x"):
+    for payload in (
+        1.5,
+        [1, 2.0],
+        {"a": {1: 0}},
+        {None: 1},
+        {1, 2},
+        b"x",
+        [{"a": 1.5}, {"a": 2.5}],
+        [{"a": [1]}, {"a": [1.0]}],
+        [{1: 0}, {1: 0}],
+        [{"a": [1]}, {"a": {1: 0}}],
+        [{"a": [1]}, {"a": {1}}],
+    ):
         with pytest.raises(TypeError):
             _dumps(payload)
 

@@ -27,6 +27,7 @@ from roofcalc import (
     to_orthogonal,
     weight_multiset,
 )
+from roofcalc.rootsys import _positive_root_closure
 
 from oracles import orthogonal_matrix, random_weight
 
@@ -84,6 +85,29 @@ def test_root_data_is_consistent_and_sorted():
         keys = [(sum(d.coefficients), d.coefficients) for d in s.root_data]
         assert keys == sorted(keys)
         assert s.positive_roots == tuple(d.weight for d in s.root_data)
+
+
+def test_coroots_and_norms_by_a_second_route():
+    for s in _systems_up_to(16):
+        n = s.rank
+        # the coroots are the positive roots of the dual system, whose
+        # Cartan matrix is the transpose, with the simple coroots as its
+        # simple roots: their coordinates are the dual closure's coefficients
+        dual = tuple(Weight(s.cartan[j][i] for i in range(n)) for j in range(n))
+        pairs = tuple(tuple((i, a) for i, a in enumerate(alpha) if a) for alpha in dual)
+        coroots = {coeffs for _, coeffs in _positive_root_closure(dual, pairs)}
+        assert {d.coroot for d in s.root_data} == coroots
+        assert len(coroots) == len(s.root_data)
+        # (beta, beta) is W-invariant, and s_i permutes the positive roots
+        # other than alpha_i
+        by_weight = {d.weight: d for d in s.root_data}
+        for d in s.root_data:
+            for i in range(n):
+                image = by_weight.get(reflect(s, d.weight, i + 1))
+                if image is None:
+                    assert d.weight == s.simple_roots[i], (s, d, i)
+                else:
+                    assert image.norm == d.norm, (s, d, i)
 
 
 def test_cartan_matrices():
