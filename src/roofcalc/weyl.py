@@ -2,25 +2,33 @@
 
 One chamber walk, straighten, does every descent here and in reps and
 bwb: it reflects the lowest-index negative coordinate until none is left.
-Other reflections go through the rootsys kernel _apply.  Both subtract
-a simple root over its at most three nonzero (index, value) pairs, in O(1)
-whatever the rank, and neither validates the weights it is handed.
-An element is its canonical reduced word plus a key: the word is the
-greedy right descent, smallest node first, read off by straightening
-w^-1(rho); the key is the image of rho, faithful because rho is regular,
-so equality and hashing use it.  Elements act by applying their word.
+Every reflection subtracts a simple root over its at most three nonzero
+(index, value) pairs, in O(1) whatever the rank, unvalidated.  An element
+is its canonical reduced word plus a key: the word is the greedy right
+descent, smallest node first, read off by straightening w^-1(rho); the key,
+the image of the regular rho, is faithful, so equality and hashing use it.
 
 The Poincare polynomial of W / W_I has Macdonald's closed form, a product
 over the positive roots outside the Levi of [ht + 1]_L / [ht]_L;
 height_exponents collects its factors, and coset_count is its value at
-L = 1.  Enumeration is kept for the representatives themselves and as an
-independent cross-check of that product.  It never materialises the full
-Weyl group: the cosets w W_I correspond to the W-orbit of a probe weight
-that is zero on retained nodes and one on crossed nodes (its stabiliser is
-exactly W_I).  Orbits and cosets share one breadth-first search, and the
-length of a minimal representative is the BFS depth of its point.  The
-exact orbit or coset count, a ratio of height products, is checked
-against the resource cap before anything is allocated.
+L = 1, which bounds every orbit or coset walk against the resource cap
+before it starts.  Enumeration is kept for the representatives and as a
+cross-check of that product.  The cosets w W_I are the W-orbit of a probe
+weight, one on crossed nodes and zero elsewhere, with stabiliser W_I.
+
+Orbits are walked up from a dominant lambda with stabiliser W_J: level
+k + 1 holds s_i(mu) for each mu on level k with mu_i > 0.  By Deodhar's
+lemma, for w minimal in w W_J and mu = w(lambda), s_i w is a longer
+minimal representative if mu_i > 0, lies in w W_J if mu_i = 0 and is
+shorter if mu_i < 0; so level k holds the points of length k, once each.
+A coset carries r(w), its canonical word reversed: the lexicographically
+first reduced word of w^-1.  Each reduced word of w^-1 ends in a left
+descent i of w, and with that letter fixed the least prefix is r(s_i w);
+so r(w) is the least r(s_i w) + (i,) over the i with mu_i < 0, the walk's
+edges into mu.  A level held in r order and walked in that order, nodes
+ascending, meets those edges in the order of r(s_i w) + (i,): the first
+edge into mu gives r(w), and the next level comes out in r order too.
+The key w(rho) is s_i of the first parent's.
 """
 
 from __future__ import annotations
@@ -70,8 +78,7 @@ class WeylElement:
 
 
 def _is_negative_root(system: RootSystem, chi: Weight) -> bool:
-    coeffs = system.root_coefficient_index.get(-chi)
-    if coeffs is not None:
+    if -chi in system.root_coefficient_index:
         return True
     if chi in system.root_coefficient_index:
         return False
@@ -251,80 +258,72 @@ def coset_count(P: ParabolicSubgroup) -> int:
     return num // den
 
 
-def _orbit_levels(
-    chi: Weight, P: ParabolicSubgroup, what: str, cap: Optional[int]
-) -> list[list[Weight]]:
-    """The W_I-orbit of chi by breadth-first search, level by level.
-
-    Level k holds the points k reflections away from chi; for a dominant
-    chi and the full group that is the length of the minimal coset
-    representative sending chi there.  The exact size |W_I| / |W_J|, with
-    W_J the stabiliser of the W_I-dominant conjugate of chi, is checked
-    against the cap before anything is enumerated.
-    """
-    system = P.system
+def _upward_levels(
+    system: RootSystem, top: Weight, nodes: Sequence[int]
+) -> Iterable[Iterable[Weight]]:
+    """The orbit of top, dominant for nodes (0-based), walked up level by level."""
     pairs = system._simple_pairs
-    retained = sorted(P.retained)
-    dominant, _ = straighten(system, chi, retained)
-    moved = [i for i in range(1, system.rank + 1) if i in P.crossed or dominant[i - 1]]
-    size = coset_count(parabolic(system, moved)) // coset_count(P)
-    check_cap(what, size, resource_cap(cap))
-    seen = {chi}
-    levels = [[chi]]
-    while True:
-        nxt = []
-        for mu in levels[-1]:
-            for i in retained:
-                if mu[i - 1] == 0:
-                    continue
-                image = _apply(pairs, (i,), mu)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        if not nxt:
-            return levels
-        levels.append(nxt)
+    level: Iterable[Weight] = (top,)
+    while level:
+        yield level
+        nxt: Dict[Weight, None] = {}
+        for mu in level:
+            for i in nodes:
+                c = mu[i]
+                if c > 0:
+                    nu = list(mu)
+                    for j, a in pairs[i]:
+                        nu[j] -= c * a
+                    nxt[tuple.__new__(Weight, nu)] = None
+        level = nxt
 
 
 def orbit(
     chi: Weight, P: ParabolicSubgroup, cap: Optional[int] = None
 ) -> Tuple[Weight, ...]:
-    """The W_I-orbit of chi, sorted lexicographically."""
-    chi = make_weight(P.system, chi)
-    levels = _orbit_levels(chi, P, "Weyl orbit", cap)
+    """The W_I-orbit of chi, sorted; |W_I| / |W_J| must fit the cap first."""
+    system = P.system
+    retained = sorted(P.retained)
+    dominant, _ = straighten(system, make_weight(system, chi), retained)
+    moved = [i for i in range(1, system.rank + 1) if i in P.crossed or dominant[i - 1]]
+    size = coset_count(parabolic(system, moved)) // coset_count(P)
+    check_cap("Weyl orbit", size, resource_cap(cap))
+    levels = _upward_levels(system, dominant, [i - 1 for i in retained])
     return tuple(sorted(mu for level in levels for mu in level))
-
-
-def _coset_levels(P: ParabolicSubgroup, cap: Optional[int]) -> list[list[Weight]]:
-    """One orbit point per coset, level k holding those of length k."""
-    W = full_group(P.system)
-    return _orbit_levels(_coset_probe(P), W, "coset enumeration", cap)
 
 
 def minimal_coset_reps(
     P: ParabolicSubgroup, cap: Optional[int] = None
 ) -> Tuple[Tuple[WeylElement, int], ...]:
-    """Minimal-length representatives of W / W_I with their lengths.
-
-    Sorted by (length, word); the identity represents W_I itself.
-    """
+    """Minimal representatives of W / W_I with their lengths, by (length, word)."""
     system = P.system
-    nodes = range(1, system.rank + 1)
+    check_cap("coset enumeration", coset_count(P), resource_cap(cap))
+    pairs = system._simple_pairs
+    level = {_coset_probe(P): ((), system.rho)}
     reps = []
-    for depth, level in enumerate(_coset_levels(P, cap)):
-        for mu in level:
-            # s_{i_k} ... s_{i_1}(mu) is the probe, so w = s_{i_1} ... s_{i_k}
-            w = from_word(system, straighten(system, mu, nodes)[1])
-            if len(w.word) != depth:
-                raise AssertionError("representative length differs from BFS depth")
-            reps.append((w, depth))
-    reps.sort(key=lambda pair: (pair[1], pair[0].word))
+    while level:
+        ordered = sorted((r[::-1], key) for r, key in level.values())
+        reps.extend((WeylElement(system, w, key), len(w)) for w, key in ordered)
+        nxt: Dict[Weight, Tuple[Tuple[int, ...], Weight]] = {}
+        for mu, (r, key) in level.items():
+            for i in range(system.rank):
+                c = mu[i]
+                if c > 0:
+                    nu = list(mu)
+                    for j, a in pairs[i]:
+                        nu[j] -= c * a
+                    image = tuple.__new__(Weight, nu)
+                    if image not in nxt:  # the least r + (i,): see the module notes
+                        up = r + (i + 1,)
+                        nxt[image] = (up, _apply(pairs, up[-1:], key))
+        level = nxt
     return tuple(reps)
 
 
 def coset_lengths(P: ParabolicSubgroup, cap: Optional[int] = None) -> Tuple[int, ...]:
-    """Sorted lengths of the minimal coset representatives (BFS depths)."""
-    levels = _coset_levels(P, cap)
+    """Sorted lengths of the minimal coset representatives (walk levels)."""
+    check_cap("coset enumeration", coset_count(P), resource_cap(cap))
+    levels = _upward_levels(P.system, _coset_probe(P), range(P.system.rank))
     return tuple(depth for depth, level in enumerate(levels) for _ in level)
 
 

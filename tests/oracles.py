@@ -118,6 +118,29 @@ def greedy_right_descent(system: RootSystem, word) -> Tuple[int, ...]:
             return tuple(reversed(stripped))
 
 
+def two_way_orbit(chi, P: ParabolicSubgroup) -> Tuple:
+    """The W_I-orbit of chi by breadth-first search in both directions, sorted.
+
+    Reflects every point at every retained node where it is nonzero, up or
+    down, and keeps one seen set across all levels, so it relies on no
+    dominant starting point and no length argument.
+    """
+    retained = sorted(P.retained)
+    seen = {chi}
+    frontier = [chi]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for i in retained:
+                if mu[i - 1]:
+                    image = reflect(P.system, mu, i)
+                    if image not in seen:
+                        seen.add(image)
+                        nxt.append(image)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
 def random_weight(rng: random.Random, system: RootSystem, lo: int = -4, hi: int = 4):
     return make_weight(system, tuple(rng.randint(lo, hi) for _ in range(system.rank)))
 

@@ -27,13 +27,17 @@ from roofcalc import (
     simple_reflection,
     weyl_group_order,
 )
-from roofcalc.weyl import levi_root_data
+from roofcalc.weyl import coset_count, levi_root_data
 
 from oracles import (
     SMALL_SYSTEMS,
     all_nonempty_parabolics,
     brute_force_weyl,
     greedy_right_descent,
+    random_parabolic,
+    random_system,
+    random_weight,
+    two_way_orbit,
     weyl_group_order_formula,
 )
 
@@ -189,6 +193,42 @@ def test_minimal_coset_reps_characterization():
         assert len(reps) == len(images)
         lengths = [ell for _, ell in reps]
         assert lengths == sorted(lengths)
+
+
+def test_coset_reps_agree_with_from_word():
+    # each word is built from a parent's in the walk; from_word rebuilds it
+    systems = [("A", n) for n in range(1, 7)] + [("C", 2), ("C", 3), ("C", 4)]
+    systems += [("D", 4), ("D", 5), ("F4", 4), ("G2", 2)]
+    for label, rank in systems:
+        system = build_root_system(label, rank)
+        [(e, zero)] = minimal_coset_reps(full_group(system))
+        assert (e.word, e.canonical_key, zero) == ((), identity(system).canonical_key, 0)
+        for P in all_nonempty_parabolics(system):
+            if coset_count(P) > 500:
+                continue
+            reps = minimal_coset_reps(P)
+            assert len(reps) == coset_count(P)
+            for w, ell in reps:
+                v = from_word(system, w.word)
+                assert (v.word, v.canonical_key) == (w.word, w.canonical_key), (P, w)
+                assert len(w.word) == ell
+            order = [(ell, w.word) for w, ell in reps]
+            assert order == sorted(set(order)), P
+            assert coset_lengths(P) == tuple(ell for _, ell in reps)
+
+
+def test_orbit_matches_two_way_search():
+    rng = random.Random(29)
+    pool = (("A", 2), ("A", 4), ("A", 5), ("C", 3), ("C", 4), ("D", 4), ("D", 5))
+    pool += (("F4", 4), ("G2", 2))
+    for _ in range(300):
+        system = random_system(rng, pool)
+        if rng.random() < 0.2:
+            P = full_group(system)
+        else:
+            P = random_parabolic(rng, system)
+        chi = random_weight(rng, system, -3, 3)
+        assert orbit(chi, P) == two_way_orbit(chi, P), (P, chi)
 
 
 def test_coset_lengths_sorted_and_counted():
