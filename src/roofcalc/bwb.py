@@ -18,8 +18,7 @@ exactly when that image has a zero coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .reps import _require_dominant, weyl_dimension
 from .rootsys import Weight, make_weight
@@ -29,8 +28,7 @@ VANISHES = "Vanishes"
 SINGLE = "Single"
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(NamedTuple):
     """Outcome of Borel-Weil-Bott for one equivariant bundle."""
 
     status: str  # VANISHES or SINGLE
@@ -66,8 +64,7 @@ def bwb(P: ParabolicSubgroup, chi: Weight) -> CohomologyResult:
     )
 
 
-@dataclass(frozen=True)
-class BundleCohomology:
+class BundleCohomology(NamedTuple):
     """Aggregated cohomology of a direct sum of equivariant summands.
 
     summands   (weight, CohomologyResult) per input summand, input order

@@ -14,10 +14,10 @@ on substituting q for L; it certifies the C-family base classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from .limits import check_cap, resource_cap
+from .rootsys import _Frozen
 from .weyl import ParabolicSubgroup, height_exponents
 
 
@@ -32,8 +32,7 @@ def _trim(coeffs: Iterable[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LPolynomial:
+class LPolynomial(_Frozen):
     """A polynomial in the Lefschetz class with exact integer coefficients.
 
     coeffs[k] is the coefficient of L^k; trailing zeros are normalised
@@ -41,10 +40,21 @@ class LPolynomial:
     coefficient comparison.
     """
 
-    coeffs: Tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         object.__setattr__(self, "coeffs", _trim(coeffs))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not LPolynomial:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"LPolynomial(coeffs={self.coeffs!r})"
 
     @classmethod
     def zero(cls) -> "LPolynomial":

@@ -22,14 +22,13 @@ the independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import mul
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .limits import _index, check_cap, resource_cap
-from .rootsys import RootSystem, Weight, _apply, make_weight
+from .rootsys import RootSystem, Weight, _apply, _Frozen, make_weight
 from .weyl import (
     ParabolicSubgroup,
     levi_root_data,
@@ -64,7 +63,7 @@ def _require_dominant(chi: Weight, P: ParabolicSubgroup) -> Weight:
     return chi
 
 
-class WeightMultiset:
+class WeightMultiset(_Frozen):
     """A finite multiset of weights with positive integer multiplicities."""
 
     __slots__ = ("counts", "total")
@@ -79,8 +78,9 @@ class WeightMultiset:
             if m:
                 clean[w if isinstance(w, Weight) else Weight(w)] = m
                 total += m
-        self.counts = MappingProxyType(dict(sorted(clean.items())))
-        self.total = total
+        counts = MappingProxyType(dict(sorted(clean.items())))
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightMultiset):
@@ -137,16 +137,26 @@ def weyl_dimension(system: SystemOrParabolic, chi: Weight) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class LeviIrrep:
+class LeviIrrep(_Frozen):
     """Irreducible representation of the Levi of P with highest weight chi."""
 
-    parabolic: ParabolicSubgroup
-    highest_weight: Weight
+    __slots__ = ("parabolic", "highest_weight")
 
-    def __post_init__(self):
-        hw = _require_dominant(self.highest_weight, self.parabolic)
-        object.__setattr__(self, "highest_weight", hw)
+    def __init__(self, parabolic: ParabolicSubgroup, highest_weight: Weight):
+        object.__setattr__(self, "parabolic", parabolic)
+        object.__setattr__(
+            self, "highest_weight", _require_dominant(highest_weight, parabolic)
+        )
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not LeviIrrep:
+            return NotImplemented
+        return (self.parabolic, self.highest_weight) == (
+            other.parabolic, other.highest_weight
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.parabolic, self.highest_weight))
 
     def __repr__(self) -> str:
         return f"LeviIrrep({self.parabolic!r}, {self.highest_weight!r})"

@@ -37,9 +37,8 @@ Inconclusive rather than guessed from Euler characteristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .bwb import SINGLE, bwb
 from .limits import _index
@@ -99,8 +98,7 @@ def catalog() -> Tuple[Dict[str, str], ...]:
     )
 
 
-@dataclass(frozen=True)
-class RoofFamily:
+class RoofFamily(NamedTuple):
     """One catalog entry, fully resolved at a concrete parameter.
 
     product marks the one family whose group is a product of two equal
@@ -225,8 +223,7 @@ def roof_data(label: str, r: Optional[int] = None) -> RoofFamily:
     return _resolve(label, r)[0]
 
 
-@dataclass(frozen=True)
-class KoszulResult:
+class KoszulResult(NamedTuple):
     """Zero-locus cohomology read off the Koszul spectral sequence.
 
     first_page lists the nonzero entries (p, q, dim) with term p in
@@ -309,8 +306,7 @@ def koszul_zero_locus_cohomology(
     return KoszulResult(DETERMINED, page, cohomology, totals.get(0, 0))
 
 
-@dataclass(frozen=True)
-class RoofReport:
+class RoofReport(NamedTuple):
     """Everything `roof verify` knows about one family member.
 
     certificate is present exactly when the base classes agree, and

@@ -39,22 +39,24 @@ section 10.2).  The coroot and norm of each root are then read off its
 simple-root coefficients in one pass.
 
 Everything is exact: weight coordinates are Python ints, the only rational
-intermediates (orthogonal spin coordinates) are Fractions.  Outside data
-is validated once, when a Weight is built from it; arithmetic on two
-Weights and the kernels trust their operands.
+intermediates (orthogonal spin coordinates) are Fractions, imported by
+the two functions that make them.  Outside data is validated once, when
+a Weight is built from it; arithmetic on two Weights and the kernels
+trust their operands.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import floordiv, mod, mul
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .limits import _index, check_cap, resource_cap
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SUPPORTED_TYPES = ("A", "C", "D", "F4", "G2")
 SimplePairs = Tuple[Tuple[Tuple[int, int], ...], ...]  # (0-based index, value)
@@ -108,8 +110,20 @@ class Weight(tuple):
         return f"Weight{tuple.__repr__(self)}"
 
 
-@dataclass(frozen=True)
-class RootData:
+class _Frozen:
+    """Base of the slotted records: __init__ sets each field once, through
+    object.__setattr__; assigning or deleting one afterwards raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RootData(NamedTuple):
     """A positive root with the exact data the formulas need.
 
     weight        the root in fundamental coordinates
@@ -124,22 +138,26 @@ class RootData:
     norm: int
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
-    """An irreducible root system; instances are interned per (type, rank)."""
+class RootSystem(_Frozen):
+    """An irreducible root system, interned per (type, rank); compares by identity.
 
-    type_label: str
-    rank: int
-    cartan: Tuple[Tuple[int, ...], ...]
-    symmetrizer: Tuple[int, ...]
-    simple_roots: Tuple[Weight, ...]
-    positive_roots: Tuple[Weight, ...]
-    root_data: Tuple[RootData, ...]
-    rho: Weight
-    # fundamental coordinates -> simple-root-basis coordinates, for
-    # positivity tests on root images.
-    root_coefficient_index: Mapping[Weight, Tuple[int, ...]]
-    _simple_pairs: SimplePairs
+    Fields, in order: type_label, rank, the Cartan matrix cartan (rows),
+    symmetrizer, simple_roots and positive_roots (Weights), root_data
+    (one RootData per positive root), rho, root_coefficient_index (each
+    positive root's fundamental coordinates -> its simple-root-basis
+    coordinates, for positivity tests on root images) and _simple_pairs
+    (the nonzero (index, value) pairs of each simple root, for _apply).
+    """
+
+    __slots__ = (
+        "type_label", "rank", "cartan", "symmetrizer", "simple_roots",
+        "positive_roots", "root_data", "rho", "root_coefficient_index",
+        "_simple_pairs",
+    )
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type_label}, {self.rank})"
@@ -322,18 +340,9 @@ def _build_interned(label: str, rank: int) -> RootSystem:
             raise AssertionError("coroot coordinates must be integral")
         coroot = dm if half == 1 else tuple(map(floordiv, dm, repeat(half)))
         data.append(RootData(weight, coeffs, coroot, norm))
-    rho = Weight((1,) * rank)
     return RootSystem(
-        type_label=label,
-        rank=rank,
-        cartan=cartan,
-        symmetrizer=sym,
-        simple_roots=simple,
-        positive_roots=tuple(d.weight for d in data),
-        root_data=tuple(data),
-        rho=rho,
-        root_coefficient_index=dict(closure),
-        _simple_pairs=pairs,
+        label, rank, cartan, sym, simple, tuple(d.weight for d in data),
+        tuple(data), Weight((1,) * rank), dict(closure), pairs,
     )
 
 
@@ -374,6 +383,8 @@ def to_orthogonal(system: RootSystem, chi: Weight) -> Tuple[Fraction, ...]:
     """Express chi in L-basis coordinates (types A, C, D only)."""
     chi = make_weight(system, chi)
     _require_orthogonal(system)
+    from fractions import Fraction
+
     n = system.rank
     coords, head = [Fraction(0)] * n, n
     if system.type_label == "D":
@@ -393,6 +404,8 @@ def to_orthogonal(system: RootSystem, chi: Weight) -> Tuple[Fraction, ...]:
 def from_orthogonal(system: RootSystem, coords: Iterable) -> Weight:
     """Inverse of to_orthogonal; rejects vectors outside the weight lattice."""
     _require_orthogonal(system)
+    from fractions import Fraction
+
     c = [Fraction(x) for x in coords]
     n = system.rank
     if len(c) != n:

@@ -33,8 +33,7 @@ The key w(rho) is s_i of the first parent's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .limits import _index, check_cap, resource_cap
 from .rootsys import (
@@ -47,8 +46,7 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class WeylElement:
+class WeylElement(NamedTuple):
     """A Weyl group element with a canonical reduced word.
 
     word           reduced word, 1-based letters, canonical for the element
@@ -67,6 +65,9 @@ class WeylElement:
             and self.system.rank == other.system.rank
             and self.canonical_key == other.canonical_key
         )
+
+    def __ne__(self, other) -> bool:  # tuple.__ne__ would compare the words too
+        return not self == other
 
     def __hash__(self) -> int:
         return hash((self.system.type_label, self.system.rank, self.canonical_key))
@@ -139,8 +140,7 @@ def inverse(w: WeylElement) -> WeylElement:
     return from_word(w.system, tuple(reversed(w.word)))
 
 
-@dataclass(frozen=True)
-class ParabolicSubgroup:
+class ParabolicSubgroup(NamedTuple):
     """A standard parabolic P with crossed nodes removed from the diagram.
 
     crossed   nodes crossed out (the flag data); the Levi loses these
