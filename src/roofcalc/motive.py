@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from .limits import check_cap, resource_cap
+from .limits import _index, check_cap, resource_cap
 from .rootsys import _Frozen
 from .weyl import ParabolicSubgroup, height_exponents
 
@@ -26,7 +26,7 @@ class ExactDivisionError(ArithmeticError):
 
 
 def _trim(coeffs: Iterable[int]) -> Tuple[int, ...]:
-    out = list(int(c) for c in coeffs)
+    out = [_index(c, "coefficient") for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -71,6 +71,7 @@ class LPolynomial(_Frozen):
     @classmethod
     def projective_space(cls, r: int) -> "LPolynomial":
         """[P^r] = 1 + L + ... + L^r."""
+        r = _index(r, "projective space dimension")
         if r < 0:
             raise ValueError(f"projective space dimension must be >= 0, got {r}")
         return cls((1,) * (r + 1))
@@ -211,11 +212,15 @@ def class_of_quotient(P: ParabolicSubgroup) -> LPolynomial:
     return LPolynomial(coeffs)
 
 
-def _validate_igr(d: int, n: int) -> None:
+def _validate_igr(d: int, n: int, q: int = 2) -> Tuple[int, int, int]:
+    d, n, q = (_index(x, f"IGr parameter {name}") for x, name in zip((d, n, q), "dnq"))
     if n < 1:
         raise ValueError(f"symplectic rank n must be >= 1, got {n}")
     if not 1 <= d <= n:
         raise ValueError(f"isotropic dimension d must satisfy 1 <= d <= n, got {d}")
+    if q < 2:
+        raise ValueError(f"point counts need q >= 2, got {q}")
+    return d, n, q
 
 
 def _igr_count_bits(d: int, n: int, q: int) -> int:
@@ -225,9 +230,7 @@ def _igr_count_bits(d: int, n: int, q: int) -> int:
     2d(n - d) + d(d + 1)/2 with nonnegative coefficients, so it is at
     least q^dim >= 2^(dim * (bit_length(q) - 1)).
     """
-    _validate_igr(d, n)
-    if q < 2:
-        raise ValueError(f"point counts need q >= 2, got {q}")
+    d, n, q = _validate_igr(d, n, q)
     dim = 2 * d * (n - d) + d * (d + 1) // 2
     return dim * (q.bit_length() - 1) + 1
 
@@ -243,6 +246,7 @@ def igr_point_count(d: int, n: int, q: int, cap: Optional[int] = None) -> int:
     product costs the same order.  The denominator has at most
     d(d+1)/2 * bit_length(q) bits, the quotient at least _igr_count_bits.
     """
+    d, n, q = _validate_igr(d, n, q)
     answer_bits = _igr_count_bits(d, n, q)
     den_bits = d * (d + 1) // 2 * q.bit_length()
     check_cap(
@@ -268,7 +272,7 @@ def igr_class(d: int, n: int) -> LPolynomial:
     denominator factors L^j - 1 are divided off, so each quotient is
     exact.
     """
-    _validate_igr(d, n)
+    d, n, _ = _validate_igr(d, n)
     coeffs = [1]
     for j in range(1, d + 1):
         coeffs = _times_lh_minus_1(coeffs, 2 * (n - j + 1))
@@ -284,6 +288,7 @@ def roof_identity_residual(f1: LPolynomial, f2: LPolynomial, r: int) -> LPolynom
     a common section, because [P^{r-1}][F_1] - [P^{r-1}][F_2] telescopes
     against the blow-up decompositions along Z_1 and Z_2.
     """
+    r = _index(r, "roof rank")
     if r < 2:
         raise ValueError(f"roof rank must be >= 2, got {r}")
     return LPolynomial.projective_space(r - 2) * (f2 - f1)

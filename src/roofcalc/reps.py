@@ -10,13 +10,16 @@ roots, weight multiplicities from the Freudenthal recursion.  Both use the
 invariant form given by the symmetrized Cartan matrix normalised so that
 short roots have squared length 2; with full-group rho in place of the
 Levi half-sum (the difference pairs to zero with every Levi root), all
-intermediates are exact integers.  Characters split into Levi irreducibles
-by signed (Brauer-Klimyk) straightening of each weight, with the same rho.
-The Koszul complex takes its exterior powers straight in that basis, by
-Newton's identity over Adams operations up to the middle degree; the
-perfect pairing Lambda^p V x Lambda^(n-p) V -> Lambda^n V = det V gives
-the upper half as duals twisted by det V.  Listing the weights of an
-exterior power (exterior_power) and splitting them (decompose_levi) is
+intermediates are exact integers.  One product, _product, works in the
+Levi irreducible basis: sum c chi_lambda psi^k(V) over terms
+(lambda, k, c), where psi^k(V) has the weights k mu of V.  By
+Brauer-Klimyk, each lambda + k mu + rho, mu of multiplicity m, is
+straightened into the Levi chamber and (-1)^steps c m added at the
+image; an image with a zero on a retained node is singular and dropped
+after the sum (it never equals a regular image), and the rest give
+highest weight image - rho.  decompose_levi is the term (0, 1, 1), and
+_exterior_power_summands makes one product per Newton degree; listing
+the weights of an exterior power (exterior_power) and splitting them is
 the independent cross-check.
 """
 
@@ -25,14 +28,14 @@ from __future__ import annotations
 from math import comb
 from operator import mul
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Collection, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .limits import _index, check_cap, resource_cap
 from .rootsys import RootSystem, Weight, _apply, _Frozen, make_weight
 from .weyl import (
     ParabolicSubgroup,
+    _upward_levels,
     levi_root_data,
-    orbit,
     parabolic,
     straighten,
 )
@@ -72,7 +75,7 @@ class WeightMultiset(_Frozen):
         clean: Dict[Weight, int] = {}
         total = 0
         for w, m in counts.items():
-            m = int(m)
+            m = _index(m, "multiplicity")
             if m < 0:
                 raise ValueError(f"negative multiplicity {m} for {w!r}")
             if m:
@@ -228,14 +231,15 @@ def _dominant_multiplicities(
 
 
 def weight_multiset(rep: LeviIrrep, cap: Optional[int] = None) -> WeightMultiset:
-    """All weights of the irrep with multiplicities (W_I-orbit expansion)."""
-    limit = resource_cap(cap)
+    """All weights of the irrep with multiplicities (W_I-orbits, each <= dim)."""
     dim = rep.dimension
-    check_cap(f"weight multiset of {rep!r}", dim, limit)
+    check_cap(f"weight multiset of {rep!r}", dim, resource_cap(cap))
+    P = rep.parabolic
+    nodes = [i - 1 for i in sorted(P.retained)]
     counts: Dict[Weight, int] = {}
-    for mu, m in _dominant_multiplicities(rep.parabolic, rep.highest_weight):
-        for w in orbit(mu, rep.parabolic, cap=limit):
-            counts[w] = m
+    for mu, m in _dominant_multiplicities(P, rep.highest_weight):
+        for level in _upward_levels(P.system, mu, nodes):
+            counts.update(dict.fromkeys(level, m))
     ms = WeightMultiset(counts)
     if ms.total != dim:
         raise AssertionError(
@@ -272,16 +276,32 @@ def exterior_power(
     return WeightMultiset(layers[p])
 
 
+def _product(
+    P: ParabolicSubgroup,
+    terms: Iterable[Tuple[Weight, int, int]],
+    weights: Collection[Tuple[Weight, int]],
+) -> Dict[Weight, int]:
+    """Highest weight -> net multiplicity (zeros kept) of the module notes' product."""
+    system = P.system
+    retained = sorted(P.retained)
+    rho = system.rho
+    shifted: Dict[Weight, int] = {}
+    for lam, k, c in terms:
+        base = [a + b for a, b in zip(lam, rho)]
+        for mu, m in weights:
+            v = [s + k * x for s, x in zip(base, mu)]
+            image, letters = straighten(system, v, retained)
+            shifted[image] = shifted.get(image, 0) + (-c if len(letters) % 2 else c) * m
+    return {im - rho: n for im, n in shifted.items() if all(im[i - 1] for i in retained)}
+
+
 def decompose_levi(
     ms: WeightMultiset, P: ParabolicSubgroup
 ) -> Tuple[Tuple[Weight, int], ...]:
     """Decompose a W_I-stable multiset into Levi highest weights.
 
-    Signed Brauer-Klimyk straightening: each weight mu of multiplicity m
-    has mu + rho moved into the Levi chamber by weyl.straighten; if the
-    image has a zero on a retained node, mu + rho is singular and
-    contributes nothing, otherwise (-1)^steps * m goes to the highest
-    weight image - rho.  Summands come sorted by highest weight.
+    The product of the module notes with the one term (0, 1, 1), i.e.
+    chi_0 psi^1(ms) = ms.  Summands come sorted by highest weight.
     Raises NotARepresentation if the multiset is not W_I-stable or a net
     multiplicity is negative, i.e. if it is not a genuine character.
     """
@@ -297,14 +317,7 @@ def decompose_levi(
                 raise NotARepresentation(
                     f"multiplicity of {w!r} changes under the reflection at node {i}"
                 )
-    rho = system.rho
-    nets: Dict[Weight, int] = {}
-    for mu, m in counts.items():
-        image, letters = straighten(system, [a + b for a, b in zip(mu, rho)], retained)
-        if any(image[i - 1] == 0 for i in retained):
-            continue
-        hw = image - rho
-        nets[hw] = nets.get(hw, 0) + (-m if len(letters) % 2 else m)
+    nets = _product(P, ((Weight((0,) * system.rank), 1, 1),), counts.items())
     for hw, n in nets.items():
         if n < 0:
             raise NotARepresentation(f"net multiplicity {n} for highest weight {hw!r}")
@@ -320,15 +333,12 @@ def _exterior_power_summands(
     decompose_levi(exterior_power(ms, p), P) would, without listing the
     weights of Lambda^p V.  For p <= n // 2, Newton's identity over the
     Adams operations, p Lambda^p = sum_{k=1..p} (-1)^(k-1) psi^k(V)
-    Lambda^(p-k), where psi^k(V) has the weights k mu with the
-    multiplicities of V, is multiplied out in the irreducible-character
-    basis by signed (Brauer-Klimyk) straightening: chi_lambda psi^k(V)
-    collects (-1)^steps m at image - rho for every weight mu of
-    multiplicity m whose lambda + k mu + rho straightens to a regular
-    image.  Degree p makes len(ms) straightenings per summand of
-    Lambda^0..Lambda^(p-1), a count checked against the cap before the
-    degree starts.  The wedge pairing into Lambda^n V = det V is perfect,
-    so Lambda^(n-p) V = (Lambda^p V)^dual (x) det V: each summand hw of
+    Lambda^(p-k), is one product of the module notes over the terms
+    (lambda, k, (-1)^(k-1) c), lambda of multiplicity c in Lambda^(p-k).
+    Degree p makes len(ms) straightenings per summand of the powers
+    below it, a count checked against the cap before the degree
+    starts.  The wedge pairing into Lambda^n V = det V is perfect, so
+    Lambda^(n-p) V = (Lambda^p V)^dual (x) det V: each summand hw of
     Lambda^p gives the Levi-dominant conjugate of -hw, which is
     -w_0(hw), plus det V, the sum of the weights of V and a Levi
     character.  That upper half makes one straightening per summand of a
@@ -337,7 +347,6 @@ def _exterior_power_summands(
     limit = resource_cap(cap)
     system = P.system
     retained = sorted(P.retained)
-    rho = system.rho
     weights = tuple(ms)
     top = ms.total
     powers: list[Dict[Weight, int]] = [{Weight((0,) * system.rank): 1}]
@@ -347,20 +356,12 @@ def _exterior_power_summands(
             len(weights) * sum(len(term) for term in powers),
             limit,
         )
-        acc: Dict[Weight, int] = {}
-        for k in range(1, p + 1):
-            sign = 1 if k % 2 else -1
-            for lam, c in powers[p - k].items():
-                shifted = [a + b for a, b in zip(lam, rho)]
-                for mu, m in weights:
-                    image, letters = straighten(
-                        system, [s + k * x for s, x in zip(shifted, mu)], retained
-                    )
-                    if any(image[i - 1] == 0 for i in retained):
-                        continue
-                    hw = image - rho
-                    n = sign * c * m
-                    acc[hw] = acc.get(hw, 0) + (-n if len(letters) % 2 else n)
+        terms = (
+            (lam, k, c if k % 2 else -c)
+            for k in range(1, p + 1)
+            for lam, c in powers[p - k].items()
+        )
+        acc = _product(P, terms, weights)
         term: Dict[Weight, int] = {}
         for hw, n in acc.items():
             q, r = divmod(n, p)

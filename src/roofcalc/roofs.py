@@ -274,12 +274,9 @@ def koszul_zero_locus_cohomology(
 
     The section lives in the rank-r bundle of the P-dominant weight
     bundle_hw; the Koszul complex twists O(twist) by the exterior
-    powers of the dual bundle.  Their Levi decompositions come in one
-    pass (reps._exterior_power_summands): Newton's identity over Adams
-    operations, multiplied out in the irreducible-character basis by
-    signed straightening, up to the middle degree, and the duals of
-    those terms twisted by the determinant above it.  Every summand goes
-    through Borel-Weil-Bott.
+    powers of the dual bundle, whose Levi decompositions come in one pass
+    (reps._exterior_power_summands).  Every summand goes through
+    Borel-Weil-Bott.
     """
     system = P.system
     bundle_hw = make_weight(system, bundle_hw)

@@ -356,20 +356,23 @@ def make_weight(system: RootSystem, coords: Iterable[int]) -> Weight:
     return w
 
 
+def _node(system: RootSystem, i: int, what: str = "node index") -> int:
+    """A 1-based node of system as an exact integer, else RootSystemError."""
+    i = _index(i, what, RootSystemError)
+    if not 1 <= i <= system.rank:
+        raise RootSystemError(f"{what} {i} out of range 1..{system.rank}")
+    return i
+
+
 def pair(system: RootSystem, chi: Weight, i: int) -> int:
     """<chi, alpha_i-vee> for a simple coroot, 1-based node index."""
-    chi = make_weight(system, chi)
-    if not 1 <= i <= system.rank:
-        raise RootSystemError(f"node index {i} out of range 1..{system.rank}")
-    return chi[i - 1]
+    return make_weight(system, chi)[_node(system, i) - 1]
 
 
 def reflect(system: RootSystem, chi: Weight, i: int) -> Weight:
     """Simple reflection s_i(chi) = chi - <chi, alpha_i-vee> alpha_i."""
     chi = make_weight(system, chi)
-    if not 1 <= i <= system.rank:
-        raise RootSystemError(f"node index {i} out of range 1..{system.rank}")
-    return _apply(system._simple_pairs, (i,), chi)
+    return _apply(system._simple_pairs, (_node(system, i),), chi)
 
 
 def _require_orthogonal(system: RootSystem) -> None:

@@ -16,32 +16,35 @@ before it starts.  Enumeration is kept for the representatives and as a
 cross-check of that product.  The cosets w W_I are the W-orbit of a probe
 weight, one on crossed nodes and zero elsewhere, with stabiliser W_I.
 
-Orbits are walked up from a dominant lambda with stabiliser W_J: level
-k + 1 holds s_i(mu) for each mu on level k with mu_i > 0.  By Deodhar's
-lemma, for w minimal in w W_J and mu = w(lambda), s_i w is a longer
-minimal representative if mu_i > 0, lies in w W_J if mu_i = 0 and is
-shorter if mu_i < 0; so level k holds the points of length k, once each.
-A coset carries r(w), its canonical word reversed: the lexicographically
-first reduced word of w^-1.  Each reduced word of w^-1 ends in a left
-descent i of w, and with that letter fixed the least prefix is r(s_i w);
-so r(w) is the least r(s_i w) + (i,) over the i with mu_i < 0, the walk's
-edges into mu.  A level held in r order and walked in that order, nodes
-ascending, meets those edges in the order of r(s_i w) + (i,): the first
-edge into mu gives r(w), and the next level comes out in r order too.
-The key w(rho) is s_i of the first parent's.
+Every orbit and coset set comes from one upward walk, _upward_levels,
+from a dominant lambda with stabiliser W_J: level k + 1 holds s_i(mu) for
+each mu on level k with mu_i > 0, with the first edge (mu, i) into each
+point.  By Deodhar's lemma, for w minimal in w W_J and mu = w(lambda),
+s_i w is a longer minimal representative if mu_i > 0, lies in w W_J if
+mu_i = 0 and is shorter if mu_i < 0; so level k holds the points of
+length k, once each.  A coset carries r(w), its canonical word reversed:
+the lexicographically first reduced word of w^-1.  Each reduced word of
+w^-1 ends in a left descent i of w, and with that letter fixed the least
+prefix is r(s_i w); so r(w) is the least r(s_i w) + (i,) over the i with
+mu_i < 0, the walk's edges into mu.  A level held in r order (its
+insertion order) and walked in that order, nodes ascending, meets those
+edges in the order of r(s_i w) + (i,): the first edge into mu gives r(w),
+and the next level comes out in r order too.  minimal_coset_reps builds
+r(w) and the key w(rho), s_i of the parent's, from that edge.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from .limits import _index, check_cap, resource_cap
+from .limits import check_cap, resource_cap
 from .rootsys import (
     RootData,
     RootSystem,
     RootSystemError,
     Weight,
     _apply,
+    _node,
     make_weight,
 )
 
@@ -101,10 +104,7 @@ def from_word(system: RootSystem, word: Iterable[int]) -> WeylElement:
     i is a right descent of w iff w^-1(rho) has a negative coordinate at
     i, so straightening w^-1(rho) strips the descents in that order.
     """
-    letters = tuple(word)
-    for i in letters:
-        if not 1 <= i <= system.rank:
-            raise RootSystemError(f"node index {i} out of range 1..{system.rank}")
+    letters = tuple(_node(system, i) for i in word)
     pairs = system._simple_pairs
     inverse_rho = _apply(pairs, letters[::-1], system.rho)
     _, descents = straighten(system, inverse_rho, range(1, system.rank + 1))
@@ -157,10 +157,7 @@ class ParabolicSubgroup(NamedTuple):
 
 
 def parabolic(system: RootSystem, crossed: Iterable[int]) -> ParabolicSubgroup:
-    nodes = frozenset(_index(i, "crossed node", RootSystemError) for i in crossed)
-    for i in nodes:
-        if not 1 <= i <= system.rank:
-            raise RootSystemError(f"crossed node {i} out of range 1..{system.rank}")
+    nodes = frozenset(_node(system, i, "crossed node") for i in crossed)
     retained = frozenset(range(1, system.rank + 1)) - nodes
     return ParabolicSubgroup(system=system, crossed=nodes, retained=retained)
 
@@ -180,10 +177,6 @@ def levi_root_data(P: ParabolicSubgroup) -> Tuple[RootData, ...]:
     )
 
 
-def _levi_regular_probe(P: ParabolicSubgroup) -> Weight:
-    return Weight(1 if i + 1 in P.retained else 0 for i in range(P.system.rank))
-
-
 def _coset_probe(P: ParabolicSubgroup) -> Weight:
     # dominant, stabiliser exactly W_I
     return Weight(1 if i + 1 in P.crossed else 0 for i in range(P.system.rank))
@@ -192,7 +185,8 @@ def _coset_probe(P: ParabolicSubgroup) -> Weight:
 def longest_element(P: ParabolicSubgroup) -> WeylElement:
     """Longest element of W_I: it straightens minus a Levi-regular weight."""
     system = P.system
-    _, letters = straighten(system, -_levi_regular_probe(P), sorted(P.retained))
+    minus_regular = [-1 if i in P.retained else 0 for i in range(1, system.rank + 1)]
+    _, letters = straighten(system, minus_regular, sorted(P.retained))
     w = from_word(system, letters[::-1])
     if len(w.word) != len(letters):
         raise AssertionError("longest element word failed to stay reduced")
@@ -260,13 +254,14 @@ def coset_count(P: ParabolicSubgroup) -> int:
 
 def _upward_levels(
     system: RootSystem, top: Weight, nodes: Sequence[int]
-) -> Iterable[Iterable[Weight]]:
-    """The orbit of top, dominant for nodes (0-based), walked up level by level."""
+) -> Iterable[Dict[Weight, Optional[Tuple[Weight, int]]]]:
+    """The orbit of top, dominant for nodes (0-based, ascending), by levels:
+    each maps its points, in walk order, to their first edge (parent, node)."""
     pairs = system._simple_pairs
-    level: Iterable[Weight] = (top,)
+    level = {top: None}
     while level:
         yield level
-        nxt: Dict[Weight, None] = {}
+        nxt = {}
         for mu in level:
             for i in nodes:
                 c = mu[i]
@@ -274,7 +269,9 @@ def _upward_levels(
                     nu = list(mu)
                     for j, a in pairs[i]:
                         nu[j] -= c * a
-                    nxt[tuple.__new__(Weight, nu)] = None
+                    nu = tuple.__new__(Weight, nu)
+                    if nu not in nxt:
+                        nxt[nu] = (mu, i)
         level = nxt
 
 
@@ -299,24 +296,20 @@ def minimal_coset_reps(
     system = P.system
     check_cap("coset enumeration", coset_count(P), resource_cap(cap))
     pairs = system._simple_pairs
-    level = {_coset_probe(P): ((), system.rho)}
     reps = []
-    while level:
-        ordered = sorted((r[::-1], key) for r, key in level.values())
+    known: Dict[Weight, Tuple[Tuple[int, ...], Weight]] = {}  # point -> r(w), w(rho)
+    for level in _upward_levels(system, _coset_probe(P), range(system.rank)):
+        built = {}
+        for mu, edge in level.items():
+            if edge is None:
+                built[mu] = ((), system.rho)
+            else:  # the least r + (i,): see the module notes
+                parent, i = edge
+                r, key = known[parent]
+                built[mu] = (r + (i + 1,), _apply(pairs, (i + 1,), key))
+        ordered = sorted((r[::-1], key) for r, key in built.values())
         reps.extend((WeylElement(system, w, key), len(w)) for w, key in ordered)
-        nxt: Dict[Weight, Tuple[Tuple[int, ...], Weight]] = {}
-        for mu, (r, key) in level.items():
-            for i in range(system.rank):
-                c = mu[i]
-                if c > 0:
-                    nu = list(mu)
-                    for j, a in pairs[i]:
-                        nu[j] -= c * a
-                    image = tuple.__new__(Weight, nu)
-                    if image not in nxt:  # the least r + (i,): see the module notes
-                        up = r + (i + 1,)
-                        nxt[image] = (up, _apply(pairs, up[-1:], key))
-        level = nxt
+        known = built
     return tuple(reps)
 
 

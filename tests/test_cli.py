@@ -409,6 +409,9 @@ PINNED_TEXT = (
      "4201b17c8335067ad01d01f8a0d1e2ea54e54e6bbffade566251daa9ec2eae2c"),
     (("roof", "verify", "F4"), 0,
      "fb48f3c07ed7b7d97c783b3adc8b584ff4fd47a2b066dd5df731a841e847345e"),
+    # the Inconclusive first page of Z1, in text
+    (("roof", "verify", "C", "--r", "1"), 1,
+     "f20e1d5e8c25369468949ca841da06aceefe27cdc39f4eeb9eed18c8bfdf11e9"),
 )
 
 
@@ -434,7 +437,7 @@ def test_text_and_json_agree_numerically(capsys):
     assert int(text_out) == json.loads(json_out)["dimension"] == 110
 
 
-def test_validation_errors_exit_2(capsys):
+def test_validation_errors_exit_2(capsys, monkeypatch):
     code, out, err = run(capsys, "roots", "E8", "8")
     assert code == 2
     assert out == ""
@@ -447,6 +450,19 @@ def test_validation_errors_exit_2(capsys):
     code, _, err = run(capsys, "roof", "verify", "C")
     assert code == 2
     assert "requires the parameter" in err
+    code, out, err = run(
+        capsys, "weyl", "orbit", "A", "3", "--cross", "0", "--weight", "1,0,0"
+    )
+    assert (code, out) == (2, "")
+    assert "crossed node 0 out of range 1..3" in err
+    code, _, err = run(capsys, "roots", "G2", "2", "--cap", "0")
+    assert code == 2
+    assert "resource cap must be >= 1, got 0" in err
+    for raw, message in (("abc", "must be an integer"), ("0", "must be >= 1")):
+        monkeypatch.setenv("ROOFCALC_CAP", raw)
+        code, out, err = run(capsys, "roots", "G2", "2")
+        assert (code, out) == (2, "")
+        assert f"ROOFCALC_CAP {message}, got {raw!r}" in err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -31,6 +31,8 @@ def test_construction_trims_trailing_zeros():
     assert LPolynomial.lefschetz().coeffs == (0, 1)
     assert LPolynomial.projective_space(0) == LPolynomial.one()
     assert LPolynomial.projective_space(3).coeffs == (1, 1, 1, 1)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        LPolynomial.projective_space(-1)
 
 
 def test_degree():

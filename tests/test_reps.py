@@ -152,6 +152,8 @@ def test_decompose_levi_rejects_non_characters():
     for counts in ({make_weight(c3, (1, 0, 0)): 1}, unstable, bare_orbit):
         with pytest.raises(NotARepresentation):
             decompose_levi(WeightMultiset(counts), G)
+    with pytest.raises(ValueError, match="negative multiplicity -1"):
+        WeightMultiset({make_weight(c3, (1, 0, 0)): -1})
 
 
 def test_dominance_error_names_the_node():

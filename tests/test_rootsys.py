@@ -7,6 +7,7 @@ import pytest
 
 from roofcalc import (
     LeviIrrep,
+    LPolynomial,
     ResourceCapExceeded,
     RootSystemError,
     Weight,
@@ -14,7 +15,10 @@ from roofcalc import (
     build_root_system,
     exterior_power,
     from_orthogonal,
+    from_word,
     full_group,
+    igr_class,
+    igr_point_count,
     is_positive_root,
     is_root,
     make_weight,
@@ -24,6 +28,8 @@ from roofcalc import (
     reflect,
     resource_cap,
     roof_data,
+    roof_identity_residual,
+    simple_reflection,
     to_orthogonal,
     weight_multiset,
 )
@@ -215,6 +221,8 @@ def test_orthogonal_rejects_non_lattice_vectors():
     # a single half-integer coordinate is not in the D weight lattice
     with pytest.raises(RootSystemError):
         from_orthogonal(d4, (Fraction(1, 2), 0, 0, 0))
+    with pytest.raises(RootSystemError, match="expected 3 orthogonal coordinates, got 2"):
+        from_orthogonal(c3, (1, 0))
 
 
 def test_orthogonal_unavailable_for_exceptional_types():
@@ -333,8 +341,22 @@ def test_outside_data_is_validated_at_the_boundary():
             1.7,
         ),
         lambda: resource_cap(2.5),
+        lambda: LPolynomial((1.5, 2)),
+        lambda: WeightMultiset({Weight((1, 0)): 1.5}),
+        lambda: igr_point_count(1, 2, 2.0),
+        lambda: igr_class(1.5, 2),
+        lambda: from_word(build_root_system("A", 3), (1.0,)),
+        lambda: simple_reflection(build_root_system("A", 3), 1.0),
+        lambda: reflect(build_root_system("A", 3), (1, 0, 0), 1.0),
+        lambda: pair(build_root_system("A", 3), (1, 0, 0), 1.5),
+        lambda: roof_identity_residual(LPolynomial.one(), LPolynomial.one(), 2.5),
+        lambda: LPolynomial.projective_space(2.5),
     ),
-    ids=("build_root_system", "parabolic", "roof_data", "exterior_power", "resource_cap"),
+    ids=(
+        "build_root_system", "parabolic", "roof_data", "exterior_power", "resource_cap",
+        "LPolynomial", "WeightMultiset", "igr_point_count", "igr_class", "from_word",
+        "simple_reflection", "reflect", "pair", "roof_identity_residual", "projective_space",
+    ),
 )
 def test_non_integral_input_is_rejected_not_truncated(call):
     with pytest.raises(ValueError, match="must be an integer"):

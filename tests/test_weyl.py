@@ -72,6 +72,9 @@ def test_from_word_reduces():
     assert from_word(c3, (1, 2, 1)) == from_word(c3, (2, 1, 2))
     w = from_word(c3, (1, 2, 1, 1, 3, 3, 2))
     assert length(w) == inversions(w)
+    for node in (0, 4):
+        with pytest.raises(RootSystemError, match=f"node index {node} out of range"):
+            from_word(c3, (1, node))
 
 
 def test_canonical_word_is_greedy_right_descent():
