@@ -51,7 +51,9 @@ from .limits import DEFAULT_CAP, ENV_VAR, ResourceCapExceeded
 from .motive import _igr_count_bits, class_of_quotient, igr_point_count
 from .reps import DominanceError, NotARepresentation, weyl_dimension
 from .roofs import catalog, verify_roof
-from .rootsys import RootSystem, RootSystemError, Weight, build_root_system, make_weight
+from .rootsys import (
+    SUPPORTED_TYPES, RootSystem, RootSystemError, Weight, build_root_system, make_weight,
+)
 from .weyl import ParabolicSubgroup, minimal_coset_reps, orbit, parabolic
 
 
@@ -179,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
         name: argparse.ArgumentParser(add_help=False)
         for name in ("system", "cross", "weight", "igr", "family")
     }
-    parent["system"].add_argument("type", help="system type: A, C, D, F4 or G2")
+    parent["system"].add_argument(
+        "type", help=f"system type: {', '.join(SUPPORTED_TYPES[:-1])} or {SUPPORTED_TYPES[-1]}"
+    )
     parent["system"].add_argument("rank", type=int)
     parent["cross"].add_argument(
         "--cross", required=True, help="comma-separated crossed nodes"

@@ -85,6 +85,8 @@ class LPolynomial(_Frozen):
         return len(self.coeffs) - 1 if self.coeffs else None
 
     def __add__(self, other: "LPolynomial") -> "LPolynomial":
+        if type(other) is not LPolynomial:
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         n = max(len(a), len(b))
         return LPolynomial(
@@ -93,6 +95,8 @@ class LPolynomial(_Frozen):
         )
 
     def __sub__(self, other: "LPolynomial") -> "LPolynomial":
+        if type(other) is not LPolynomial:
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         n = max(len(a), len(b))
         return LPolynomial(
@@ -104,6 +108,8 @@ class LPolynomial(_Frozen):
         return LPolynomial(-c for c in self.coeffs)
 
     def __mul__(self, other: "LPolynomial") -> "LPolynomial":
+        if type(other) is not LPolynomial:
+            return NotImplemented
         if self.is_zero or other.is_zero:
             return LPolynomial.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -140,6 +146,7 @@ class LPolynomial(_Frozen):
         return LPolynomial(out)
 
     def __call__(self, value: int) -> int:
+        value = _index(value, "evaluation point")
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c

@@ -31,7 +31,7 @@ from types import MappingProxyType
 from typing import Collection, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .limits import _index, check_cap, resource_cap
-from .rootsys import RootSystem, Weight, _apply, _Frozen, make_weight
+from .rootsys import RootSystem, RootSystemError, Weight, _apply, _Frozen, make_weight
 from .weyl import (
     ParabolicSubgroup,
     _upward_levels,
@@ -81,6 +81,9 @@ class WeightMultiset(_Frozen):
             if m:
                 clean[w if isinstance(w, Weight) else Weight(w)] = m
                 total += m
+        lengths = set(map(len, clean))
+        if len(lengths) > 1:
+            raise RootSystemError(f"weights of lengths {sorted(lengths)} in one multiset")
         counts = MappingProxyType(dict(sorted(clean.items())))
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total", total)

@@ -51,7 +51,7 @@ from .reps import (
     weight_multiset,
     weyl_dimension,
 )
-from .rootsys import RootSystem, Weight, build_root_system, make_weight
+from .rootsys import _TYPES, RootSystem, Weight, build_root_system, make_weight
 from .weyl import ParabolicSubgroup, levi_root_data, parabolic
 
 DETERMINED = "Determined"
@@ -190,8 +190,8 @@ def _resolve(
             )
         if not is_ample(bundle_weight, roof):
             raise AssertionError(f"roof line bundle is not ample for {label}")
-        # exceptional type labels already carry their rank
-        group = group_type if group_type in ("F4", "G2") else f"{group_type}{group_rank}"
+        # a fixed-rank type label already carries its rank
+        group = group_type if _TYPES[group_type].fixed else f"{group_type}{group_rank}"
 
     expected = expected_dims(r)
     if (base_dim, bundle_rank) != expected:

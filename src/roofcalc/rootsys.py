@@ -23,6 +23,10 @@ numbering is fixed by
 
 (nodes 1, 2 long; nodes 3, 4 short).  For G2, alpha_1 is long.
 
+A type is defined in one place, its row of _TYPES: least or fixed rank,
+|Phi+| in closed form, the Dynkin bonds that give the Cartan matrix, and
+the symmetrizer.  A new type is a new row (and an orthogonal map, if any).
+
 The L-basis ("orthogonal") coordinates exist for types A, C and D via
 to_orthogonal / from_orthogonal; type A is normalised to the lattice
 section whose last orthogonal coordinate vanishes.  Types F4 and G2 reject
@@ -51,14 +55,44 @@ import operator
 from functools import lru_cache
 from itertools import repeat
 from operator import floordiv, mod, mul
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .limits import _index, check_cap, resource_cap
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-SUPPORTED_TYPES = ("A", "C", "D", "F4", "G2")
+
+class _DynkinType(NamedTuple):
+    """A row of _TYPES; the callables take the rank n.  A bond (i, j, k) on
+    1-based nodes puts -k at <alpha_j, alpha_i-vee> and -1 at <alpha_i,
+    alpha_j-vee>; d_i = (alpha_i, alpha_i) / 2 with short roots of norm 2."""
+
+    least: int  # the least rank
+    fixed: Optional[int]  # the only rank, or None
+    positive_roots: Callable[[int], int]  # |Phi+|, read by the cap check before a build
+    bonds: Callable[[int], Iterable[Tuple[int, int, int]]]
+    symmetrizer: Callable[[int], Tuple[int, ...]]
+
+
+def _path(n: int, last: int = 1) -> list[tuple[int, int, int]]:
+    """The chain 1 - 2 - ... - n; the bond n-1 -> n has multiplicity last."""
+    return [(i, i + 1, last if i == n - 1 else 1) for i in range(1, n)]
+
+
+# C_n has alpha_n long; C1 = A1 keeps d = (1,)
+_TYPES = {
+    "A": _DynkinType(1, None, lambda n: n * (n + 1) // 2, _path, lambda n: (1,) * n),
+    "C": _DynkinType(1, None, lambda n: n * n, lambda n: _path(n, 2),
+                     lambda n: (1,) * (n - 1) + (min(n, 2),)),
+    "D": _DynkinType(3, None, lambda n: n * (n - 1), lambda n: _path(n - 1) + [(n - 2, n, 1)],
+                     lambda n: (1,) * n),
+    "F4": _DynkinType(4, 4, lambda n: 24, lambda n: ((1, 2, 1), (3, 2, 2), (3, 4, 1)),
+                      lambda n: (2, 2, 1, 1)),
+    "G2": _DynkinType(2, 2, lambda n: 6, lambda n: ((2, 1, 3),), lambda n: (3, 1)),
+}
+
+SUPPORTED_TYPES = tuple(_TYPES)
 SimplePairs = Tuple[Tuple[Tuple[int, int], ...], ...]  # (0-based index, value)
 
 
@@ -178,49 +212,6 @@ class RootSystem(_Frozen):
         )
 
 
-def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
-    n = rank
-    mat = [[0] * n for _ in range(n)]
-    for i in range(n):
-        mat[i][i] = 2
-    if type_label in ("A", "C", "D"):
-        chain = n if type_label != "D" else n - 1
-        for i in range(chain - 1):
-            mat[i][i + 1] = -1
-            mat[i + 1][i] = -1
-    if type_label == "C" and n >= 2:
-        # alpha_n long: <alpha_n, alpha_{n-1}-vee> = -2
-        mat[n - 2][n - 1] = -2
-        mat[n - 1][n - 2] = -1
-    if type_label == "D":
-        mat[n - 3][n - 1] = -1
-        mat[n - 1][n - 3] = -1
-    if type_label == "F4":
-        mat = [
-            [2, -1, 0, 0],
-            [-1, 2, -1, 0],
-            [0, -2, 2, -1],
-            [0, 0, -1, 2],
-        ]
-    if type_label == "G2":
-        mat = [
-            [2, -1],
-            [-3, 2],
-        ]
-    return mat
-
-
-def _symmetrizer(type_label: str, rank: int) -> Tuple[int, ...]:
-    # d_i = (alpha_i, alpha_i) / 2 with short roots of squared length 2.
-    if type_label == "C":
-        return tuple([1] * (rank - 1) + [2]) if rank >= 2 else (1,)
-    if type_label == "F4":
-        return (2, 2, 1, 1)
-    if type_label == "G2":
-        return (3, 1)
-    return (1,) * rank
-
-
 def _apply(pairs: SimplePairs, word: Sequence[int], chi: Sequence[int]) -> Weight:
     """s_{i_1} ... s_{i_k}(chi), the rightmost letter first, unchecked."""
     mu = list(chi)
@@ -267,29 +258,17 @@ def _positive_root_closure(
 
 def _validate(type_label: str, rank: int) -> str:
     label = type_label.strip().upper()
-    if label not in SUPPORTED_TYPES:
+    row = _TYPES.get(label)
+    if row is None:
         raise RootSystemError(
             f"unsupported type {type_label!r}; supported: {', '.join(SUPPORTED_TYPES)}"
         )
     if rank < 1:
         raise RootSystemError(f"rank must be >= 1, got {rank}")
-    if label == "D" and rank < 3:
-        raise RootSystemError("type D needs rank >= 3")
-    if label == "F4" and rank != 4:
-        raise RootSystemError("type F4 has rank 4")
-    if label == "G2" and rank != 2:
-        raise RootSystemError("type G2 has rank 2")
+    if rank < row.least or row.fixed not in (None, rank):
+        rule = f"has rank {row.fixed}" if row.fixed else f"needs rank >= {row.least}"
+        raise RootSystemError(f"type {label} {rule}")
     return label
-
-
-# |Phi+| in closed form, per type, as a function of the rank
-_POSITIVE_ROOT_COUNT = {
-    "A": lambda n: n * (n + 1) // 2,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "F4": lambda n: 24,
-    "G2": lambda n: 6,
-}
 
 
 def build_root_system(
@@ -308,7 +287,7 @@ def build_root_system(
     label = _validate(type_label, rank)
     check_cap(
         f"root system {label} rank {rank}",
-        _POSITIVE_ROOT_COUNT[label](rank) * rank,
+        _TYPES[label].positive_roots(rank) * rank,
         resource_cap(cap),
     )
     return _build_interned(label, rank)
@@ -316,8 +295,13 @@ def build_root_system(
 
 @lru_cache(maxsize=None)
 def _build_interned(label: str, rank: int) -> RootSystem:
-    cartan = tuple(tuple(row) for row in _cartan_matrix(label, rank))
-    sym = _symmetrizer(label, rank)
+    row = _TYPES[label]
+    # cartan[i][j] = <alpha_j, alpha_i-vee>
+    cartan = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j, k in row.bonds(rank):
+        cartan[i - 1][j - 1], cartan[j - 1][i - 1] = -k, -1
+    cartan = tuple(map(tuple, cartan))
+    sym = row.symmetrizer(rank)
     for i in range(rank):
         for j in range(rank):
             if sym[i] * cartan[i][j] != sym[j] * cartan[j][i]:

@@ -66,6 +66,13 @@ def test_ring_axioms():
         assert (a * b + c)(q) == a(q) * b(q) + c(q)
 
 
+def test_arithmetic_with_a_non_polynomial_raises_type_error():
+    p = LPolynomial((1, 2))
+    for op in (lambda: p + 1, lambda: 1 + p, lambda: p - 1, lambda: p * 2, lambda: 2 * p):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+
+
 def test_exact_division():
     rng = random.Random(29)
     for _ in range(60):

@@ -33,7 +33,7 @@ from roofcalc import (
     to_orthogonal,
     weight_multiset,
 )
-from roofcalc.rootsys import _positive_root_closure
+from roofcalc.rootsys import SUPPORTED_TYPES, _TYPES, _positive_root_closure
 
 from oracles import orthogonal_matrix, random_weight
 
@@ -56,6 +56,11 @@ def test_positive_root_counts():
         assert len(build_root_system("D", n).positive_roots) == n * (n - 1)
     assert len(build_root_system("F4", 4).positive_roots) == 24
     assert len(build_root_system("G2", 2).positive_roots) == 6
+    # every row's closed form, over its rank range, against the enumeration
+    for label in SUPPORTED_TYPES:
+        row = _TYPES[label]
+        for n in (row.fixed,) if row.fixed else range(row.least, 41):
+            assert len(build_root_system(label, n).positive_roots) == row.positive_roots(n)
 
 
 def test_every_positive_root_is_an_upward_reflection_of_a_lower_one():
@@ -268,6 +273,17 @@ def test_build_validation():
         build_root_system("F4", 5)
     with pytest.raises(RootSystemError):
         build_root_system("G2", 3)
+    # every row's rank rule: the least rank builds, one below it and one
+    # above a fixed rank do not
+    for label in SUPPORTED_TYPES:
+        row = _TYPES[label]
+        assert build_root_system(label, row.least).rank == row.least
+        with pytest.raises(RootSystemError):
+            build_root_system(label, row.least - 1)
+        if row.fixed:
+            assert row.least == row.fixed
+            with pytest.raises(RootSystemError):
+                build_root_system(label, row.fixed + 1)
 
 
 def test_systems_are_interned():
@@ -323,6 +339,8 @@ def test_outside_data_is_validated_at_the_boundary():
     ):
         with pytest.raises(RootSystemError):
             bad()
+    with pytest.raises(RootSystemError, match=r"lengths \[2, 3\]"):
+        WeightMultiset({(1, 0): 1, (1, 0, 0): 1})
     # arithmetic on validated weights stays a Weight of ints, unchecked or not
     a = Weight((1, -2, 3))
     for result in (a + a, a - a, -a, 2 * a, a + (0, 1, 1), (0, 1, 1) + a):
@@ -351,11 +369,13 @@ def test_outside_data_is_validated_at_the_boundary():
         lambda: pair(build_root_system("A", 3), (1, 0, 0), 1.5),
         lambda: roof_identity_residual(LPolynomial.one(), LPolynomial.one(), 2.5),
         lambda: LPolynomial.projective_space(2.5),
+        lambda: LPolynomial((1, 2))(1.5),
     ),
     ids=(
         "build_root_system", "parabolic", "roof_data", "exterior_power", "resource_cap",
         "LPolynomial", "WeightMultiset", "igr_point_count", "igr_class", "from_word",
         "simple_reflection", "reflect", "pair", "roof_identity_residual", "projective_space",
+        "LPolynomial_call",
     ),
 )
 def test_non_integral_input_is_rejected_not_truncated(call):
