@@ -17,15 +17,24 @@ exact ints of the same length in every row.  Everything else is written
 item by item, and so is any list that fails these tests, which therefore
 gives the same bytes or the same TypeError.
 
-Each argument is declared once, in a parent parser; _LEAVES gives each
-subcommand its help, its handler and the parents it takes.  _resolve
-turns `<type> <rank>`, --cross and --weight into the root system (built
-under --cap), the parabolic and the weight, with the payload fields
-that echo them.  Each handler returns its JSON payload, a callable that
-renders the text report and the exit code; main renders only the format
-asked for, inside the same error mapping as the handler.  The argparse
-tree is built once per process, on the first call of main, and reused:
-parsing does not change it.
+Each argument is declared once, in the table _ARGS: its long flag or
+positional name, int or str, required, default, choices and help.
+_LEAVES gives each subcommand its help, its handler and the arguments
+it takes beyond --format and --cap.  main reads a plain command line
+with _scan, from those two tables alone: the subcommand's exact words,
+then its positionals and its own long flags in any order, each flag as
+`--flag value` (the value not starting with "-") or `--flag=value` (the
+value not "--").  _scan gives what parse_args would, or None on anything
+else (-h, an abbreviated flag, "--", a value starting with "-", an
+unknown, missing or extra token, an int field int() refuses, a --format
+outside its choices).  Only then does main import argparse, build its
+tree (build_parser, once per process; parsing does not change it) and
+parse with it, so argparse alone writes help text and usage errors.
+_resolve turns `<type> <rank>`, --cross and --weight into the root
+system (built under --cap), the parabolic and the weight, with the
+payload fields that echo them.  Each handler returns its JSON payload, a
+callable that renders the text report and the exit code; main renders
+only the format asked for, inside the same error mapping as the handler.
 
 Exit codes: 0 success; 1 when `roof verify` finds no nontrivial
 equivalence; 2 on validation errors (bad flags, bad math inputs, an
@@ -37,14 +46,14 @@ command's own.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Callable, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 from .bwb import SINGLE, bwb
 from .limits import DEFAULT_CAP, ENV_VAR, ResourceCapExceeded
@@ -55,6 +64,9 @@ from .rootsys import (
     SUPPORTED_TYPES, RootSystem, RootSystemError, Weight, build_root_system, make_weight,
 )
 from .weyl import ParabolicSubgroup, minimal_coset_reps, orbit, parabolic
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _csv_ints(text: str, what: str) -> Tuple[int, ...]:
@@ -164,40 +176,7 @@ def _dumps_rows(rows, pad: str) -> Optional[str]:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first call and shared after it."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    common.add_argument(
-        "--cap",
-        type=int,
-        default=None,
-        help=f"resource cap override (default {DEFAULT_CAP}, or ${ENV_VAR})",
-    )
-    parent = {
-        name: argparse.ArgumentParser(add_help=False)
-        for name in ("system", "cross", "weight", "igr", "family")
-    }
-    parent["system"].add_argument(
-        "type", help=f"system type: {', '.join(SUPPORTED_TYPES[:-1])} or {SUPPORTED_TYPES[-1]}"
-    )
-    parent["system"].add_argument("rank", type=int)
-    parent["cross"].add_argument(
-        "--cross", required=True, help="comma-separated crossed nodes"
-    )
-    parent["weight"].add_argument(
-        "--weight", required=True, help="comma-separated fundamental coordinates"
-    )
-    parent["igr"].add_argument("d", type=int)
-    parent["igr"].add_argument("n", type=int)
-    parent["igr"].add_argument("q", type=int)
-    parent["family"].add_argument("family")
-    parent["family"].add_argument(
-        "--r", type=int, default=None, help="family parameter"
-    )
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="roofcalc",
@@ -212,11 +191,80 @@ def build_parser() -> argparse.ArgumentParser:
             subs[group] = subs[""].add_parser(
                 group, help=_GROUP_HELP[group]
             ).add_subparsers(dest=f"{group}_command", required=True)
-        p = subs[group].add_parser(
-            leaf, parents=[common, *(parent[x] for x in takes)], help=help_text
-        )
+        p = subs[group].add_parser(leaf, help=help_text)
+        for dest in ("format", "cap", *takes):
+            flag, kind, required, default, choices, text = _ARGS[dest]
+            if flag is None:
+                p.add_argument(dest, type=kind, help=text)
+            else:
+                p.add_argument(
+                    flag, type=kind, required=required, default=default,
+                    choices=choices, help=text,
+                )
         p.set_defaults(run=run)
     return parser
+
+
+def _scan(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """What build_parser().parse_args(argv) returns, for a plain argv; else None.
+
+    Plain: a subcommand's exact words, then exactly its positionals and
+    any of its own long flags, in any order, each flag as `--flag value`
+    (the value not starting with "-") or `--flag=value` (the value not
+    "--"); every required flag given, int() taking each int field and
+    --format within its choices.  A repeated flag keeps its last value,
+    as in argparse.  Never prints and never exits.
+    """
+    words = 2 if argv and argv[0] in _GROUP_HELP else 1
+    leaf = _LEAF_BY_WORDS.get(tuple(argv[:words]))
+    if leaf is None:
+        return None
+    dests = ("format", "cap", *leaf[3])
+    flags = {_ARGS[d][0]: d for d in dests if _ARGS[d][0] is not None}
+    positionals = [d for d in dests if _ARGS[d][0] is None]
+    given, read = [], []  # positional values; (dest, value) of each flag
+    tokens = iter(argv[words:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        dest = flags.get(flag)
+        if dest is None:
+            return None
+        if eq:
+            # argparse on Python 3.11 stores [] for `--flag=--`
+            if value == "--":
+                return None
+        else:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        read.append((dest, value))
+    if len(given) != len(positionals):
+        return None
+    # argparse converts and checks every value it reads, a repeated flag's
+    # earlier ones too, and keeps the last
+    values = {}
+    for dest, value in chain(read, zip(positionals, given)):
+        _, kind, _, _, choices, _ = _ARGS[dest]
+        try:
+            value = kind(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    for dest in dests:
+        if dest not in values:
+            _, _, required, default, _, _ = _ARGS[dest]
+            if required:
+                return None
+            values[dest] = default
+    names = {"command": argv[0]}
+    if words == 2:
+        names[argv[0] + "_command"] = argv[1]
+    return SimpleNamespace(**names, **values, run=leaf[2])
 
 
 def _resolve(
@@ -230,10 +278,10 @@ def _resolve(
     system = build_root_system(args.type, args.rank, cap=args.cap)
     echo = {"type": system.type_label, "rank": system.rank}
     P = chi = None
-    if "cross" in args:
+    if hasattr(args, "cross"):
         P = parabolic(system, _csv_ints(args.cross, "--cross"))
         echo["crossed"] = sorted(P.crossed)
-    if "weight" in args:
+    if hasattr(args, "weight"):
         chi = make_weight(system, _csv_ints(args.weight, "--weight"))
         echo["weight"] = list(chi)
     return system, P, chi, echo
@@ -389,29 +437,54 @@ _GROUP_HELP = {
     "count": "finite-field point counts",
     "roof": "homogeneous roof catalog and verification",
 }
-# subcommand, help, handler, and the parents in build_parser that hold
-# its arguments beyond --format and --cap
+# Each argument once: dest -> (long flag, or None for a positional; int or
+# str; required; default; choices; help).  build_parser declares a leaf's
+# rows on it, in the leaf's order; _scan reads them directly.
+_ARGS = {
+    "format": ("--format", str, False, "text", ("text", "json"),
+               "output format (default: text)"),
+    "cap": ("--cap", int, False, None, None,
+            f"resource cap override (default {DEFAULT_CAP}, or ${ENV_VAR})"),
+    "type": (None, str, True, None, None,
+             f"system type: {', '.join(SUPPORTED_TYPES[:-1])} or {SUPPORTED_TYPES[-1]}"),
+    "rank": (None, int, True, None, None, None),
+    "cross": ("--cross", str, True, None, None, "comma-separated crossed nodes"),
+    "weight": ("--weight", str, True, None, None,
+               "comma-separated fundamental coordinates"),
+    "d": (None, int, True, None, None, None),
+    "n": (None, int, True, None, None, None),
+    "q": (None, int, True, None, None, None),
+    "family": (None, str, True, None, None, None),
+    "r": ("--r", int, False, None, None, "family parameter"),
+}
+# subcommand, help, handler, and the rows of _ARGS it takes beyond
+# --format and --cap
 _LEAVES = (
-    ("roots", "positive roots of a system", _cmd_roots, ("system",)),
+    ("roots", "positive roots of a system", _cmd_roots, ("type", "rank")),
     ("weyl cosets", "minimal length coset representatives", _cmd_weyl_cosets,
-     ("system", "cross")),
+     ("type", "rank", "cross")),
     ("weyl orbit", "orbit of a weight under the Levi Weyl group", _cmd_weyl_orbit,
-     ("system", "cross", "weight")),
+     ("type", "rank", "cross", "weight")),
     ("rep dim", "dimension of the irrep of a dominant weight", _cmd_rep_dim,
-     ("system", "weight")),
+     ("type", "rank", "weight")),
     ("bwb", "cohomology of an equivariant bundle on G/P", _cmd_bwb,
-     ("system", "cross", "weight")),
+     ("type", "rank", "cross", "weight")),
     ("class quotient", "[G/P] as a polynomial in L", _cmd_class_quotient,
-     ("system", "cross")),
-    ("count igr", "points of IGr(d, 2n) over F_q", _cmd_count_igr, ("igr",)),
+     ("type", "rank", "cross")),
+    ("count igr", "points of IGr(d, 2n) over F_q", _cmd_count_igr, ("d", "n", "q")),
     ("roof list", "list the roof families", _cmd_roof_list, ()),
     ("roof verify", "verify one family member end to end", _cmd_roof_verify,
-     ("family",)),
+     ("family", "r")),
 )
+_LEAF_BY_WORDS = {tuple(leaf[0].split()): leaf for leaf in _LEAVES}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _scan(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         payload, text, code = args.run(args)
         out = _dumps(payload) if args.format == "json" else text()

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roofcalc.cli
@@ -333,13 +333,19 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     roofcalc.cli.build_parser.cache_clear()
+    # a plain command line is read without the argparse tree
     assert run(capsys, "rep", "dim", "G2", "2", "--weight", "1,0") == (0, "14\n", "")
+    assert built == []
+    # the first command line the scanner leaves to argparse builds the tree
+    assert run(capsys, "count", "igr", "2", "2", "3", "--form", "text") == (0, "40\n", "")
     tree = len(built)
     assert tree > 0
     # a cap from one call does not stay for the next
     cosets = ("weyl", "cosets", "F4", "4", "--cross", "1,2,3,4")
     assert run(capsys, *cosets, "--cap", "100")[0] == 3
     assert run(capsys, *cosets)[0] == 0
+    assert run(capsys, *cosets, "--ca", "100")[0] == 3
+    assert run(capsys, *cosets, "--form", "text")[0] == 0
     # nor does a usage error
     with pytest.raises(SystemExit) as exc:
         main(["roots"])
@@ -347,10 +353,151 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     capsys.readouterr()
     assert run(capsys, "count", "igr", "2", "2", "3") == (0, "40\n", "")
     # nor the format
-    code, out, _ = run(capsys, "count", "igr", "2", "2", "3", "--format", "json")
-    assert json.loads(out) == {"count": 40, "d": 2, "n": 2, "q": 3}
-    assert run(capsys, "count", "igr", "2", "2", "3") == (0, "40\n", "")
+    for spelling in ("--format", "--form"):
+        code, out, _ = run(capsys, "count", "igr", "2", "2", "3", spelling, "json")
+        assert json.loads(out) == {"count": 40, "d": 2, "n": 2, "q": 3}
+        assert run(capsys, "count", "igr", "2", "2", "3") == (0, "40\n", "")
     assert len(built) == tree
+
+
+_ARG_VALUES = st.text(alphabet="-=,09 aCF", max_size=5)
+_NOT_A_FLAG = _ARG_VALUES.filter(lambda v: not v.startswith("-"))
+_PERTURBATIONS = (
+    "abbreviated", "dash value", "empty =", "= --", "--", "-h", "repeated",
+    "missing positional", "extra positional", "bad int", "format xml",
+)
+
+
+@st.composite
+def _command_lines(draw, change):
+    """A plain argv for one leaf, built from the argument table, with the
+    change named (one of _PERTURBATIONS) applied, if any."""
+    name, _, _, takes = draw(st.sampled_from(roofcalc.cli._LEAVES))
+    rows = roofcalc.cli._ARGS
+    chunks, flags, ints = [], [], []  # ints: the chunks of int positionals
+    free = []  # the flags that take any string
+    for dest in ("format", "cap", *takes):
+        flag, kind, required, _, choices, _ = rows[dest]
+        if flag is None:
+            value = str(draw(st.integers(0, 99))) if kind is int else draw(_NOT_A_FLAG)
+            chunks.append(["positional", value])
+            if kind is int:
+                ints.append(chunks[-1])
+            continue
+        flags.append(flag)
+        if kind is str and choices is None:
+            free.append(flag)
+        if not (required or draw(st.booleans())):
+            continue
+        joined = draw(st.booleans())
+        if choices:
+            value = draw(st.sampled_from(choices))
+        elif kind is int:
+            value = str(draw(st.integers(-99 if joined else 0, 99)))
+        elif joined:
+            value = draw(_ARG_VALUES.filter(lambda v: v != "--"))
+        else:
+            value = draw(_NOT_A_FLAG)
+        # flags go anywhere among the positionals, which keep their order
+        at = draw(st.integers(0, len(chunks)))
+        chunks.insert(at, [flag + "=" + value] if joined else [flag, value])
+    at = draw(st.integers(0, len(chunks)))
+    flag = draw(st.sampled_from(flags))
+    positional = [i for i, c in enumerate(chunks) if c[0] == "positional"]
+    if change == "abbreviated" and len(flag) > 3:
+        chunks.insert(at, [flag[: draw(st.integers(3, len(flag) - 1))], "1"])
+    elif change == "dash value":
+        chunks.insert(at, [flag, "-" + draw(_ARG_VALUES)])
+    elif change == "empty =":
+        chunks.insert(at, [flag + "="])
+    elif change == "= --":
+        # argparse on Python 3.11 reads it as [], which a free flag given
+        # last shows
+        chunks.append([draw(st.sampled_from(free or flags)) + "=--"])
+    elif change in ("--", "-h"):
+        chunks.insert(at, [change])
+    elif change == "repeated":
+        chunks.insert(at, [flag, "text" if flag == "--format" else "7"])
+    elif change == "missing positional" and positional:
+        del chunks[draw(st.sampled_from(positional))]
+    elif change == "extra positional":
+        chunks.insert(at, ["positional", "7"])
+    elif change == "bad int":
+        bad = draw(st.sampled_from(["x", "1.5", "", "0x10"]))
+        if ints:
+            draw(st.sampled_from(ints))[1] = bad
+        else:
+            chunks.insert(at, ["--cap", bad])
+    elif change == "format xml":
+        chunks.insert(at, ["--format", "xml"])
+    tokens = [t for c in chunks for t in (c[1:] if c[0] == "positional" else c)]
+    return [*name.split(), *tokens]
+
+
+@pytest.mark.parametrize("change", (None, *_PERTURBATIONS))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_scan_agrees_with_argparse(change, data):
+    argv = data.draw(_command_lines(change))
+    scanned = roofcalc.cli._scan(argv)
+    if change is None:
+        assert scanned is not None, argv
+    if scanned is not None:
+        expected = roofcalc.cli.build_parser().parse_args(argv)
+        assert vars(scanned) == vars(expected), argv
+
+
+def _readme_command_lines():
+    """Each synopsis line of the README's Command line block, with sample
+    values for its placeholders, and each of its example command lines."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    samples = {
+        "<type>": "C", "<rank>": "3", "<nodes>": "1", "<csv>": "1,0,0", "<d>": "2",
+        "<n>": "2", "<q>": "3", "<family>": "C", "[--r": "--r", "N]": "2",
+    }
+    lines = []
+    for line in section.splitlines():
+        line = line.removeprefix("$ ")
+        if line.startswith("roofcalc "):
+            words = re.split(r"\s{2,}", line)[0].split()[1:]
+            # a synopsis ends at its last placeholder, where one space may
+            # separate it from the description
+            ends = [i for i, w in enumerate(words) if w[0] == "<" or w[-1] == "]"]
+            words = words[: ends[-1] + 1] if ends else words
+            lines.append([samples.get(w, w) for w in words])
+    return lines
+
+
+def test_plain_command_lines_take_the_scanner(capsys):
+    command_lines = _readme_command_lines()
+    assert len(command_lines) == 13
+    command_lines += [[*argv, "--format", "json"] for argv, _, _ in PINNED_JSON]
+    command_lines += [list(argv) for argv, _, _ in PINNED_TEXT]
+    for argv in command_lines:
+        scanned = roofcalc.cli._scan(argv)
+        assert scanned is not None, argv
+        assert vars(scanned) == vars(roofcalc.cli.build_parser().parse_args(argv)), argv
+    # argparse on Python 3.11 reads `--weight=--` as [], not "--"
+    assert roofcalc.cli._scan(["rep", "dim", "A", "2", "--weight=--"]) is None
+    # an abbreviated flag goes to argparse, which writes the same answer
+    assert run(capsys, "roots", "G2", "2", "--form", "json") == run(
+        capsys, "roots", "G2", "2", "--format", "json"
+    )
+    # a value starting with "-" is a usage error, as is a flag of another leaf
+    for argv, message in (
+        (["rep", "dim", "A", "2", "--weight", "-1,0"],
+         "argument --weight: expected one argument"),
+        (["weyl", "cosets", "A", "3", "--cross", "2", "--weight=1,0,0"],
+         "unrecognized arguments: --weight=1,0,0"),
+    ):
+        assert roofcalc.cli._scan(argv) is None
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: roofcalc ")
+        assert captured.err.endswith(message + "\n"), captured.err
 
 
 def test_roots_honors_cap(capsys):
