@@ -5,15 +5,18 @@ deterministic: keys are sorted, indentation is fixed, and all payload
 data comes from already-sorted engine structures, so identical inputs
 produce byte-identical bytes.  _dumps writes it, byte for byte what
 json.dumps(payload, indent=2, sort_keys=True) gives, without the
-pure-Python encoder that json falls back to whenever indent is set.  A
-list or tuple whose items are all of exact type int (no bools, no int
-subclasses), such as a weight's coordinates, is written by one
-%-format call with a "%d" slot per item.  A list or tuple of two or
-more dicts of one shape, such as the rows of `roots`, is written from
-one row template, repeated once per row and filled by one %-format call
-with the rows' ints flattened: one shape means the same str keys in the
-same order in every row, each value an exact int or a list or tuple of
-exact ints of the same length in every row.  Everything else is written
+pure-Python encoder that json falls back to whenever indent is set.
+Three kinds of list or tuple are each written by one %-format call with
+their ints flattened, from templates with a "%d" slot per int: items all
+of exact type int (no bools, no int subclasses), such as a weight's
+coordinates, from one template; two or more lists or tuples of exact
+ints, such as the points of `weyl orbit`, from one template per length;
+and two or more dicts of one key set, such as the rows of `roots` or of
+`weyl cosets`, from one template per row shape.  A row must have the
+same str keys in the same order as every other row, each value an
+exact int or a list or tuple of exact ints; its shape is the lengths of
+those lists, so the rows of `roots` share one template and the rows of
+`weyl cosets` take one per word length.  Everything else is written
 item by item, and so is any list that fails these tests, which therefore
 gives the same bytes or the same TypeError.
 
@@ -88,8 +91,12 @@ def _dumps(o, pad: str = "\n") -> str:
 
     Takes str, int, bool, None, list, tuple and dict with str keys;
     anything else, floats and non-str keys included, raises TypeError.
-    Lists of exact ints and lists of same-shape int rows (_dumps_rows)
-    are each written by one %-format call, the rest item by item.
+    Three kinds of list are each written by one %-format call with their
+    ints flattened: exact ints, from one template; two or more lists of
+    exact ints, of any lengths (_dumps_vectors), from one template per
+    length; and two or more int rows of one key set (_dumps_rows), from
+    one template per row shape.  Every other list, and any that fails
+    these tests, is written item by item.
     """
     if isinstance(o, str):
         return _escape(o)
@@ -106,11 +113,14 @@ def _dumps(o, pad: str = "\n") -> str:
             return "[]"
         types = set(map(type, o))
         if types == {int}:
-            return ("[" + inner + sep.join(["%d"] * len(o)) + pad + "]") % tuple(o)
-        if types == {dict} and len(o) > 1:
-            rows = _dumps_rows(o, inner)
-            if rows is not None:
-                return "[" + inner + rows + pad + "]"
+            return _ints(len(o), pad) % tuple(o)
+        if len(o) > 1:
+            if types == {dict}:
+                body = _dumps_rows(o, inner)
+            else:
+                body = _dumps_vectors(o, types, inner)
+            if body is not None:
+                return "[" + inner + body + pad + "]"
         return "[" + inner + sep.join([_dumps(x, inner) for x in o]) + pad + "]"
     if isinstance(o, dict):
         if not o:
@@ -125,16 +135,46 @@ def _dumps(o, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _dumps_rows(rows, pad: str) -> Optional[str]:
-    """The rows of a list of dicts of one shape, comma-joined, or None.
+def _ints(n: int, pad: str) -> str:
+    """The %-template of a list of n exact ints; pad is its line break."""
+    if not n:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(["%d"] * n) + pad + "]"
 
-    One shape: every row has the first row's str keys in the first
-    row's order, and each value is an exact int, or a list or tuple of
-    exact ints whose length is the same in every row.  Such rows are
-    written from one row template, repeated once per row and filled by
-    one %-format call with the flattened ints; pad is the line break
-    before each row.  On any other list the answer is None, and the
-    item-by-item path writes the same bytes or raises the same TypeError.
+
+def _dumps_vectors(vectors, types: set, pad: str) -> Optional[str]:
+    """The items of a list of lists of exact ints, comma-joined, or None.
+
+    types is the set of the items' types; each must be list or tuple or
+    a subclass.  The lists may differ in length: each length gets one
+    template, and the items are filled by one %-format call with their
+    ints flattened.  pad is the line break before each item.  On any
+    other list the answer is None, and the item-by-item path writes the
+    same bytes or raises the same TypeError.
+    """
+    if not all(map(issubclass, types, repeat((list, tuple)))):
+        return None
+    flat = tuple(chain.from_iterable(vectors))
+    if not set(map(type, flat)) <= {int}:
+        return None
+    lengths = list(map(len, vectors))
+    templates = {n: _ints(n, pad) for n in set(lengths)}
+    return ("," + pad).join(map(templates.__getitem__, lengths)) % flat
+
+
+def _dumps_rows(rows, pad: str) -> Optional[str]:
+    """The rows of a list of dicts of one key set, comma-joined, or None.
+
+    Every row must have the first row's str keys in the first row's
+    order, and each value must be an exact int, or a list or tuple of
+    exact ints in every row.  A row's shape is the lengths of its lists;
+    each shape gets one row template, and the rows are filled by one
+    %-format call with their ints flattened.  When every list column
+    has one length, as in `roots`, one template is repeated and no row
+    is looked up.  pad is the line break before each row.  On any other
+    list the answer is None, and the item-by-item path writes the same
+    bytes or raises the same TypeError.
     """
     first = rows[0]
     keys = tuple(first)
@@ -145,9 +185,7 @@ def _dumps_rows(rows, pad: str) -> Optional[str]:
     ):
         return None
     inner = pad + "  "
-    vinner = inner + "  "
-    vsep = "," + vinner
-    fields, columns = [], []
+    fields, columns, ragged = [], [], []  # ragged: (slot, field, lengths)
     for key in sorted(keys):
         value = first[key]
         column = list(map(itemgetter(key), rows))
@@ -156,21 +194,30 @@ def _dumps_rows(rows, pad: str) -> Optional[str]:
             fields.append(field + "%d")
             columns.append(zip(column))
         elif isinstance(value, (list, tuple)) and set(map(type, value)) <= {int}:
-            n = len(value)
-            if not all(map(isinstance, column, repeat((list, tuple)))) or set(
-                map(len, column)
-            ) != {n}:
+            if not all(map(isinstance, column, repeat((list, tuple)))):
                 return None
-            vector = "[" + vinner + vsep.join(["%d"] * n) + inner + "]" if n else "[]"
-            fields.append(field + vector)
+            lengths = list(map(len, column))
+            if len(set(lengths)) == 1:
+                fields.append(field + _ints(lengths[0], inner))
+            else:
+                ragged.append((len(fields), field, lengths))
+                fields.append(field)
             columns.append(column)
         else:
             return None
     flat = tuple(chain.from_iterable(chain.from_iterable(zip(*columns))))
     if not set(map(type, flat)) <= {int}:
         return None
-    row = "{" + inner + ("," + inner).join(fields) + pad + "}"
-    return ("," + pad).join([row] * len(rows)) % flat
+    if not ragged:
+        row = "{" + inner + ("," + inner).join(fields) + pad + "}"
+        return ("," + pad).join([row] * len(rows)) % flat
+    shapes = list(zip(*[lengths for _, _, lengths in ragged]))
+    templates = {}
+    for shape in set(shapes):
+        for (slot, field, _), n in zip(ragged, shape):
+            fields[slot] = field + _ints(n, inner)
+        templates[shape] = "{" + inner + ("," + inner).join(fields) + pad + "}"
+    return ("," + pad).join(map(templates.__getitem__, shapes)) % flat
 
 
 @functools.cache
@@ -485,6 +532,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _scan(argv)
     if args is None:
         args = build_parser().parse_args(argv)
+        # argparse on Python 3.11 stores [] for `--flag=--`; parsing the
+        # subcommand and the flag alone gives that flag's usage error,
+        # "expected one argument", and exits 2
+        for dest, value in vars(args).items():
+            if isinstance(value, list):
+                words = [args.command]
+                if args.command in _GROUP_HELP:
+                    words.append(getattr(args, args.command + "_command"))
+                build_parser().parse_args([*words, _ARGS[dest][0]])
     try:
         payload, text, code = args.run(args)
         out = _dumps(payload) if args.format == "json" else text()

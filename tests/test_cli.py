@@ -201,6 +201,41 @@ def _rows_of_one_shape(draw, values):
     return rows
 
 
+_int_vector = st.sampled_from([list, tuple, Weight]).flatmap(
+    lambda kind: st.lists(st.integers(), max_size=4).map(kind)
+)
+_planted = st.booleans() | st.floats() | _text
+
+
+@st.composite
+def _ragged_rows(draw):
+    """2-6 dict rows of one key set whose int vectors change length.
+
+    A bool, float or str is sometimes planted in one row, as its value
+    or inside its vector.
+    """
+    keys = draw(
+        st.lists(
+            st.sampled_from(["%d", "100%", "a"]) | _text, min_size=1, max_size=3, unique=True
+        )
+    )
+    vectors = [draw(st.booleans()) for _ in keys]
+    vectors[draw(st.integers(0, len(keys) - 1))] = True
+    rows = [
+        {k: draw(_int_vector if v else st.integers()) for k, v in zip(keys, vectors)}
+        for _ in range(draw(st.integers(2, 6)))
+    ]
+    if draw(st.booleans()):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        key = draw(st.sampled_from(keys))
+        if vectors[keys.index(key)] and row[key] and draw(st.booleans()):
+            row[key] = list(row[key])
+            row[key][draw(st.integers(0, len(row[key]) - 1))] = draw(_planted)
+        else:
+            row[key] = draw(_planted)
+    return rows
+
+
 _payloads = st.recursive(
     _scalars,
     lambda inner: st.lists(inner, max_size=4)
@@ -208,14 +243,29 @@ _payloads = st.recursive(
     | st.lists(st.integers() | st.booleans(), max_size=40)
     | st.lists(st.integers(), max_size=40).map(Weight)
     | st.dictionaries(_text, inner, max_size=4)
-    | _rows_of_one_shape(inner),
+    | _rows_of_one_shape(inner)
+    | _ragged_rows()
+    | st.lists(_int_vector, max_size=8),
     max_leaves=24,
 )
 
 
+def _has_float(o):
+    if isinstance(o, dict):
+        o = list(o.values())
+    if isinstance(o, (list, tuple)):
+        return any(map(_has_float, o))
+    return isinstance(o, float)
+
+
 @given(_payloads)
 def test_dumps_matches_json_dumps(payload):
-    assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    if _has_float(payload):
+        # json takes floats, _dumps refuses them wherever they are
+        with pytest.raises(TypeError, match="^Object of type float is not JSON"):
+            _dumps(payload)
+    else:
+        assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 class _Node(enum.IntEnum):
@@ -250,6 +300,24 @@ def test_dumps_matches_json_dumps_on_roots_payloads(kind, rank):
     assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
+@pytest.mark.parametrize(
+    "argv, items",
+    [
+        ("weyl cosets A 11 --cross 6", 924),
+        ("weyl cosets D 8 --cross 4", 1120),
+        ("weyl orbit C 6 --cross 1 --weight=0,2,2,-2,1,-1", 240),
+        ("roof verify C --r 2", None),
+    ],
+)
+def test_dumps_matches_json_dumps_on_ragged_payloads(argv, items):
+    args = roofcalc.cli.build_parser().parse_args(argv.split())
+    payload, _, code = args.run(args)
+    assert code == 0
+    if items is not None:
+        assert len(payload.get("representatives", payload.get("orbit"))) == items
+    assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
 def test_dumps_rows_of_one_shape():
     # rows of one shape are written from one template
     templated = (
@@ -261,6 +329,9 @@ def test_dumps_rows_of_one_shape():
         [{"a": [], "b": ()}, {"a": [], "b": ()}],
         [{"e": [], "n": 1}, {"e": (), "n": 2}],
         [{"%d": 1, "100%": [2, 3]}, {"%d": 4, "100%": [5, 6]}],
+        # and rows whose vectors change length from one template per shape
+        [{"a": [1, 2]}, {"a": [3]}],
+        [{"a": [1]}, {"a": []}],
     )
     # anything else goes item by item, to the same bytes
     item_by_item = (
@@ -270,8 +341,6 @@ def test_dumps_rows_of_one_shape():
         [{"a": 1, "b": [2]}, {"a": 3}],
         [{"a": 1}, {"a": 3, "b": [2]}],
         [{"a": 1, "b": [2]}, {"b": [3], "a": 4}],
-        [{"a": [1, 2]}, {"a": [3]}],
-        [{"a": [1]}, {"a": []}],
         [{"a": 1}, {"a": [1]}],
         [{"a": [1]}, {"a": 1}],
         [{"a": [1]}, {"a": "x"}],
@@ -621,6 +690,21 @@ def test_usage_errors_exit_2(capsys):
         main(["nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # argparse on Python 3.11 stores [] for `--flag=--`; that is the flag
+    # without its value
+    for argv, flag in (
+        ("rep dim A 2 --weight=--", "--weight"),
+        ("weyl cosets A 2 --cross=--", "--cross"),
+        ("roots G2 2 --format=--", "--format"),
+        ("roots G2 2 --cap=--", "--cap"),
+        ("roof verify C --r=--", "--r"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f": error: argument {flag}: expected one argument\n"), argv
 
 
 def test_cap_exceeded_exits_3(capsys):
