@@ -6,19 +6,18 @@ data comes from already-sorted engine structures, so identical inputs
 produce byte-identical bytes.  _dumps writes it, byte for byte what
 json.dumps(payload, indent=2, sort_keys=True) gives, without the
 pure-Python encoder that json falls back to whenever indent is set.
-Three kinds of list or tuple are each written by one %-format call with
+Two kinds of list or tuple are each written by one %-format call with
 their ints flattened, from templates with a "%d" slot per int: items all
 of exact type int (no bools, no int subclasses), such as a weight's
-coordinates, from one template; two or more lists or tuples of exact
-ints, such as the points of `weyl orbit`, from one template per length;
-and two or more dicts of one key set, such as the rows of `roots` or of
-`weyl cosets`, from one template per row shape.  A row must have the
-same str keys in the same order as every other row, each value an
-exact int or a list or tuple of exact ints; its shape is the lengths of
-those lists, so the rows of `roots` share one template and the rows of
-`weyl cosets` take one per word length.  Everything else is written
-item by item, and so is any list that fails these tests, which therefore
-gives the same bytes or the same TypeError.
+coordinates, from one template; and two or more dicts of one key set,
+such as the rows of `roots` or of `weyl cosets`, from one template per
+row shape.  A row must have the same str keys in the same order as
+every other row, each value an exact int or a list or tuple of exact
+ints; its shape is the lengths of those lists, so the rows of `roots`
+share one template and the rows of `weyl cosets` take one per word
+length.  Everything else is written item by item, and so is any list
+that fails these tests, which therefore gives the same bytes or the same
+TypeError.
 
 Each argument is declared once, in the table _ARGS: its long flag or
 positional name, int or str, required, default, choices and help.
@@ -91,12 +90,11 @@ def _dumps(o, pad: str = "\n") -> str:
 
     Takes str, int, bool, None, list, tuple and dict with str keys;
     anything else, floats and non-str keys included, raises TypeError.
-    Three kinds of list are each written by one %-format call with their
-    ints flattened: exact ints, from one template; two or more lists of
-    exact ints, of any lengths (_dumps_vectors), from one template per
-    length; and two or more int rows of one key set (_dumps_rows), from
-    one template per row shape.  Every other list, and any that fails
-    these tests, is written item by item.
+    Two kinds of list are each written by one %-format call with their
+    ints flattened: exact ints, from one template; and two or more int
+    rows of one key set (_dumps_rows), from one template per row shape.
+    Every other list, such as the points of `weyl orbit`, and any that
+    fails these tests, is written item by item.
     """
     if isinstance(o, str):
         return _escape(o)
@@ -113,14 +111,11 @@ def _dumps(o, pad: str = "\n") -> str:
             return "[]"
         types = set(map(type, o))
         if types == {int}:
-            return _ints(len(o), pad) % tuple(o)
-        if len(o) > 1:
-            if types == {dict}:
-                body = _dumps_rows(o, inner)
-            else:
-                body = _dumps_vectors(o, types, inner)
-            if body is not None:
-                return "[" + inner + body + pad + "]"
+            return ("[" + inner + sep.join(["%d"] * len(o)) + pad + "]") % tuple(o)
+        if types == {dict} and len(o) > 1:
+            rows = _dumps_rows(o, inner)
+            if rows is not None:
+                return "[" + inner + rows + pad + "]"
         return "[" + inner + sep.join([_dumps(x, inner) for x in o]) + pad + "]"
     if isinstance(o, dict):
         if not o:
@@ -141,26 +136,6 @@ def _ints(n: int, pad: str) -> str:
         return "[]"
     inner = pad + "  "
     return "[" + inner + ("," + inner).join(["%d"] * n) + pad + "]"
-
-
-def _dumps_vectors(vectors, types: set, pad: str) -> Optional[str]:
-    """The items of a list of lists of exact ints, comma-joined, or None.
-
-    types is the set of the items' types; each must be list or tuple or
-    a subclass.  The lists may differ in length: each length gets one
-    template, and the items are filled by one %-format call with their
-    ints flattened.  pad is the line break before each item.  On any
-    other list the answer is None, and the item-by-item path writes the
-    same bytes or raises the same TypeError.
-    """
-    if not all(map(issubclass, types, repeat((list, tuple)))):
-        return None
-    flat = tuple(chain.from_iterable(vectors))
-    if not set(map(type, flat)) <= {int}:
-        return None
-    lengths = list(map(len, vectors))
-    templates = {n: _ints(n, pad) for n in set(lengths)}
-    return ("," + pad).join(map(templates.__getitem__, lengths)) % flat
 
 
 def _dumps_rows(rows, pad: str) -> Optional[str]:
@@ -532,9 +507,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _scan(argv)
     if args is None:
         args = build_parser().parse_args(argv)
-        # argparse on Python 3.11 stores [] for `--flag=--`; parsing the
-        # subcommand and the flag alone gives that flag's usage error,
-        # "expected one argument", and exits 2
+        # argparse on Python 3.11 stores [] for `--flag=--` (newer argparse
+        # stores "--", which the flag's type, choices or handler refuses);
+        # parsing the subcommand and the flag alone gives that flag's
+        # usage error, "expected one argument", and exits 2
         for dest, value in vars(args).items():
             if isinstance(value, list):
                 words = [args.command]

@@ -690,8 +690,13 @@ def test_usage_errors_exit_2(capsys):
         main(["nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
-    # argparse on Python 3.11 stores [] for `--flag=--`; that is the flag
-    # without its value
+    # `--flag=--` exits 2 naming the flag on every Python.  Where argparse
+    # stores [] for it (Python 3.11), that is the flag without its value;
+    # newer argparse stores "--", which the flag's type, choices or
+    # handler refuses
+    probe = argparse.ArgumentParser()
+    probe.add_argument("--x")
+    stores_list = probe.parse_args(["--x=--"]).x == []
     for argv, flag in (
         ("rep dim A 2 --weight=--", "--weight"),
         ("weyl cosets A 2 --cross=--", "--cross"),
@@ -699,12 +704,16 @@ def test_usage_errors_exit_2(capsys):
         ("roots G2 2 --cap=--", "--cap"),
         ("roof verify C --r=--", "--r"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv.split())
-        assert exc.value.code == 2
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2, argv
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.endswith(f": error: argument {flag}: expected one argument\n"), argv
+        assert re.search(r"error: (argument )?" + flag + r"\b", err), (argv, err)
+        if stores_list:
+            assert err.endswith(f": error: argument {flag}: expected one argument\n"), argv
 
 
 def test_cap_exceeded_exits_3(capsys):
