@@ -13,14 +13,15 @@ action w * chi = w(chi + rho) - rho:
 The straightening is weyl.straighten over every node: it reflects the
 lowest-index negative coordinate of chi + rho until none is left.  Its
 image is the dominant conjugate of chi + rho, so chi + rho is singular
-exactly when that image has a zero coordinate.
+exactly when that image has a zero coordinate.  The dimension is read
+off that straightened image by reps._weyl_product, with no second check.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
-from .reps import _require_dominant, weyl_dimension
+from .reps import _require_dominant, _weyl_product
 from .rootsys import Weight, make_weight
 from .weyl import ParabolicSubgroup, WeylElement, act, straighten
 
@@ -55,12 +56,11 @@ def bwb(P: ParabolicSubgroup, chi: Weight) -> CohomologyResult:
     v, letters = straighten(system, chi + system.rho, range(1, system.rank + 1))
     if 0 in v:
         return CohomologyResult(status=VANISHES)
-    ghw = v - system.rho
     return CohomologyResult(
         status=SINGLE,
         degree=len(letters),
-        g_highest_weight=ghw,
-        dimension=weyl_dimension(system, ghw),
+        g_highest_weight=v - system.rho,
+        dimension=_weyl_product(system.root_data, v),
     )
 
 

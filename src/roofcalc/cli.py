@@ -58,13 +58,11 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 from .bwb import SINGLE, bwb
-from .limits import DEFAULT_CAP, ENV_VAR, ResourceCapExceeded
+from .limits import DEFAULT_CAP, ENV_VAR, ResourceCapExceeded, resource_cap
 from .motive import _igr_count_bits, class_of_quotient, igr_point_count
-from .reps import DominanceError, NotARepresentation, weyl_dimension
+from .reps import weyl_dimension
 from .roofs import catalog, verify_roof
-from .rootsys import (
-    SUPPORTED_TYPES, RootSystem, RootSystemError, Weight, build_root_system, make_weight,
-)
+from .rootsys import SUPPORTED_TYPES, RootSystem, Weight, build_root_system, make_weight
 from .weyl import ParabolicSubgroup, minimal_coset_reps, orbit, parabolic
 
 if TYPE_CHECKING:
@@ -518,12 +516,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     words.append(getattr(args, args.command + "_command"))
                 build_parser().parse_args([*words, _ARGS[dest][0]])
     try:
+        args.cap = resource_cap(args.cap)
         payload, text, code = args.run(args)
         out = _dumps(payload) if args.format == "json" else text()
     except ResourceCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RootSystemError, DominanceError, NotARepresentation, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

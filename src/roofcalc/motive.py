@@ -97,12 +97,7 @@ class LPolynomial(_Frozen):
     def __sub__(self, other: "LPolynomial") -> "LPolynomial":
         if type(other) is not LPolynomial:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return LPolynomial(
-            (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-            for i in range(n)
-        )
+        return self + -other
 
     def __neg__(self) -> "LPolynomial":
         return LPolynomial(-c for c in self.coeffs)

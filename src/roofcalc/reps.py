@@ -5,13 +5,15 @@ parabolic P with a given P-dominant highest weight (coordinates >= 0 on
 retained nodes; crossed coordinates are unconstrained central charges).
 The full group is the parabolic with nothing crossed.
 
-Dimensions come from the Weyl dimension formula over the Levi positive
-roots, weight multiplicities from the Freudenthal recursion.  Both use the
-invariant form given by the symmetrized Cartan matrix normalised so that
-short roots have squared length 2; with full-group rho in place of the
-Levi half-sum (the difference pairs to zero with every Levi root), all
-intermediates are exact integers.  One product, _product, works in the
-Levi irreducible basis: sum c chi_lambda psi^k(V) over terms
+Dimensions come from the Weyl dimension formula, weight multiplicities
+from the Freudenthal recursion.  Both use the invariant form given by the
+symmetrized Cartan matrix normalised so that short roots have squared
+length 2; with full-group rho in place of the Levi half-sum (the
+difference pairs to zero with every Levi root), all intermediates are
+exact integers.  _weyl_product is the one Weyl product (signed), for
+weyl_dimension after its dominance check, bwb on a straightened weight
+and weight_multiset on a checked highest weight.  One product, _product,
+works in the Levi irreducible basis: sum c chi_lambda psi^k(V) over terms
 (lambda, k, c), where psi^k(V) has the weights k mu of V.  By
 Brauer-Klimyk, each lambda + k mu + rho, mu of multiplicity m, is
 straightened into the Levi chamber and (-1)^steps c m added at the
@@ -31,7 +33,9 @@ from types import MappingProxyType
 from typing import Collection, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .limits import _index, check_cap, resource_cap
-from .rootsys import RootSystem, RootSystemError, Weight, _apply, _Frozen, make_weight
+from .rootsys import (
+    RootData, RootSystem, RootSystemError, Weight, _apply, _Frozen, make_weight,
+)
 from .weyl import (
     ParabolicSubgroup,
     _upward_levels,
@@ -124,23 +128,25 @@ def _as_parabolic(system: SystemOrParabolic) -> ParabolicSubgroup:
     raise TypeError(f"expected RootSystem or ParabolicSubgroup, got {system!r}")
 
 
-def weyl_dimension(system: SystemOrParabolic, chi: Weight) -> int:
-    """Exact dimension of the (Levi) irreducible with highest weight chi.
+def _weyl_product(roots: Iterable[RootData], v: Collection[int]) -> int:
+    """Weyl product over roots of <v, beta-vee> / <rho, beta-vee>, divided once.
 
-    Product over the (Levi) positive roots of <chi+rho, beta-vee> over
-    <rho, beta-vee>, evaluated in big integers with a single exact division.
+    For rho-shifted v: 0 if singular, else (-1)^l(w) dim V(wv - rho), wv dominant.
     """
-    P = _as_parabolic(system)
-    chi_rho = [x + 1 for x in _require_dominant(chi, P)]
-    num = 1
-    den = 1
-    for data in levi_root_data(P):
-        num *= sum(map(mul, data.coroot, chi_rho))
+    num = den = 1
+    for data in roots:
+        num *= sum(map(mul, data.coroot, v))
         den *= sum(data.coroot)
     q, r = divmod(num, den)
     if r:
         raise AssertionError("Weyl dimension formula produced a non-integer")
     return q
+
+
+def weyl_dimension(system: SystemOrParabolic, chi: Weight) -> int:
+    """Exact dimension of the (Levi) irreducible with highest weight chi."""
+    P = _as_parabolic(system)
+    return _weyl_product(levi_root_data(P), [x + 1 for x in _require_dominant(chi, P)])
 
 
 class LeviIrrep(_Frozen):
@@ -235,9 +241,9 @@ def _dominant_multiplicities(
 
 def weight_multiset(rep: LeviIrrep, cap: Optional[int] = None) -> WeightMultiset:
     """All weights of the irrep with multiplicities (W_I-orbits, each <= dim)."""
-    dim = rep.dimension
-    check_cap(f"weight multiset of {rep!r}", dim, resource_cap(cap))
     P = rep.parabolic
+    dim = _weyl_product(levi_root_data(P), [x + 1 for x in rep.highest_weight])
+    check_cap(f"weight multiset of {rep!r}", dim, resource_cap(cap))
     nodes = [i - 1 for i in sorted(P.retained)]
     counts: Dict[Weight, int] = {}
     for mu, m in _dominant_multiplicities(P, rep.highest_weight):

@@ -40,6 +40,7 @@ from roofcalc import (
     weyl_dimension,
     weyl_group_order,
 )
+from roofcalc.reps import _weyl_product
 from roofcalc.weyl import levi_root_data
 
 from oracles import (
@@ -117,7 +118,9 @@ def suite_bwb_dichotomy() -> int:
 
     The oracle pairs chi + rho against every positive coroot: a zero
     forces vanishing, otherwise the degree is the number of negative
-    pairings and degree 0 happens exactly on G-dominant weights.
+    pairings and degree 0 happens exactly on G-dominant weights.  The
+    signed Weyl product of chi + rho is 0 on Vanishes and (-1)^degree
+    times the dimension on Single (Bott's form of the theorem).
     """
     rng = random.Random(211)
     cases = 0
@@ -128,8 +131,10 @@ def suite_bwb_dichotomy() -> int:
         res = bwb(P, chi)
         v = chi + system.rho
         pairings = [system.coroot_pairing(v, data) for data in system.root_data]
+        signed = _weyl_product(system.root_data, v)
         if any(p == 0 for p in pairings):
             assert res.status == VANISHES, (system, P.crossed, chi)
+            assert signed == 0, (system, P.crossed, chi)
         else:
             assert res.status == SINGLE, (system, P.crossed, chi)
             negatives = sum(1 for p in pairings if p < 0)
@@ -139,6 +144,7 @@ def suite_bwb_dichotomy() -> int:
             if res.degree == 0:
                 assert res.g_highest_weight == chi
             assert res.dimension == weyl_dimension(system, res.g_highest_weight)
+            assert signed == (-1) ** res.degree * res.dimension, (system, P.crossed, chi)
             assert all(c >= 0 for c in res.g_highest_weight)
         cases += 1
     return cases

@@ -671,14 +671,16 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
     )
     assert (code, out) == (2, "")
     assert "crossed node 0 out of range 1..3" in err
-    code, _, err = run(capsys, "roots", "G2", "2", "--cap", "0")
-    assert code == 2
-    assert "resource cap must be >= 1, got 0" in err
+    for argv in (("roots", "G2", "2"), ("roof", "list")):
+        code, out, err = run(capsys, *argv, "--cap", "0")
+        assert (code, out) == (2, ""), argv
+        assert "resource cap must be >= 1, got 0" in err
     for raw, message in (("abc", "must be an integer"), ("0", "must be >= 1")):
         monkeypatch.setenv("ROOFCALC_CAP", raw)
-        code, out, err = run(capsys, "roots", "G2", "2")
-        assert (code, out) == (2, "")
-        assert f"ROOFCALC_CAP {message}, got {raw!r}" in err
+        for argv in (("roots", "G2", "2"), ("roof", "list")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert f"ROOFCALC_CAP {message}, got {raw!r}" in err
 
 
 def test_usage_errors_exit_2(capsys):
