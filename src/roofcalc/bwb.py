@@ -19,11 +19,11 @@ off that straightened image by reps._weyl_product, with no second check.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 from .reps import _require_dominant, _weyl_product
-from .rootsys import Weight, make_weight
-from .weyl import ParabolicSubgroup, WeylElement, act, straighten
+from .rootsys import Weight
+from .weyl import ParabolicSubgroup, straighten
 
 VANISHES = "Vanishes"
 SINGLE = "Single"
@@ -42,13 +42,6 @@ class CohomologyResult(NamedTuple):
         return self.status == VANISHES
 
 
-def dot_action(w: WeylElement, chi: Weight) -> Weight:
-    """The rho-shifted action w(chi + rho) - rho."""
-    system = w.system
-    chi = make_weight(system, chi)
-    return act(w, chi + system.rho) - system.rho
-
-
 def bwb(P: ParabolicSubgroup, chi: Weight) -> CohomologyResult:
     """Cohomology of E_P(chi) on G/P for a P-dominant chi."""
     system = P.system
@@ -63,37 +56,3 @@ def bwb(P: ParabolicSubgroup, chi: Weight) -> CohomologyResult:
         dimension=_weyl_product(system.root_data, v),
     )
 
-
-class BundleCohomology(NamedTuple):
-    """Aggregated cohomology of a direct sum of equivariant summands.
-
-    summands   (weight, CohomologyResult) per input summand, input order
-    by_degree  degree -> total dimension, only the nonzero degrees
-    """
-
-    summands: Tuple[Tuple[Weight, CohomologyResult], ...]
-    by_degree: Tuple[Tuple[int, int], ...]
-
-    def degrees(self) -> Dict[int, int]:
-        return dict(self.by_degree)
-
-    @property
-    def vanishes(self) -> bool:
-        return not self.by_degree
-
-
-def bundle_cohomology(
-    P: ParabolicSubgroup, summand_weights: Iterable[Weight]
-) -> BundleCohomology:
-    """Run bwb summand by summand and accumulate dimensions per degree."""
-    results = []
-    totals: Dict[int, int] = {}
-    for chi in summand_weights:
-        res = bwb(P, chi)
-        results.append((make_weight(P.system, chi), res))
-        if res.status == SINGLE:
-            totals[res.degree] = totals.get(res.degree, 0) + res.dimension
-    return BundleCohomology(
-        summands=tuple(results),
-        by_degree=tuple(sorted(totals.items())),
-    )

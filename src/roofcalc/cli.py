@@ -3,40 +3,15 @@
 Every subcommand supports --format text|json and --cap.  JSON output is
 deterministic: keys are sorted, indentation is fixed, and all payload
 data comes from already-sorted engine structures, so identical inputs
-produce byte-identical bytes.  _dumps writes it, byte for byte what
-json.dumps(payload, indent=2, sort_keys=True) gives, without the
-pure-Python encoder that json falls back to whenever indent is set.
-Two kinds of list or tuple are each written by one %-format call with
-their ints flattened, from templates with a "%d" slot per int: items all
-of exact type int (no bools, no int subclasses), such as a weight's
-coordinates, from one template; and two or more dicts of one key set,
-such as the rows of `roots` or of `weyl cosets`, from one template per
-row shape.  A row must have the same str keys in the same order as
-every other row, each value an exact int or a list or tuple of exact
-ints; its shape is the lengths of those lists, so the rows of `roots`
-share one template and the rows of `weyl cosets` take one per word
-length.  Everything else is written item by item, and so is any list
-that fails these tests, which therefore gives the same bytes or the same
-TypeError.
+produce byte-identical bytes.
 
-Each argument is declared once, in the table _ARGS: its long flag or
-positional name, int or str, required, default, choices and help.
-_LEAVES gives each subcommand its help, its handler and the arguments
-it takes beyond --format and --cap.  main reads a plain command line
-with _scan, from those two tables alone: the subcommand's exact words,
-then its positionals and its own long flags in any order, each flag as
-`--flag value` (the value not starting with "-") or `--flag=value` (the
-value not "--").  _scan gives what parse_args would, or None on anything
-else (-h, an abbreviated flag, "--", a value starting with "-", an
-unknown, missing or extra token, an int field int() refuses, a --format
-outside its choices).  Only then does main import argparse, build its
-tree (build_parser, once per process; parsing does not change it) and
-parse with it, so argparse alone writes help text and usage errors.
-_resolve turns `<type> <rank>`, --cross and --weight into the root
-system (built under --cap), the parabolic and the weight, with the
-payload fields that echo them.  Each handler returns its JSON payload, a
-callable that renders the text report and the exit code; main renders
-only the format asked for, inside the same error mapping as the handler.
+* _dumps writes that JSON, byte for byte what json.dumps with indent=2
+  and sort_keys gives; _dumps_rows writes its lists of int rows.
+* _ARGS declares each argument once, and _LEAVES each subcommand.
+* _scan reads a plain command line from those tables; anything else goes
+  to argparse (build_parser), which alone writes help and usage errors.
+* _resolve turns `<type> <rank>`, --cross and --weight into the system,
+  the parabolic and the weight.
 
 Exit codes: 0 success; 1 when `roof verify` finds no nontrivial
 equivalence; 2 on validation errors (bad flags, bad math inputs, an

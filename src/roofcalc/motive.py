@@ -116,30 +116,6 @@ class LPolynomial(_Frozen):
                     out[i + j] += a * b
         return LPolynomial(out)
 
-    def exact_div(self, other: "LPolynomial") -> "LPolynomial":
-        """Polynomial division that must leave remainder zero."""
-        if other.is_zero:
-            raise ExactDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        if len(rem) < len(div):
-            if any(rem):
-                raise ExactDivisionError("inexact polynomial division")
-            return LPolynomial.zero()
-        out = [0] * (len(rem) - len(div) + 1)
-        lead = div[-1]
-        for k in range(len(out) - 1, -1, -1):
-            q, r = divmod(rem[k + len(div) - 1], lead)
-            if r:
-                raise ExactDivisionError("inexact polynomial division")
-            out[k] = q
-            if q:
-                for j, d in enumerate(div):
-                    rem[k + j] -= q * d
-        if any(rem):
-            raise ExactDivisionError("inexact polynomial division")
-        return LPolynomial(out)
-
     def __call__(self, value: int) -> int:
         value = _index(value, "evaluation point")
         acc = 0

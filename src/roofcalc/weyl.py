@@ -81,14 +81,6 @@ class WeylElement(NamedTuple):
         return f"WeylElement({'*'.join(f's{i}' for i in self.word)})"
 
 
-def _is_negative_root(system: RootSystem, chi: Weight) -> bool:
-    if -chi in system.root_coefficient_index:
-        return True
-    if chi in system.root_coefficient_index:
-        return False
-    raise AssertionError(f"{chi!r} is not a root of {system!r}")
-
-
 def identity(system: RootSystem) -> WeylElement:
     return from_word(system, ())
 
@@ -119,15 +111,6 @@ def act(w: WeylElement, chi: Weight) -> Weight:
 def length(w: WeylElement) -> int:
     """Number of positive roots sent to negative ones (= reduced word length)."""
     return len(w.word)
-
-
-def inversions(w: WeylElement) -> int:
-    """Count positive roots mapped to negative roots, from the definition."""
-    count = 0
-    for beta in w.system.positive_roots:
-        if _is_negative_root(w.system, act(w, beta)):
-            count += 1
-    return count
 
 
 def compose(v: WeylElement, w: WeylElement) -> WeylElement:

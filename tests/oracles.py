@@ -3,7 +3,10 @@
 Everything here avoids the code paths under test where possible: the
 Weyl enumeration closes under plain multiplication and deduplicates by
 group action, so it can arbitrate coset counts and orbit sizes without
-touching the probe-orbit machinery.
+touching the probe-orbit machinery.  The second implementations that no
+command needs live here too: the Weyl length from its definition, the
+dot action, the per-degree sum of bwb and general long division of
+Lefschetz polynomials.
 """
 
 from __future__ import annotations
@@ -12,13 +15,20 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from roofcalc import (
+    SINGLE,
+    CohomologyResult,
+    ExactDivisionError,
+    LPolynomial,
     ParabolicSubgroup,
     RootSystem,
+    Weight,
     WeylElement,
+    act,
     build_root_system,
+    bwb,
     compose,
     identity,
     make_weight,
@@ -62,6 +72,90 @@ def brute_force_weyl(system: RootSystem) -> List[WeylElement]:
                     new.append(v)
         frontier = new
     return list(seen.values())
+
+
+def _is_negative_root(system: RootSystem, chi: Weight) -> bool:
+    if -chi in system.root_coefficient_index:
+        return True
+    if chi in system.root_coefficient_index:
+        return False
+    raise AssertionError(f"{chi!r} is not a root of {system!r}")
+
+
+def inversions(w: WeylElement) -> int:
+    """Count positive roots mapped to negative roots, from the definition."""
+    count = 0
+    for beta in w.system.positive_roots:
+        if _is_negative_root(w.system, act(w, beta)):
+            count += 1
+    return count
+
+
+def dot_action(w: WeylElement, chi: Weight) -> Weight:
+    """The rho-shifted action w(chi + rho) - rho."""
+    system = w.system
+    chi = make_weight(system, chi)
+    return act(w, chi + system.rho) - system.rho
+
+
+class BundleCohomology(NamedTuple):
+    """Aggregated cohomology of a direct sum of equivariant summands.
+
+    summands   (weight, CohomologyResult) per input summand, input order
+    by_degree  degree -> total dimension, only the nonzero degrees
+    """
+
+    summands: Tuple[Tuple[Weight, CohomologyResult], ...]
+    by_degree: Tuple[Tuple[int, int], ...]
+
+    def degrees(self) -> Dict[int, int]:
+        return dict(self.by_degree)
+
+    @property
+    def vanishes(self) -> bool:
+        return not self.by_degree
+
+
+def bundle_cohomology(
+    P: ParabolicSubgroup, summand_weights: Iterable[Weight]
+) -> BundleCohomology:
+    """Run bwb summand by summand and accumulate dimensions per degree."""
+    results = []
+    totals: Dict[int, int] = {}
+    for chi in summand_weights:
+        res = bwb(P, chi)
+        results.append((make_weight(P.system, chi), res))
+        if res.status == SINGLE:
+            totals[res.degree] = totals.get(res.degree, 0) + res.dimension
+    return BundleCohomology(
+        summands=tuple(results),
+        by_degree=tuple(sorted(totals.items())),
+    )
+
+
+def exact_div(self: LPolynomial, other: LPolynomial) -> LPolynomial:
+    """Polynomial division that must leave remainder zero."""
+    if other.is_zero:
+        raise ExactDivisionError("division by the zero polynomial")
+    rem = list(self.coeffs)
+    div = other.coeffs
+    if len(rem) < len(div):
+        if any(rem):
+            raise ExactDivisionError("inexact polynomial division")
+        return LPolynomial.zero()
+    out = [0] * (len(rem) - len(div) + 1)
+    lead = div[-1]
+    for k in range(len(out) - 1, -1, -1):
+        q, r = divmod(rem[k + len(div) - 1], lead)
+        if r:
+            raise ExactDivisionError("inexact polynomial division")
+        out[k] = q
+        if q:
+            for j, d in enumerate(div):
+                rem[k + j] -= q * d
+    if any(rem):
+        raise ExactDivisionError("inexact polynomial division")
+    return LPolynomial(out)
 
 
 def weyl_group_order_formula(label: str, rank: int) -> int:

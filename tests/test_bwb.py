@@ -11,16 +11,16 @@ from roofcalc import (
     VANISHES,
     Weight,
     build_root_system,
-    bundle_cohomology,
     bwb,
     compose,
-    dot_action,
     from_word,
     identity,
     make_weight,
     parabolic,
 )
 from roofcalc.weyl import levi_root_data
+
+from oracles import bundle_cohomology, dot_action
 
 
 def test_projective_line_bundles():

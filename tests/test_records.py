@@ -1,14 +1,15 @@
 """Record types: reprs, equality, hashing and immutability, pinned."""
 
+import ast
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import roofcalc
 from roofcalc import (
-    BundleCohomology,
     CohomologyResult,
     KoszulResult,
     LeviIrrep,
@@ -22,7 +23,6 @@ from roofcalc import (
     WeightMultiset,
     WeylElement,
     build_root_system,
-    bundle_cohomology,
     bwb,
     from_word,
     identity,
@@ -86,15 +86,6 @@ CASES = {
         lambda: bwb(parabolic(G2, [1]), Weight((-1, 0))),
         "CohomologyResult(status='Single', degree=0, "
         "g_highest_weight=Weight(0, 1, 0, 0), dimension=1274)",
-    ),
-    BundleCohomology: (
-        ("summands", "by_degree"),
-        lambda: bundle_cohomology(parabolic(G2, [1]), [Weight((1, 0)), Weight((-1, 0))]),
-        lambda: bundle_cohomology(parabolic(G2, [1]), [Weight((1, 0))]),
-        "BundleCohomology(summands=((Weight(1, 0), CohomologyResult(status='Single', "
-        "degree=0, g_highest_weight=Weight(1, 0), dimension=14)), (Weight(-1, 0), "
-        "CohomologyResult(status='Vanishes', degree=None, g_highest_weight=None, "
-        "dimension=None))), by_degree=((0, 14),))",
     ),
     LPolynomial: (
         ("coeffs",),
@@ -228,3 +219,51 @@ def test_cli_import_loads_no_heavy_stdlib_modules():
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out.splitlines() == ["", "14", ""]
+
+
+def test_public_names_match_all():
+    bound = sorted(
+        name
+        for name, value in vars(roofcalc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert sorted(roofcalc.__all__) == bound
+    assert all(hasattr(roofcalc, name) for name in roofcalc.__all__)
+    # the test-only references live in tests/oracles.py
+    for name in ("BundleCohomology", "bundle_cohomology", "dot_action", "inversions"):
+        with pytest.raises(ImportError):
+            exec(f"from roofcalc import {name}", {})
+
+
+def _annotation_names(node):
+    """Names an annotation reads, inside quoted forward references too."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from _annotation_names(ast.parse(sub.value, mode="eval"))
+
+
+def test_library_modules_use_every_name_they_import():
+    unused = []
+    for path in sorted(Path(roofcalc.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the re-exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+                used.update(_annotation_names(node.annotation))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+                used.update(_annotation_names(node.returns))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

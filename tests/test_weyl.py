@@ -15,7 +15,6 @@ from roofcalc import (
     full_group,
     identity,
     inverse,
-    inversions,
     is_dominant,
     length,
     longest_element,
@@ -34,6 +33,7 @@ from oracles import (
     all_nonempty_parabolics,
     brute_force_weyl,
     greedy_right_descent,
+    inversions,
     random_parabolic,
     random_system,
     random_weight,
