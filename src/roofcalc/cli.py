@@ -6,7 +6,8 @@ data comes from already-sorted engine structures, so identical inputs
 produce byte-identical bytes.
 
 * _dumps writes that JSON, byte for byte what json.dumps with indent=2
-  and sort_keys gives; _dumps_rows writes its lists of int rows.
+  and sort_keys gives, from one %-template per int list (_ints) and per
+  shape of int row (_dumps_rows).
 * _ARGS declares each argument once, and _LEAVES each subcommand.
 * _scan reads a plain command line from those tables; anything else goes
   to argparse (build_parser), which alone writes help and usage errors.
@@ -64,8 +65,8 @@ def _dumps(o, pad: str = "\n") -> str:
     Takes str, int, bool, None, list, tuple and dict with str keys;
     anything else, floats and non-str keys included, raises TypeError.
     Two kinds of list are each written by one %-format call with their
-    ints flattened: exact ints, from one template; and two or more int
-    rows of one key set (_dumps_rows), from one template per row shape.
+    ints flattened: exact ints, from the template of _ints; and int rows
+    of one key set, from one template per row shape (_dumps_rows).
     Every other list, such as the points of `weyl orbit`, and any that
     fails these tests, is written item by item.
     """
@@ -80,12 +81,10 @@ def _dumps(o, pad: str = "\n") -> str:
     inner = pad + "  "
     sep = "," + inner
     if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
         types = set(map(type, o))
-        if types == {int}:
-            return ("[" + inner + sep.join(["%d"] * len(o)) + pad + "]") % tuple(o)
-        if types == {dict} and len(o) > 1:
+        if types <= {int}:
+            return _ints(len(o), pad) % tuple(o)
+        if types == {dict}:
             rows = _dumps_rows(o, inner)
             if rows is not None:
                 return "[" + inner + rows + pad + "]"
@@ -116,13 +115,12 @@ def _dumps_rows(rows, pad: str) -> Optional[str]:
 
     Every row must have the first row's str keys in the first row's
     order, and each value must be an exact int, or a list or tuple of
-    exact ints in every row.  A row's shape is the lengths of its lists;
-    each shape gets one row template, and the rows are filled by one
-    %-format call with their ints flattened.  When every list column
-    has one length, as in `roots`, one template is repeated and no row
-    is looked up.  pad is the line break before each row.  On any other
-    list the answer is None, and the item-by-item path writes the same
-    bytes or raises the same TypeError.
+    exact ints in every row.  A row's shape is the lengths of its lists,
+    or () when it has none; each shape gets one row template, and the
+    rows are filled by one %-format call with their ints flattened.
+    pad is the line break before each row.  On any other list the
+    answer is None, and the item-by-item path writes the same bytes or
+    raises the same TypeError.
     """
     first = rows[0]
     keys = tuple(first)
@@ -133,7 +131,7 @@ def _dumps_rows(rows, pad: str) -> Optional[str]:
     ):
         return None
     inner = pad + "  "
-    fields, columns, ragged = [], [], []  # ragged: (slot, field, lengths)
+    fields, columns, vectors = [], [], []  # vectors: (slot, field, lengths)
     for key in sorted(keys):
         value = first[key]
         column = list(map(itemgetter(key), rows))
@@ -144,25 +142,18 @@ def _dumps_rows(rows, pad: str) -> Optional[str]:
         elif isinstance(value, (list, tuple)) and set(map(type, value)) <= {int}:
             if not all(map(isinstance, column, repeat((list, tuple)))):
                 return None
-            lengths = list(map(len, column))
-            if len(set(lengths)) == 1:
-                fields.append(field + _ints(lengths[0], inner))
-            else:
-                ragged.append((len(fields), field, lengths))
-                fields.append(field)
+            vectors.append((len(fields), field, list(map(len, column))))
+            fields.append(field)
             columns.append(column)
         else:
             return None
     flat = tuple(chain.from_iterable(chain.from_iterable(zip(*columns))))
     if not set(map(type, flat)) <= {int}:
         return None
-    if not ragged:
-        row = "{" + inner + ("," + inner).join(fields) + pad + "}"
-        return ("," + pad).join([row] * len(rows)) % flat
-    shapes = list(zip(*[lengths for _, _, lengths in ragged]))
+    shapes = list(zip(*[lengths for _, _, lengths in vectors])) or [()] * len(rows)
     templates = {}
     for shape in set(shapes):
-        for (slot, field, _), n in zip(ragged, shape):
+        for (slot, field, _), n in zip(vectors, shape):
             fields[slot] = field + _ints(n, inner)
         templates[shape] = "{" + inner + ("," + inner).join(fields) + pad + "}"
     return ("," + pad).join(map(templates.__getitem__, shapes)) % flat
@@ -278,7 +269,7 @@ def _resolve(
         echo["crossed"] = sorted(P.crossed)
     if hasattr(args, "weight"):
         chi = make_weight(system, _csv_ints(args.weight, "--weight"))
-        echo["weight"] = list(chi)
+        echo["weight"] = chi
     return system, P, chi, echo
 
 
@@ -315,9 +306,7 @@ def _cmd_weyl_cosets(args) -> Handled:
     payload = {
         **echo,
         "count": len(reps),
-        "representatives": [
-            {"length": ell, "word": list(w.word)} for w, ell in reps
-        ],
+        "representatives": [{"length": ell, "word": w.word} for w, ell in reps],
     }
 
     def text() -> str:
@@ -336,7 +325,7 @@ def _cmd_weyl_cosets(args) -> Handled:
 def _cmd_weyl_orbit(args) -> Handled:
     _, P, chi, echo = _resolve(args)
     points = orbit(chi, P, cap=args.cap)
-    payload = {**echo, "size": len(points), "orbit": [list(w) for w in points]}
+    payload = {**echo, "size": len(points), "orbit": points}
 
     def text() -> str:
         lines = [f"orbit size {len(points)}"]
@@ -359,9 +348,7 @@ def _cmd_bwb(args) -> Handled:
         **echo,
         "status": res.status,
         "degree": res.degree,
-        "g_highest_weight": list(res.g_highest_weight)
-        if res.g_highest_weight is not None
-        else None,
+        "g_highest_weight": res.g_highest_weight,
         "dimension": res.dimension,
     }
 
@@ -380,7 +367,7 @@ def _cmd_class_quotient(args) -> Handled:
     _, P, _, echo = _resolve(args)
     poly = class_of_quotient(P)
     rendered = str(poly)
-    payload = {**echo, "coefficients": list(poly.coeffs), "rendered": rendered}
+    payload = {**echo, "coefficients": poly.coeffs, "rendered": rendered}
     return payload, lambda: rendered, 0
 
 

@@ -484,12 +484,7 @@ def verify_roof(
                 "small for the Picard restriction that underpins the "
                 "distinctness comparison; distinctness is not assessed"
             )
-    elif (
-        koszul_z1 is None
-        or koszul_z2 is None
-        or koszul_z1.status != DETERMINED
-        or koszul_z2.status != DETERMINED
-    ):
+    elif koszul_z1.status != DETERMINED or koszul_z2.status != DETERMINED:
         notes.append(
             "zero-locus cohomology is not pinned down on both sides; "
             "distinctness is not assessed"

@@ -112,10 +112,11 @@ class Weight(tuple):
 
     def __new__(cls, coords: Iterable[int]) -> "Weight":
         try:
-            vals = tuple(operator.index(c) for c in coords)
+            coords = tuple(coords)
+            vals = tuple(map(operator.index, coords))
         except TypeError:
             raise RootSystemError(
-                f"weight coordinates must be integers, got {tuple(coords)!r}"
+                f"weight coordinates must be integers, got {coords!r}"
             ) from None
         return tuple.__new__(cls, vals)
 

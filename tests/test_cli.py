@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -617,6 +618,14 @@ PINNED_JSON = (
      "31835e090178989231f1ee57a5d99f926422d0bbf4982a57878f01b0a217eac6"),
     (("roof", "verify", "D", "--r", "4"), 1,
      "97d7fd1cabde1815169f303b0c86424efc851b3fd0ff7bbcdc50091edadccb67"),
+    # a list of one row
+    (("roots", "A", "1"), 0,
+     "29002bc34b5dee8619dd518cb1d84a9a92d47c224e24526280d6f72b22f03477"),
+    # Vanishes: degree, dimension and highest weight are null
+    (("bwb", "A", "2", "--cross", "1", "--weight=-1,0"), 0,
+     "71f1feae0ceb2df636f7b01f255f3664d0c6cffdec29e9a812862009941ecc65"),
+    (("count", "igr", "3", "8", "2"), 0,
+     "7e89662e68b83e1c51ee3e7d809a3c8d19cd7943a848ab196264854d65bb74f9"),
 )
 
 # sha256 of the default text stdout, pinned the same way
@@ -878,6 +887,58 @@ def test_every_leaf_has_help_and_a_readme_line(capsys):
             listed.append(tuple(itertools.takewhile(lambda w: w[0] not in "<[-", words)))
     assert sorted(listed) == leaves
     assert len(leaves) == 9
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    examples = section.split("Examples:", 1)[1].split("```")[1]
+    blocks = re.split(r"^\$ roofcalc ", examples, flags=re.M)[1:]
+    assert len(blocks) == 4
+    for block in blocks:
+        command, *shown = block.rstrip("\n").splitlines()
+        # the README wraps a long line onto lines that start with "+ "
+        expected = []
+        for line in shown:
+            if line.startswith("+ "):
+                expected[-1] += " " + line
+            else:
+                expected.append(line)
+        code, out, err = run(capsys, *shlex.split(command))
+        assert (code, err) == (0, ""), command
+        lines = iter(out.splitlines())
+        for want in expected:
+            head, elided, tail = want.partition("...")
+            if elided:
+                # the next stdout line that agrees with it outside the elision
+                assert any(
+                    got.startswith(head)
+                    and got.endswith(tail)
+                    and len(got) >= len(head) + len(tail)
+                    for got in lines
+                ), (command, want)
+            else:
+                assert next(lines, None) == want, command
+        if not elided:
+            assert next(lines, None) is None, command
+    # the Library block prints what its comments say
+    library = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```")[0]
+    comments = [
+        line.partition("# ")[2]
+        for line in library.splitlines()
+        if line.startswith("print(")
+    ]
+    assert comments == [
+        "Single at degree 0, dim 1274", "1 + L + 2*L^2 + ...", "L^2([Z1]-[Z2]) = 0",
+    ]
+    printed = []
+    exec(library, {"print": printed.append})
+    cohomology, quotient, certificate = printed
+    assert (cohomology.status, cohomology.degree, cohomology.dimension) == (
+        "Single", 0, 1274,
+    )
+    assert str(quotient).startswith("1 + L + 2*L^2 + ")
+    assert certificate == "L^2([Z1]-[Z2]) = 0"
 
 
 def test_roof_verify_a_m_27_within_default_cap(capsys):

@@ -314,6 +314,12 @@ def test_make_weight_validation():
         make_weight(c3, (1, 2))
     with pytest.raises(RootSystemError):
         Weight((1.5, 2))
+    # the message names the whole input, a consumed generator's and a
+    # non-iterable's too
+    with pytest.raises(RootSystemError, match=r"got \(1, 2\.5, 3\)$"):
+        Weight(x for x in (1, 2.5, 3))
+    with pytest.raises(RootSystemError, match="got 5$"):
+        Weight(5)
 
 
 def test_weight_arithmetic():
