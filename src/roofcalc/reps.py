@@ -5,9 +5,11 @@ parabolic P with a given P-dominant highest weight (coordinates >= 0 on
 retained nodes; crossed coordinates are unconstrained central charges).
 The full group is the parabolic with nothing crossed.
 
-Dimensions come from the Weyl dimension formula, weight multiplicities
-from the Freudenthal recursion.  Both use the invariant form given by the
-symmetrized Cartan matrix normalised so that short roots have squared
+Dimensions come from the Weyl dimension formula.  weight_multiset walks
+the dominant weights once, from the top: the Freudenthal recursion reads
+each multiplicity from the W_I-orbits already filled, then fills the
+orbit of the weight it has reached.  Both use the invariant form given by
+the symmetrized Cartan matrix normalised so that short roots have squared
 length 2; with full-group rho in place of the Levi half-sum (the
 difference pairs to zero with every Levi root), all intermediates are
 exact integers.  _weyl_product is the one Weyl product (signed), for
@@ -28,7 +30,7 @@ the independent cross-check.
 from __future__ import annotations
 
 from math import comb
-from operator import mul
+from operator import add, mul
 from types import MappingProxyType
 from typing import Collection, Dict, Iterable, Mapping, Optional, Tuple, Union
 
@@ -178,76 +180,55 @@ class LeviIrrep(_Frozen):
         return weyl_dimension(self.parabolic, self.highest_weight)
 
 
-def _dominant_multiplicities(
-    P: ParabolicSubgroup, hw: Weight
-) -> Tuple[Tuple[Weight, int], ...]:
-    """Freudenthal recursion: multiplicities of the dominant weights <= hw."""
+def weight_multiset(rep: LeviIrrep, cap: Optional[int] = None) -> WeightMultiset:
+    """All weights of the irrep with multiplicities, in one walk.
+
+    Dominant mu come by offset height, then offset hw - mu: mu + k beta has
+    its dominant conjugate strictly above mu, so its orbit is filled first.
+    """
+    P = rep.parabolic
     system = P.system
+    hw = rep.highest_weight
     lroots = levi_root_data(P)
-    retained = sorted(P.retained)
-    sym = system.symmetrizer
+    dim = _weyl_product(lroots, [x + 1 for x in hw])
+    check_cap(f"weight multiset of {rep!r}", dim, resource_cap(cap))
+    nodes = [i - 1 for i in sorted(P.retained)]
+    two_rho = system.rho * 2
 
     # Dominant weights of the irrep: breadth-first subtraction of Levi
-    # positive roots, keeping Levi-dominant results; offsets track hw - mu
-    # in simple-root coordinates.
-    zero = tuple(0 for _ in range(system.rank))
-    offsets: Dict[Weight, Tuple[int, ...]] = {hw: zero}
+    # positive roots, keeping Levi-dominant results.
+    offsets: Dict[Weight, Tuple[int, ...]] = {hw: (0,) * system.rank}
     frontier = [hw]
     while frontier:
         nxt = []
         for mu in frontier:
-            off = offsets[mu]
             for data in lroots:
                 cand = mu - data.weight
-                if cand in offsets or any(cand[i - 1] < 0 for i in retained):
+                if cand in offsets or any(cand[i] < 0 for i in nodes):
                     continue
-                offsets[cand] = tuple(
-                    o + m for o, m in zip(off, data.coefficients)
-                )
+                offsets[cand] = tuple(map(add, offsets[mu], data.coefficients))
                 nxt.append(cand)
         frontier = nxt
 
-    order = sorted(offsets, key=lambda mu: (sum(offsets[mu]), offsets[mu]))
-    mult: Dict[Weight, int] = {}
-    for mu in order:
-        if mu == hw:
-            mult[mu] = 1
-            continue
-        total = 0
-        for data in lroots:
-            beta = data.weight
-            norm = data.norm
-            base = system.form(mu, data.coefficients)  # (mu, beta)
-            nu = mu + beta
-            k = 1
-            while True:
-                m = mult.get(straighten(system, nu, retained)[0], 0)
-                if not m:
-                    break  # root strings through a weight have no gaps
-                total += m * (base + k * norm)
-                nu = nu + beta
-                k += 1
-        off = offsets[mu]
-        denom = sum(
-            d * o * (h + m + 2)
-            for d, o, h, m in zip(sym, off, hw, mu, strict=True)
-        )
-        q, r = divmod(2 * total, denom)
-        if r or q <= 0:
-            raise AssertionError("Freudenthal recursion left a non-integer multiplicity")
-        mult[mu] = q
-    return tuple(mult.items())
-
-
-def weight_multiset(rep: LeviIrrep, cap: Optional[int] = None) -> WeightMultiset:
-    """All weights of the irrep with multiplicities (W_I-orbits, each <= dim)."""
-    P = rep.parabolic
-    dim = _weyl_product(levi_root_data(P), [x + 1 for x in rep.highest_weight])
-    check_cap(f"weight multiset of {rep!r}", dim, resource_cap(cap))
-    nodes = [i - 1 for i in sorted(P.retained)]
     counts: Dict[Weight, int] = {}
-    for mu, m in _dominant_multiplicities(P, rep.highest_weight):
-        for level in _upward_levels(P.system, mu, nodes):
+    for mu in sorted(offsets, key=lambda mu: (sum(offsets[mu]), offsets[mu])):
+        m = 1
+        if mu != hw:
+            total = 0
+            for data in lroots:
+                beta = data.weight
+                form = system.form(mu, data.coefficients)  # (mu, beta), then (nu, beta)
+                nu = mu + beta
+                while nu in counts:
+                    form += data.norm
+                    total += counts[nu] * form
+                    nu = nu + beta
+            # |hw + rho|^2 - |mu + rho|^2 = (hw - mu, hw + mu + 2 rho)
+            denom = system.form(hw + mu + two_rho, offsets[mu])
+            m, r = divmod(2 * total, denom)
+            if r or m <= 0:
+                raise AssertionError("Freudenthal recursion left a non-integer multiplicity")
+        for level in _upward_levels(system, mu, nodes):
             counts.update(dict.fromkeys(level, m))
     ms = WeightMultiset(counts)
     if ms.total != dim:

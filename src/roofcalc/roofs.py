@@ -276,11 +276,18 @@ def koszul_zero_locus_cohomology(
     bundle_hw; the Koszul complex twists O(twist) by the exterior
     powers of the dual bundle, whose Levi decompositions come in one pass
     (reps._exterior_power_summands).  Every summand goes through
-    Borel-Weil-Bott.
+    Borel-Weil-Bott.  The twist must be a character of P (zero on every
+    retained node), or O(twist) is no line bundle: ValueError otherwise.
     """
     system = P.system
     bundle_hw = make_weight(system, bundle_hw)
     twist = make_weight(system, twist)
+    for i in sorted(P.retained):
+        if twist[i - 1]:
+            raise ValueError(
+                f"twist {twist!r} is not a character of {P!r}: "
+                f"coordinate {twist[i - 1]} at retained node {i}"
+            )
     dual = dual_highest_weight(bundle_hw, P)
     dual_weights = weight_multiset(LeviIrrep(P, dual), cap=cap)
     cells: Dict[Tuple[int, int], int] = {}

@@ -244,12 +244,17 @@ def _annotation_names(node):
             yield from _annotation_names(ast.parse(sub.value, mode="eval"))
 
 
+def _library_modules():
+    """(file name, syntax tree) of each src/roofcalc module."""
+    for path in sorted(Path(roofcalc.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_library_modules_use_every_name_they_import():
     unused = []
-    for path in sorted(Path(roofcalc.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":  # its imports are the re-exports
+    for name, tree in _library_modules():
+        if name == "__init__.py":  # its imports are the re-exports
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
         imported, used = {}, set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -264,6 +269,38 @@ def test_library_modules_use_every_name_they_import():
                 used.update(_annotation_names(node.annotation))
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
                 used.update(_annotation_names(node.returns))
-        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
-                   if name not in used]
+        unused += [f"{name}:{line} {alias}" for alias, line in imported.items()
+                   if alias not in used]
     assert unused == []
+
+
+def test_library_reads_every_private_name_its_modules_define():
+    # a module-level _name (function, class or assignment) that no module
+    # reads, as a name, an attribute or an import, is dead code
+    defined, read = [], set()
+    for name, tree in _library_modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                lhs = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [sub.id for target in lhs
+                           for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+            else:
+                continue
+            for target in targets:
+                if target.startswith("_") and not target.startswith("__"):
+                    defined.append((target, f"{name}:{node.lineno} {target}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+                read.update(_annotation_names(node.annotation))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+                read.update(_annotation_names(node.returns))
+    assert len(defined) >= 40
+    assert [where for target, where in defined if target not in read] == []

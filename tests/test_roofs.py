@@ -130,6 +130,21 @@ def test_koszul_on_f4_sides():
     assert base.status == SINGLE and base.dimension == res1.h0
 
 
+def test_koszul_rejects_a_twist_that_is_not_a_character():
+    # O(twist) is a line bundle only when the twist vanishes on every
+    # retained node; the error names the first node where it does not
+    a2 = build_root_system("A", 2)
+    f4 = build_root_system("F4", 4)
+    for P, bundle, twist, node in (
+        (parabolic(a2, (1,)), (1, 0), (0, 2), 2),
+        (parabolic(a2, (1,)), (1, 0), (1, 1), 2),
+        (parabolic(a2, (1,)), (1, 0), (1, -1), 2),
+        (parabolic(f4, (2,)), (0, 1, 1, 0), (0, 1, 1, 0), 3),
+    ):
+        with pytest.raises(ValueError, match=rf"not a character .* retained node {node}$"):
+            koszul_zero_locus_cohomology(P, bundle, twist)
+
+
 def test_koszul_consistency_when_higher_terms_vanish():
     for label, r in (("A_G", 2), ("C", 2), ("D", 5), ("G2", None)):
         fam = roof_data(label, r)
