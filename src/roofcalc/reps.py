@@ -17,11 +17,16 @@ weyl_dimension after its dominance check, bwb on a straightened weight
 and weight_multiset on a checked highest weight.  One product, _product,
 works in the Levi irreducible basis: sum c chi_lambda psi^k(V) over terms
 (lambda, k, c), where psi^k(V) has the weights k mu of V.  By
-Brauer-Klimyk, each lambda + k mu + rho, mu of multiplicity m, is
-straightened into the Levi chamber and (-1)^steps c m added at the
-image; an image with a zero on a retained node is singular and dropped
-after the sum (it never equals a regular image), and the rest give
-highest weight image - rho.  decompose_levi is the term (0, 1, 1), and
+Brauer-Klimyk, each lambda + k mu + rho, mu of multiplicity m, is walked
+into the Levi chamber and (-1)^steps c m added at the image.  With lambda
+Levi-dominant, only the retained nodes in the support of mu start
+negative, and a reflection at a negative node makes it positive and
+lowers only its neighbours.  So the walk keeps the negative retained
+nodes on a stack, each pushed as it goes negative, and pops one to
+reflect instead of rescanning them all.  An image with a zero on a
+retained node is singular and dropped after the sum (it never equals a
+regular image), zero nets are dropped too, and the rest give highest
+weight image - rho.  decompose_levi is the term (0, 1, 1), and
 _exterior_power_summands makes one product per Newton degree; listing
 the weights of an exterior power (exterior_power) and splitting them is
 the independent cross-check.
@@ -271,18 +276,44 @@ def _product(
     terms: Iterable[Tuple[Weight, int, int]],
     weights: Collection[Tuple[Weight, int]],
 ) -> Dict[Weight, int]:
-    """Highest weight -> net multiplicity (zeros kept) of the module notes' product."""
+    """Highest weight -> nonzero net multiplicity of the module notes' product.
+
+    Every lambda must be Levi-dominant (lambda + rho >= 1 on retained nodes).
+    The walk's order is free: the image is the dominant conjugate, and each
+    reflection removes one Levi positive coroot pairing negatively.
+    """
     system = P.system
-    retained = sorted(P.retained)
+    pairs = system._simple_pairs
+    budget = len(system.positive_roots)
+    retained = [i - 1 for i in sorted(P.retained)]
+    keep = [i + 1 in P.retained for i in range(system.rank)]
+    supports = [([(i, x) for i, x in enumerate(mu) if x], m) for mu, m in weights]
     rho = system.rho
     shifted: Dict[Weight, int] = {}
     for lam, k, c in terms:
         base = [a + b for a, b in zip(lam, rho)]
-        for mu, m in weights:
-            v = [s + k * x for s, x in zip(base, mu)]
-            image, letters = straighten(system, v, retained)
-            shifted[image] = shifted.get(image, 0) + (-c if len(letters) % 2 else c) * m
-    return {im - rho: n for im, n in shifted.items() if all(im[i - 1] for i in retained)}
+        for support, m in supports:
+            v = base[:]
+            for i, x in support:
+                v[i] += k * x
+            stack = [i for i, _ in support if v[i] < 0 and keep[i]]
+            steps = 0
+            while stack:
+                i = stack.pop()
+                ci = v[i]
+                for j, a in pairs[i]:
+                    old = v[j]
+                    v[j] = new = old - ci * a
+                    if new < 0 <= old and keep[j]:
+                        stack.append(j)
+                steps += 1
+                if steps > budget:
+                    raise AssertionError("straightening exceeded the inversion bound")
+            image = tuple.__new__(Weight, v)
+            shifted[image] = shifted.get(image, 0) + (-c if steps % 2 else c) * m
+    return {
+        im - rho: n for im, n in shifted.items() if n and all(map(im.__getitem__, retained))
+    }
 
 
 def decompose_levi(
@@ -311,7 +342,7 @@ def decompose_levi(
     for hw, n in nets.items():
         if n < 0:
             raise NotARepresentation(f"net multiplicity {n} for highest weight {hw!r}")
-    return tuple(sorted((hw, n) for hw, n in nets.items() if n))
+    return tuple(sorted(nets.items()))
 
 
 def _exterior_power_summands(
@@ -354,13 +385,11 @@ def _exterior_power_summands(
         acc = _product(P, terms, weights)
         term: Dict[Weight, int] = {}
         for hw, n in acc.items():
-            q, r = divmod(n, p)
-            if r or q < 0:
+            term[hw], r = divmod(n, p)
+            if r or n < 0:
                 raise AssertionError(
                     f"Newton's identity left {n}/{p} at {hw!r} in exterior power {p}"
                 )
-            if q:
-                term[hw] = q
         powers.append(term)
     det = Weight(sum(m * mu[i] for mu, m in weights) for i in range(system.rank))
     for p in range(top // 2 + 1, top + 1):

@@ -1,9 +1,12 @@
 """Weyl group elements, parabolic subgroups, orbits and coset enumeration.
 
-One chamber walk, straighten, does every descent here and in reps and
-bwb: it reflects the lowest-index negative coordinate until none is left.
-Every reflection subtracts a simple root over its at most three nonzero
-(index, value) pairs, in O(1) whatever the rank, unvalidated.  An element
+straighten walks a weight into a chamber: it reflects the lowest-index
+negative coordinate until none is left.  from_word and longest_element
+read its letters; orbit, bwb and the duals in reps read its image.
+reps._product, which reads only the image and the parity, has its own
+walk over a stack of the nodes that went negative.  Every reflection
+subtracts a simple root over its at most three nonzero (index, value)
+pairs, in O(1) whatever the rank, unvalidated.  An element
 is its canonical reduced word plus a key: the word is the greedy right
 descent, smallest node first, read off by straightening w^-1(rho); the key,
 the image of the regular rho, is faithful, so equality and hashing use it.
@@ -156,7 +159,7 @@ def levi_root_data(P: ParabolicSubgroup) -> Tuple[RootData, ...]:
     return tuple(
         data
         for data in P.system.root_data
-        if not any(data.coefficients[i] for i in crossed)
+        if not any(map(data.coefficients.__getitem__, crossed))
     )
 
 
@@ -217,7 +220,7 @@ def height_exponents(P: ParabolicSubgroup) -> Dict[int, int]:
     crossed = [i - 1 for i in P.crossed]
     exponents: Dict[int, int] = {}
     for data in P.system.root_data:
-        if any(data.coefficients[i] for i in crossed):
+        if any(map(data.coefficients.__getitem__, crossed)):
             h = sum(data.coefficients)
             exponents[h + 1] = exponents.get(h + 1, 0) + 1
             exponents[h] = exponents.get(h, 0) - 1

@@ -5,8 +5,10 @@ Weyl enumeration closes under plain multiplication and deduplicates by
 group action, so it can arbitrate coset counts and orbit sizes without
 touching the probe-orbit machinery.  The second implementations that no
 command needs live here too: the Weyl length from its definition, the
-dot action, the per-degree sum of bwb and general long division of
-Lefschetz polynomials.
+dot action, the per-degree sum of bwb, general long division of
+Lefschetz polynomials, the Brauer-Klimyk product by the ordered
+straightening, and the closed-form exterior powers of a standard
+representation.
 """
 
 from __future__ import annotations
@@ -15,27 +17,34 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from roofcalc import (
     SINGLE,
     CohomologyResult,
     ExactDivisionError,
+    LeviIrrep,
     LPolynomial,
     ParabolicSubgroup,
     RootSystem,
     Weight,
+    WeightMultiset,
     WeylElement,
     act,
     build_root_system,
     bwb,
     compose,
+    dual_highest_weight,
     identity,
     make_weight,
     parabolic,
     reflect,
+    roof_data,
     simple_reflection,
+    weight_multiset,
 )
+from roofcalc.reps import _exterior_power_summands
+from roofcalc.weyl import straighten
 
 SMALL_SYSTEMS: Tuple[Tuple[str, int], ...] = (
     ("A", 1),
@@ -156,6 +165,94 @@ def exact_div(self: LPolynomial, other: LPolynomial) -> LPolynomial:
     if any(rem):
         raise ExactDivisionError("inexact polynomial division")
     return LPolynomial(out)
+
+
+def ordered_product(
+    P: ParabolicSubgroup,
+    terms: Iterable[Tuple[Weight, int, int]],
+    weights: Collection[Tuple[Weight, int]],
+) -> Dict[Weight, int]:
+    """Highest weight -> net multiplicity (zeros kept) of the Brauer-Klimyk
+    product sum c chi_lambda psi^k(weights), by the ordered straightening:
+    each lambda + k mu + rho goes through weyl.straighten, which reflects
+    the lowest-index negative retained coordinate each time."""
+    system = P.system
+    retained = sorted(P.retained)
+    rho = system.rho
+    shifted: Dict[Weight, int] = {}
+    for lam, k, c in terms:
+        base = [a + b for a, b in zip(lam, rho)]
+        for mu, m in weights:
+            v = [s + k * x for s, x in zip(base, mu)]
+            image, letters = straighten(system, v, retained)
+            shifted[image] = shifted.get(image, 0) + (-c if len(letters) % 2 else c) * m
+    return {im - rho: n for im, n in shifted.items() if all(im[i - 1] for i in retained)}
+
+
+def standard_exterior_powers(
+    ms: WeightMultiset, P: ParabolicSubgroup
+) -> Tuple[Tuple[Tuple[Weight, int], ...], ...]:
+    """Levi summands of Lambda^p V, p = 0..dim V, for V = ms the standard
+    representation of one GL or Sp Levi factor twisted by a character.
+
+    The weights of V form one chain w_1 > ... > w_n, each a simple root
+    below the last.  The steps are distinct nodes for GL_n, whose Lambda^p V
+    is V(omega_p) with highest weight w_1 + ... + w_p.  For Sp_2r they run
+    along the factor and back, and w_i + w_(n+1-i) is twice the character,
+    the same for every i; Lambda^p V is the sum of V(omega_j) over
+    j = p, p - 2, ... >= 0 for p <= r, and Lambda^p V = Lambda^(n-p) V
+    twisted by the character 2p - n times above (Fulton-Harris Thm 17.5),
+    so summand j has highest weight w_1 + ... + w_j + (p - j)/2 (w_1 + w_n)
+    for j = p mod 2 up to min(p, n - p).  Raises AssertionError if ms is not
+    such a chain.
+    """
+    counts = ms.counts
+    simple = [P.system.simple_roots[i - 1] for i in sorted(P.retained)]
+    assert set(counts.values()) == {1}, "weights of V are not simple"
+    (top,) = [w for w in counts if not any(w + alpha in counts for alpha in simple)]
+    chain, steps = [top], []
+    while True:
+        below = [j for j, alpha in enumerate(simple) if chain[-1] - alpha in counts]
+        if not below:
+            break
+        (j,) = below
+        chain.append(chain[-1] - simple[j])
+        steps.append(j)
+    n = len(chain)
+    assert n == len(counts), "the weights of V are not one chain"
+    partial = [Weight((0,) * P.system.rank)]
+    for w in chain:
+        partial.append(partial[-1] + w)
+    if len(set(steps)) == len(steps):  # GL_n
+        return tuple(((partial[p], 1),) for p in range(n + 1))
+    assert steps == steps[::-1] and len(set(steps)) == n // 2, "neither GL nor Sp"
+    pair = chain[0] + chain[-1]
+    return tuple(
+        tuple(
+            sorted(
+                (partial[j] + pair * ((p - j) // 2), 1)
+                for j in range(p % 2, min(p, n - p) + 1, 2)
+            )
+        )
+        for p in range(n + 1)
+    )
+
+
+def check_closed_form_exterior_powers(label: str, r=None) -> int:
+    """Assert that reps._exterior_power_summands gives the closed form on
+    both sides of a roof family; return the number of sides checked.
+
+        PYTHONPATH=src:tests python -c \
+            "from oracles import check_closed_form_exterior_powers as c; c('C', 24)"
+    """
+    fam = roof_data(label, r)
+    system = build_root_system(fam.group_type, fam.group_rank)
+    for node in fam.crossed_pair:
+        P = parabolic(system, (node,))
+        ms = weight_multiset(LeviIrrep(P, dual_highest_weight(fam.bundle_weight, P)))
+        expected = standard_exterior_powers(ms, P)
+        assert _exterior_power_summands(ms, P) == expected, (label, r, node)
+    return len(fam.crossed_pair)
 
 
 def weyl_group_order_formula(label: str, rank: int) -> int:

@@ -1,4 +1,4 @@
-"""The eight gated property suites.
+"""The nine gated property suites.
 
 Each function runs its whole sweep, raises AssertionError on the first
 violation, and returns the number of cases checked.  Each suite is an
@@ -40,13 +40,14 @@ from roofcalc import (
     weyl_dimension,
     weyl_group_order,
 )
-from roofcalc.reps import _weyl_product
+from roofcalc.reps import _product, _weyl_product
 from roofcalc.weyl import levi_root_data
 
 from oracles import (
     RANK_FIVE_SYSTEMS,
     all_nonempty_parabolics,
     brute_force_weyl,
+    ordered_product,
     random_dominant_weight,
     random_parabolic,
     random_system,
@@ -257,6 +258,44 @@ def suite_line_bundle_rank() -> int:
     return cases
 
 
+def suite_sparse_levi_walk() -> int:
+    """The stack walk of reps._product against the ordered straightening.
+
+    Random products sum c chi_lambda psi^k(V), lambda Levi-dominant, k in
+    1..4 and V a random Levi irrep, must give the nonzero nets of
+    oracles.ordered_product.  The sweep must meet singular images (some
+    lambda + k mu + rho orthogonal to a Levi coroot) and cancellations (a
+    zero net) in at least 20 cases each.
+    """
+    rng = random.Random(727)
+    cases = singular = cancelled = 0
+    while cases < 200:
+        system = random_system(rng, pool=RANK_FIVE_SYSTEMS)
+        P = full_group(system) if rng.random() < 0.25 else random_parabolic(rng, system)
+        chi = random_dominant_weight(rng, P, lo=-3, hi=2)
+        if weyl_dimension(P, chi) > 80:
+            continue
+        weights = tuple(weight_multiset(LeviIrrep(P, chi)))
+        terms = [
+            (random_dominant_weight(rng, P, lo=-3, hi=3), rng.randint(1, 4),
+             rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        expected = ordered_product(P, terms, weights)
+        got = _product(P, terms, weights)
+        assert got == {hw: n for hw, n in expected.items() if n}, (system, P.crossed, chi, terms)
+        lroots = levi_root_data(P)
+        singular += any(
+            _weyl_product(lroots, lam + mu * k + system.rho) == 0
+            for lam, k, _ in terms
+            for mu, _ in weights
+        )
+        cancelled += 0 in expected.values()
+        cases += 1
+    assert singular >= 20 and cancelled >= 20, (singular, cancelled)
+    return cases
+
+
 # (name, runner, required case count); igr is exhaustive on its range
 _SUITES = (
     ("reflection involution", suite_reflection_involution, 200),
@@ -267,6 +306,7 @@ _SUITES = (
     ("exterior-power partition", suite_exterior_partition, 200),
     ("igr agreement", suite_igr_agreement, 54),
     ("line bundle rank", suite_line_bundle_rank, 200),
+    ("sparse Levi walk", suite_sparse_levi_walk, 200),
 )
 
 ALL_SUITES = tuple(

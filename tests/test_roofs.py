@@ -30,6 +30,8 @@ from roofcalc import (
 from roofcalc.reps import _exterior_power_summands
 from roofcalc.roofs import _collision_free
 
+from oracles import check_closed_form_exterior_powers
+
 JSON_KEYS = {
     "family", "r", "group", "crossed_pair", "roof_rank", "base_dims",
     "bundle_rank", "bundle_weight", "class_f1", "class_f2", "classes_equal",
@@ -178,6 +180,15 @@ def test_newton_exterior_powers_match_enumeration():
                 decompose_levi(exterior_power(ms, p), P) for p in range(ms.total + 1)
             )
             assert _exterior_power_summands(ms, P) == enumerated, (label, r, node)
+
+
+def test_newton_exterior_powers_match_the_closed_form():
+    # past enumeration's reach (2^n weights): E^dual is the standard
+    # representation of one GL or Sp Levi factor, twisted by a character,
+    # whose exterior powers have a closed form; C r=24 runs in CI only
+    for label, r in (("C", 14), ("C", 18), ("A_M", 20), ("A_G", 8), ("D", 14),
+                     ("F4", None), ("G2", None)):
+        assert check_closed_form_exterior_powers(label, r) == 2, (label, r)
 
 
 def test_pinned_h0_beyond_enumeration():
