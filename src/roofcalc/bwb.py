@@ -37,10 +37,6 @@ class CohomologyResult(NamedTuple):
     g_highest_weight: Optional[Weight] = None
     dimension: Optional[int] = None
 
-    @property
-    def vanishes(self) -> bool:
-        return self.status == VANISHES
-
 
 def bwb(P: ParabolicSubgroup, chi: Weight) -> CohomologyResult:
     """Cohomology of E_P(chi) on G/P for a P-dominant chi."""

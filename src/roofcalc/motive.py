@@ -14,7 +14,7 @@ on substituting q for L; it certifies the C-family base classes.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .limits import _index, check_cap, resource_cap
 from .rootsys import _Frozen
@@ -57,18 +57,6 @@ class LPolynomial(_Frozen):
         return f"LPolynomial(coeffs={self.coeffs!r})"
 
     @classmethod
-    def zero(cls) -> "LPolynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "LPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def lefschetz(cls) -> "LPolynomial":
-        return cls((0, 1))
-
-    @classmethod
     def projective_space(cls, r: int) -> "LPolynomial":
         """[P^r] = 1 + L + ... + L^r."""
         r = _index(r, "projective space dimension")
@@ -106,7 +94,7 @@ class LPolynomial(_Frozen):
         if type(other) is not LPolynomial:
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return LPolynomial.zero()
+            return LPolynomial()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -168,18 +156,12 @@ def _over_lh_minus_1(p: list[int], h: int) -> list[int]:
     return q
 
 
-def class_of_quotient(P: ParabolicSubgroup) -> LPolynomial:
-    """[G/P] in the Grothendieck ring, from the height product.
+def _cyclotomic_product(exponents: Dict[int, int]) -> LPolynomial:
+    """prod_h (L^h - 1) ** e_h, known to be a polynomial.
 
-    The exponents e_h of prod_h [h]_L ** e_h sum to zero once h = 1 is
-    counted (its [1]_L = 1 is left out of height_exponents), so the
-    (L - 1) denominators of [h]_L = (L^h - 1) / (L - 1) cancel and
-    [G/P] = prod_h (L^h - 1) ** e_h.  Every factor with e_h > 0 is
-    multiplied in before any is divided off, so each quotient is exact;
-    each step is O(degree).
+    Every factor with e_h > 0 is multiplied in before any is divided off,
+    so each quotient is exact; each step is O(degree).
     """
-    exponents = height_exponents(P)
-    exponents[1] = -sum(exponents.values())
     coeffs = [1]
     for h, e in exponents.items():
         for _ in range(e):
@@ -188,6 +170,19 @@ def class_of_quotient(P: ParabolicSubgroup) -> LPolynomial:
         for _ in range(-e):
             coeffs = _over_lh_minus_1(coeffs, h)
     return LPolynomial(coeffs)
+
+
+def class_of_quotient(P: ParabolicSubgroup) -> LPolynomial:
+    """[G/P] in the Grothendieck ring, from the height product.
+
+    The exponents e_h of prod_h [h]_L ** e_h sum to zero once h = 1 is
+    counted (its [1]_L = 1 is left out of height_exponents), so the
+    (L - 1) denominators of [h]_L = (L^h - 1) / (L - 1) cancel and
+    [G/P] = prod_h (L^h - 1) ** e_h.
+    """
+    exponents = height_exponents(P)
+    exponents[1] = -sum(exponents.values())
+    return _cyclotomic_product(exponents)
 
 
 def _validate_igr(d: int, n: int, q: int = 2) -> Tuple[int, int, int]:
@@ -244,19 +239,16 @@ def igr_point_count(d: int, n: int, q: int, cap: Optional[int] = None) -> int:
 
 
 def igr_class(d: int, n: int) -> LPolynomial:
-    """[IGr(d, 2n)] via the same product formula, in O(degree) per factor.
+    """[IGr(d, 2n)] = prod_j (L^(2(n-j+1)) - 1) / (L^j - 1) over j = 1..d.
 
-    Every numerator factor L^(2(n-j+1)) - 1 is multiplied in before the
-    denominator factors L^j - 1 are divided off, so each quotient is
-    exact.
+    The same product formula as the point count, in O(degree) per factor.
     """
     d, n, _ = _validate_igr(d, n)
-    coeffs = [1]
+    exponents: Dict[int, int] = {}
     for j in range(1, d + 1):
-        coeffs = _times_lh_minus_1(coeffs, 2 * (n - j + 1))
-    for j in range(1, d + 1):
-        coeffs = _over_lh_minus_1(coeffs, j)
-    return LPolynomial(coeffs)
+        exponents[2 * (n - j + 1)] = exponents.get(2 * (n - j + 1), 0) + 1
+        exponents[j] = exponents.get(j, 0) - 1
+    return _cyclotomic_product(exponents)
 
 
 def roof_identity_residual(f1: LPolynomial, f2: LPolynomial, r: int) -> LPolynomial:

@@ -180,10 +180,6 @@ class LeviIrrep(_Frozen):
     def __repr__(self) -> str:
         return f"LeviIrrep({self.parabolic!r}, {self.highest_weight!r})"
 
-    @property
-    def dimension(self) -> int:
-        return weyl_dimension(self.parabolic, self.highest_weight)
-
 
 def weight_multiset(rep: LeviIrrep, cap: Optional[int] = None) -> WeightMultiset:
     """All weights of the irrep with multiplicities, in one walk.
@@ -410,15 +406,6 @@ def dual_highest_weight(chi: Weight, P: ParabolicSubgroup) -> Weight:
     """
     chi = _require_dominant(chi, P)
     return straighten(P.system, -chi, sorted(P.retained))[0]
-
-
-def line_bundle_rank_check(chi: Weight, P: ParabolicSubgroup) -> bool:
-    """True iff the equivariant bundle of chi has rank one.
-
-    Equivalent to chi being supported on the crossed nodes: the characters
-    of P are exactly the weights orthogonal to the Levi roots.
-    """
-    return weyl_dimension(P, chi) == 1
 
 
 def is_ample(chi: Weight, P: ParabolicSubgroup) -> bool:

@@ -238,9 +238,6 @@ class KoszulResult(NamedTuple):
     cohomology: Optional[Tuple[Tuple[int, int], ...]]
     h0: Optional[int]
 
-    def degrees(self) -> Optional[Dict[int, int]]:
-        return dict(self.cohomology) if self.cohomology is not None else None
-
 
 def _collision_free(page: Tuple[Tuple[int, int, int], ...]) -> bool:
     """Sufficient degeneration test for the first page.

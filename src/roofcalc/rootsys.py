@@ -258,7 +258,7 @@ def _positive_root_closure(
 
 
 def _validate(type_label: str, rank: int) -> str:
-    label = type_label.strip().upper()
+    label = type_label.strip().upper() if isinstance(type_label, str) else None
     row = _TYPES.get(label)
     if row is None:
         raise RootSystemError(

@@ -84,14 +84,6 @@ class WeylElement(NamedTuple):
         return f"WeylElement({'*'.join(f's{i}' for i in self.word)})"
 
 
-def identity(system: RootSystem) -> WeylElement:
-    return from_word(system, ())
-
-
-def simple_reflection(system: RootSystem, i: int) -> WeylElement:
-    return from_word(system, (i,))
-
-
 def from_word(system: RootSystem, word: Iterable[int]) -> WeylElement:
     """Element of a (not necessarily reduced) word; the stored word is reduced.
 
@@ -109,11 +101,6 @@ def from_word(system: RootSystem, word: Iterable[int]) -> WeylElement:
 
 def act(w: WeylElement, chi: Weight) -> Weight:
     return _apply(w.system._simple_pairs, w.word, make_weight(w.system, chi))
-
-
-def length(w: WeylElement) -> int:
-    """Number of positive roots sent to negative ones (= reduced word length)."""
-    return len(w.word)
 
 
 def compose(v: WeylElement, w: WeylElement) -> WeylElement:
@@ -146,11 +133,6 @@ def parabolic(system: RootSystem, crossed: Iterable[int]) -> ParabolicSubgroup:
     nodes = frozenset(_node(system, i, "crossed node") for i in crossed)
     retained = frozenset(range(1, system.rank + 1)) - nodes
     return ParabolicSubgroup(system=system, crossed=nodes, retained=retained)
-
-
-def full_group(system: RootSystem) -> ParabolicSubgroup:
-    """The improper parabolic with nothing crossed; its Levi is G itself."""
-    return parabolic(system, ())
 
 
 def levi_root_data(P: ParabolicSubgroup) -> Tuple[RootData, ...]:

@@ -35,12 +35,11 @@ from roofcalc import (
     bwb,
     compose,
     dual_highest_weight,
-    identity,
+    from_word,
     make_weight,
     parabolic,
     reflect,
     roof_data,
-    simple_reflection,
     weight_multiset,
 )
 from roofcalc.reps import _exterior_power_summands
@@ -68,14 +67,14 @@ RANK_FIVE_SYSTEMS: Tuple[Tuple[str, int], ...] = SMALL_SYSTEMS + (
 
 def brute_force_weyl(system: RootSystem) -> List[WeylElement]:
     """Every Weyl element, found by closing under right multiplication."""
-    start = identity(system)
+    start = from_word(system, ())
     seen = {start.canonical_key: start}
     frontier = [start]
     while frontier:
         new = []
         for w in frontier:
             for i in range(1, system.rank + 1):
-                v = compose(w, simple_reflection(system, i))
+                v = compose(w, from_word(system, (i,)))
                 if v.canonical_key not in seen:
                     seen[v.canonical_key] = v
                     new.append(v)
@@ -151,7 +150,7 @@ def exact_div(self: LPolynomial, other: LPolynomial) -> LPolynomial:
     if len(rem) < len(div):
         if any(rem):
             raise ExactDivisionError("inexact polynomial division")
-        return LPolynomial.zero()
+        return LPolynomial(())
     out = [0] * (len(rem) - len(div) + 1)
     lead = div[-1]
     for k in range(len(out) - 1, -1, -1):

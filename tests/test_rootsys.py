@@ -16,7 +16,6 @@ from roofcalc import (
     exterior_power,
     from_orthogonal,
     from_word,
-    full_group,
     igr_class,
     igr_point_count,
     is_positive_root,
@@ -29,7 +28,6 @@ from roofcalc import (
     resource_cap,
     roof_data,
     roof_identity_residual,
-    simple_reflection,
     to_orthogonal,
     weight_multiset,
 )
@@ -273,6 +271,10 @@ def test_build_validation():
         build_root_system("F4", 5)
     with pytest.raises(RootSystemError):
         build_root_system("G2", 3)
+    # a label that is not a string is refused like an unknown one
+    for label in (5, None):
+        with pytest.raises(RootSystemError, match=r"unsupported type .*; supported: "):
+            build_root_system(label, 3)
     # every row's rank rule: the least rank builds, one below it and one
     # above a fixed rank do not
     for label in SUPPORTED_TYPES:
@@ -361,7 +363,7 @@ def test_outside_data_is_validated_at_the_boundary():
         lambda: parabolic(build_root_system("C", 3), (1.9,)),
         lambda: roof_data("C", 2.5),
         lambda: exterior_power(
-            weight_multiset(LeviIrrep(full_group(build_root_system("C", 2)), Weight((1, 0)))),
+            weight_multiset(LeviIrrep(parabolic(build_root_system("C", 2), ()), Weight((1, 0)))),
             1.7,
         ),
         lambda: resource_cap(2.5),
@@ -370,17 +372,16 @@ def test_outside_data_is_validated_at_the_boundary():
         lambda: igr_point_count(1, 2, 2.0),
         lambda: igr_class(1.5, 2),
         lambda: from_word(build_root_system("A", 3), (1.0,)),
-        lambda: simple_reflection(build_root_system("A", 3), 1.0),
         lambda: reflect(build_root_system("A", 3), (1, 0, 0), 1.0),
         lambda: pair(build_root_system("A", 3), (1, 0, 0), 1.5),
-        lambda: roof_identity_residual(LPolynomial.one(), LPolynomial.one(), 2.5),
+        lambda: roof_identity_residual(LPolynomial((1,)), LPolynomial((1,)), 2.5),
         lambda: LPolynomial.projective_space(2.5),
         lambda: LPolynomial((1, 2))(1.5),
     ),
     ids=(
         "build_root_system", "parabolic", "roof_data", "exterior_power", "resource_cap",
         "LPolynomial", "WeightMultiset", "igr_point_count", "igr_class", "from_word",
-        "simple_reflection", "reflect", "pair", "roof_identity_residual", "projective_space",
+        "reflect", "pair", "roof_identity_residual", "projective_space",
         "LPolynomial_call",
     ),
 )
