@@ -27,7 +27,6 @@ from .reps import (
     dual_highest_weight,
     exterior_power,
     is_ample,
-    is_dominant,
     weight_multiset,
     weyl_dimension,
 )
@@ -48,13 +47,9 @@ from .rootsys import (
     RootSystemError,
     Weight,
     build_root_system,
-    from_orthogonal,
-    is_positive_root,
-    is_root,
     make_weight,
     pair,
     reflect,
-    to_orthogonal,
 )
 from .weyl import (
     ParabolicSubgroup,
@@ -105,15 +100,11 @@ __all__ = [
     "decompose_levi",
     "dual_highest_weight",
     "exterior_power",
-    "from_orthogonal",
     "from_word",
     "igr_class",
     "igr_point_count",
     "inverse",
     "is_ample",
-    "is_dominant",
-    "is_positive_root",
-    "is_root",
     "koszul_zero_locus_cohomology",
     "longest_element",
     "make_weight",
@@ -125,7 +116,6 @@ __all__ = [
     "resource_cap",
     "roof_data",
     "roof_identity_residual",
-    "to_orthogonal",
     "verify_roof",
     "weight_multiset",
     "weyl_dimension",

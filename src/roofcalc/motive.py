@@ -111,7 +111,7 @@ class LPolynomial(_Frozen):
             acc = acc * value + c
         return acc
 
-    def render(self, var: str = "L") -> str:
+    def __str__(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
@@ -122,17 +122,14 @@ class LPolynomial(_Frozen):
             if k == 0:
                 body = str(mag)
             elif k == 1:
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = "L" if mag == 1 else f"{mag}*L"
             else:
-                body = f"{var}^{k}" if mag == 1 else f"{mag}*{var}^{k}"
+                body = f"L^{k}" if mag == 1 else f"{mag}*L^{k}"
             parts.append((c < 0, body))
         text = ("-" if parts[0][0] else "") + parts[0][1]
         for neg, body in parts[1:]:
             text += (" - " if neg else " + ") + body
         return text
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def _times_lh_minus_1(p: list[int], h: int) -> list[int]:

@@ -60,12 +60,6 @@ class NotARepresentation(ValueError):
     """A weight multiset is not the character of any Levi representation."""
 
 
-def is_dominant(chi: Weight, P: ParabolicSubgroup) -> bool:
-    """Dominance for the Levi: coordinates >= 0 on all retained nodes."""
-    chi = make_weight(P.system, chi)
-    return all(chi[i - 1] >= 0 for i in P.retained)
-
-
 def _require_dominant(chi: Weight, P: ParabolicSubgroup) -> Weight:
     chi = make_weight(P.system, chi)
     for i in sorted(P.retained):

@@ -25,12 +25,7 @@ numbering is fixed by
 
 A type is defined in one place, its row of _TYPES: least or fixed rank,
 |Phi+| in closed form, the Dynkin bonds that give the Cartan matrix, and
-the symmetrizer.  A new type is a new row (and an orthogonal map, if any).
-
-The L-basis ("orthogonal") coordinates exist for types A, C and D via
-to_orthogonal / from_orthogonal; type A is normalised to the lattice
-section whose last orthogonal coordinate vanishes.  Types F4 and G2 reject
-the map.
+the symmetrizer.  A new type is a new row.
 
 The positive roots come from one enumeration, _positive_root_closure,
 which only ever reflects upward: from a positive root beta it takes
@@ -42,11 +37,9 @@ positive root s_i(beta) (Humphreys, Introduction to Lie Algebras,
 section 10.2).  The coroot and norm of each root are then read off its
 simple-root coefficients in one pass.
 
-Everything is exact: weight coordinates are Python ints, the only rational
-intermediates (orthogonal spin coordinates) are Fractions, imported by
-the two functions that make them.  Outside data is validated once, when
-a Weight is built from it; arithmetic on two Weights and the kernels
-trust their operands.
+Everything is exact: weight coordinates are Python ints.  Outside data is
+validated once, when a Weight is built from it; arithmetic on two Weights
+and the kernels trust their operands.
 """
 
 from __future__ import annotations
@@ -55,12 +48,9 @@ import operator
 from functools import lru_cache
 from itertools import repeat
 from operator import floordiv, mod, mul
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .limits import _index, check_cap, resource_cap
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class _DynkinType(NamedTuple):
@@ -178,16 +168,13 @@ class RootSystem(_Frozen):
 
     Fields, in order: type_label, rank, the Cartan matrix cartan (rows),
     symmetrizer, simple_roots and positive_roots (Weights), root_data
-    (one RootData per positive root), rho, root_coefficient_index (each
-    positive root's fundamental coordinates -> its simple-root-basis
-    coordinates, for positivity tests on root images) and _simple_pairs
-    (the nonzero (index, value) pairs of each simple root, for _apply).
+    (one RootData per positive root), rho and _simple_pairs (the nonzero
+    (index, value) pairs of each simple root, for _apply).
     """
 
     __slots__ = (
         "type_label", "rank", "cartan", "symmetrizer", "simple_roots",
-        "positive_roots", "root_data", "rho", "root_coefficient_index",
-        "_simple_pairs",
+        "positive_roots", "root_data", "rho", "_simple_pairs",
     )
 
     def __init__(self, *fields) -> None:
@@ -327,7 +314,7 @@ def _build_interned(label: str, rank: int) -> RootSystem:
         data.append(RootData(weight, coeffs, coroot, norm))
     return RootSystem(
         label, rank, cartan, sym, simple, tuple(d.weight for d in data),
-        tuple(data), Weight((1,) * rank), dict(closure), pairs,
+        tuple(data), Weight((1,) * rank), pairs,
     )
 
 
@@ -358,65 +345,3 @@ def reflect(system: RootSystem, chi: Weight, i: int) -> Weight:
     """Simple reflection s_i(chi) = chi - <chi, alpha_i-vee> alpha_i."""
     chi = make_weight(system, chi)
     return _apply(system._simple_pairs, (_node(system, i),), chi)
-
-
-def _require_orthogonal(system: RootSystem) -> None:
-    if system.type_label not in ("A", "C", "D"):
-        raise RootSystemError(
-            f"type {system.type_label} has no orthogonal basis map here"
-        )
-
-
-def to_orthogonal(system: RootSystem, chi: Weight) -> Tuple[Fraction, ...]:
-    """Express chi in L-basis coordinates (types A, C, D only)."""
-    chi = make_weight(system, chi)
-    _require_orthogonal(system)
-    from fractions import Fraction
-
-    n = system.rank
-    coords, head = [Fraction(0)] * n, n
-    if system.type_label == "D":
-        # the spin nodes n-1 and n add (chi_{n-1} + chi_n) / 2 to every
-        # c_j but the last, which gets (chi_n - chi_{n-1}) / 2
-        spin = Fraction(chi[n - 2] + chi[n - 1], 2)
-        coords = [spin] * (n - 1) + [Fraction(chi[n - 1] - chi[n - 2], 2)]
-        head = n - 2
-    # suffix sums: c_j gains chi_j + ... + chi_{head} (omega_i = L_1 + ... + L_i)
-    total = 0
-    for j in reversed(range(head)):
-        total += chi[j]
-        coords[j] += total
-    return tuple(coords)
-
-
-def from_orthogonal(system: RootSystem, coords: Iterable) -> Weight:
-    """Inverse of to_orthogonal; rejects vectors outside the weight lattice."""
-    _require_orthogonal(system)
-    from fractions import Fraction
-
-    c = [Fraction(x) for x in coords]
-    n = system.rank
-    if len(c) != n:
-        raise RootSystemError(f"expected {n} orthogonal coordinates, got {len(c)}")
-    if system.type_label in ("A", "C"):
-        fund = [c[i] - (c[i + 1] if i + 1 < n else 0) for i in range(n)]
-    else:  # D
-        fund = [c[i] - c[i + 1] for i in range(n - 2)]
-        fund.append(c[n - 2] - c[n - 1])
-        fund.append(c[n - 2] + c[n - 1])
-    ints = []
-    for x in fund:
-        if x.denominator != 1:
-            raise RootSystemError(
-                f"orthogonal coordinates {tuple(map(str, c))} are outside the weight lattice"
-            )
-        ints.append(int(x))
-    return Weight(ints)
-
-
-def is_positive_root(system: RootSystem, chi: Weight) -> bool:
-    return chi in system.root_coefficient_index
-
-
-def is_root(system: RootSystem, chi: Weight) -> bool:
-    return chi in system.root_coefficient_index or (-chi) in system.root_coefficient_index

@@ -14,7 +14,6 @@ representation.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import factorial
 from typing import Collection, Dict, Iterable, Iterator, List, NamedTuple, Tuple
@@ -82,19 +81,26 @@ def brute_force_weyl(system: RootSystem) -> List[WeylElement]:
     return list(seen.values())
 
 
-def _is_negative_root(system: RootSystem, chi: Weight) -> bool:
-    if -chi in system.root_coefficient_index:
+def positive_root_index(system: RootSystem) -> Dict[Weight, Tuple[int, ...]]:
+    """Each positive root's fundamental coordinates -> its simple-root-basis
+    coordinates, for positivity tests on root images."""
+    return {d.weight: d.coefficients for d in system.root_data}
+
+
+def _is_negative_root(index: Dict[Weight, Tuple[int, ...]], chi: Weight) -> bool:
+    if -chi in index:
         return True
-    if chi in system.root_coefficient_index:
+    if chi in index:
         return False
-    raise AssertionError(f"{chi!r} is not a root of {system!r}")
+    raise AssertionError(f"{chi!r} is not a root")
 
 
 def inversions(w: WeylElement) -> int:
     """Count positive roots mapped to negative roots, from the definition."""
+    index = positive_root_index(w.system)
     count = 0
     for beta in w.system.positive_roots:
-        if _is_negative_root(w.system, act(w, beta)):
+        if _is_negative_root(index, act(w, beta)):
             count += 1
     return count
 
@@ -265,34 +271,14 @@ def weyl_group_order_formula(label: str, rank: int) -> int:
     return {"F4": 1152, "G2": 12}[label]
 
 
-def orthogonal_matrix(label: str, rank: int) -> Tuple[Tuple[Fraction, ...], ...]:
-    """L-basis matrix of type A, C or D: row j is L_j's coefficient on each
-    fundamental coordinate (omega_i = L_1 + ... + L_i below the spin nodes;
-    the D spin weights are (1/2, ..., 1/2, -+1/2))."""
-    n = rank
-    if label in ("A", "C"):
-        return tuple(
-            tuple(Fraction(1) if i >= j else Fraction(0) for i in range(n))
-            for j in range(n)
-        )
-    half = Fraction(1, 2)
-    rows = []
-    for j in range(n):
-        row = [Fraction(1) if j <= i < n - 2 else Fraction(0) for i in range(n)]
-        row[n - 2] = half if j <= n - 2 else -half
-        row[n - 1] = half
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def greedy_right_descent(system: RootSystem, word) -> Tuple[int, ...]:
     """The canonical reduced word of the element of word, from the definition.
 
     Repeatedly strips the smallest i with w(alpha_i) a negative root (one
-    whose negative is in root_coefficient_index, the positive roots), acting
-    by the unreduced word letter by letter, and returns the stripped letters
-    in reverse order.
+    whose negative is in positive_root_index), acting by the unreduced word
+    letter by letter, and returns the stripped letters in reverse order.
     """
+    index = positive_root_index(system)
     word = list(word)
     stripped: List[int] = []
     while True:
@@ -300,7 +286,7 @@ def greedy_right_descent(system: RootSystem, word) -> Tuple[int, ...]:
             image = system.simple_roots[i - 1]
             for j in reversed(word):
                 image = reflect(system, image, j)
-            if -image in system.root_coefficient_index:
+            if -image in index:
                 word.append(i)
                 stripped.append(i)
                 break

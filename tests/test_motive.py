@@ -88,13 +88,13 @@ def test_exact_division():
 
 
 def test_render():
-    assert LPolynomial(()).render() == "0"
-    assert LPolynomial((1,)).render() == "1"
-    assert LPolynomial((0, 1)).render() == "L"
-    assert LPolynomial((1, 2, 1)).render() == "1 + 2*L + L^2"
-    assert LPolynomial((-1, 0, 3)).render() == "-1 + 3*L^2"
-    assert LPolynomial((0, -1, 1)).render() == "-L + L^2"
-    assert LPolynomial((2, 0, -7)).render("q") == "2 - 7*q^2"
+    assert str(LPolynomial(())) == "0"
+    assert str(LPolynomial((1,))) == "1"
+    assert str(LPolynomial((0, 1))) == "L"
+    assert str(LPolynomial((1, 2, 1))) == "1 + 2*L + L^2"
+    assert str(LPolynomial((-1, 0, 3))) == "-1 + 3*L^2"
+    assert str(LPolynomial((0, -1, 1))) == "-L + L^2"
+    assert str(LPolynomial((2, 0, -7))) == "2 - 7*L^2"
     assert str(LPolynomial((1, 1))) == "1 + L"
 
 

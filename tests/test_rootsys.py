@@ -1,7 +1,4 @@
-"""Root system construction: Cartan data, roots, orthogonal coordinates."""
-
-import random
-from fractions import Fraction
+"""Root system construction: Cartan data, roots, coroots."""
 
 import pytest
 
@@ -14,12 +11,9 @@ from roofcalc import (
     WeightMultiset,
     build_root_system,
     exterior_power,
-    from_orthogonal,
     from_word,
     igr_class,
     igr_point_count,
-    is_positive_root,
-    is_root,
     make_weight,
     orbit,
     pair,
@@ -28,12 +22,11 @@ from roofcalc import (
     resource_cap,
     roof_data,
     roof_identity_residual,
-    to_orthogonal,
     weight_multiset,
 )
 from roofcalc.rootsys import SUPPORTED_TYPES, _TYPES, _positive_root_closure
 
-from oracles import orthogonal_matrix, random_weight
+from oracles import positive_root_index
 
 
 def _systems_up_to(rank):
@@ -66,7 +59,7 @@ def test_every_positive_root_is_an_upward_reflection_of_a_lower_one():
     # positive root gamma has a node i with <gamma, alpha_i-vee> > 0, and
     # beta = s_i gamma is a lower positive root with <beta, alpha_i-vee> < 0
     for s in _systems_up_to(16):
-        index = s.root_coefficient_index
+        index = positive_root_index(s)
         for gamma, coeffs in index.items():
             if sum(coeffs) == 1:
                 assert gamma in s.simple_roots
@@ -166,75 +159,6 @@ def test_rho_is_all_ones():
     for label, rank in (("A", 3), ("C", 4), ("D", 4), ("F4", 4), ("G2", 2)):
         s = build_root_system(label, rank)
         assert s.rho == Weight((1,) * rank)
-
-
-def test_rho_orthogonal_coordinates_type_c():
-    # rho = (n, n-1, ..., 1) in the L basis, the convention the point
-    # count formulas assume
-    for n in (5, 8):
-        s = build_root_system("C", n)
-        assert to_orthogonal(s, s.rho) == tuple(Fraction(n - j) for j in range(n))
-
-
-def test_orthogonal_round_trip():
-    probes = ((2, 0, -1, 3, 1), (-2, 1, 0, 0, 5), (0, 0, 0, 0, 0))
-    for label in ("A", "C", "D"):
-        s = build_root_system(label, 5)
-        for coords in probes:
-            chi = make_weight(s, coords)
-            assert from_orthogonal(s, to_orthogonal(s, chi)) == chi
-        assert from_orthogonal(s, to_orthogonal(s, s.rho)) == s.rho
-
-
-def test_orthogonal_coordinates_match_the_matrix():
-    rng = random.Random(7)
-    systems = (
-        [("A", n) for n in range(1, 13)]
-        + [("C", n) for n in range(1, 11)]
-        + [("D", n) for n in range(3, 13)]
-    )
-    for label, rank in systems:
-        s = build_root_system(label, rank)
-        mat = orthogonal_matrix(label, rank)
-        for _ in range(20):
-            chi = random_weight(rng, s, -9, 9)
-            expected = tuple(
-                sum((r * c for r, c in zip(row, chi)), start=Fraction(0))
-                for row in mat
-            )
-            assert to_orthogonal(s, chi) == expected, (label, rank, chi)
-            assert all(type(x) is Fraction for x in to_orthogonal(s, chi))
-
-
-def test_orthogonal_spin_coordinates():
-    d5 = build_root_system("D", 5)
-    spin = make_weight(d5, (0, 0, 0, 0, 1))
-    assert to_orthogonal(d5, spin) == (Fraction(1, 2),) * 5
-    half = Fraction(1, 2)
-    assert to_orthogonal(d5, make_weight(d5, (0, 0, 0, 1, 0))) == (
-        half, half, half, half, -half,
-    )
-
-
-def test_orthogonal_rejects_non_lattice_vectors():
-    c3 = build_root_system("C", 3)
-    with pytest.raises(RootSystemError):
-        from_orthogonal(c3, (Fraction(1, 2), 0, 0))
-    d4 = build_root_system("D", 4)
-    # a single half-integer coordinate is not in the D weight lattice
-    with pytest.raises(RootSystemError):
-        from_orthogonal(d4, (Fraction(1, 2), 0, 0, 0))
-    with pytest.raises(RootSystemError, match="expected 3 orthogonal coordinates, got 2"):
-        from_orthogonal(c3, (1, 0))
-
-
-def test_orthogonal_unavailable_for_exceptional_types():
-    for label, rank in (("F4", 4), ("G2", 2)):
-        s = build_root_system(label, rank)
-        with pytest.raises(RootSystemError):
-            to_orthogonal(s, s.rho)
-        with pytest.raises(RootSystemError):
-            from_orthogonal(s, (0,) * rank)
 
 
 def test_root_norms():
@@ -402,15 +326,6 @@ def test_pair_and_reflect_on_fundamental_weights():
             pair(s, s.rho, 0)
         with pytest.raises(RootSystemError):
             reflect(s, s.rho, rank + 1)
-
-
-def test_root_membership():
-    g2 = build_root_system("G2", 2)
-    highest = max(g2.root_data, key=lambda d: sum(d.coefficients)).weight
-    assert is_positive_root(g2, highest)
-    assert not is_positive_root(g2, -highest)
-    assert is_root(g2, -highest)
-    assert not is_root(g2, g2.rho + g2.rho)
 
 
 def test_simple_roots_match_cartan_columns():
