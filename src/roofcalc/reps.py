@@ -18,18 +18,15 @@ and weight_multiset on a checked highest weight.  One product, _product,
 works in the Levi irreducible basis: sum c chi_lambda psi^k(V) over terms
 (lambda, k, c), where psi^k(V) has the weights k mu of V.  By
 Brauer-Klimyk, each lambda + k mu + rho, mu of multiplicity m, is walked
-into the Levi chamber and (-1)^steps c m added at the image.  With lambda
-Levi-dominant, only the retained nodes in the support of mu start
-negative, and a reflection at a negative node makes it positive and
-lowers only its neighbours.  So the walk keeps the negative retained
-nodes on a stack, each pushed as it goes negative, and pops one to
-reflect instead of rescanning them all.  An image with a zero on a
-retained node is singular and dropped after the sum (it never equals a
-regular image), zero nets are dropped too, and the rest give highest
-weight image - rho.  decompose_levi is the term (0, 1, 1), and
-_exterior_power_summands makes one product per Newton degree; listing
-the weights of an exterior power (exterior_power) and splitting them is
-the independent cross-check.
+into the Levi chamber by weyl's one walk and (-1)^steps c m added at the
+image.  With lambda Levi-dominant, only the retained nodes in the
+support of mu can start negative, so the walk's heap is seeded from that
+support alone.  An image with a zero on a retained node is singular and
+dropped after the sum (it never equals a regular image), zero nets are
+dropped too, and the rest give highest weight image - rho.
+decompose_levi is the term (0, 1, 1), and _exterior_power_summands makes
+one product per Newton degree; listing the weights of an exterior power
+(exterior_power) and splitting them is the independent cross-check.
 """
 
 from __future__ import annotations
@@ -46,6 +43,7 @@ from .rootsys import (
 from .weyl import (
     ParabolicSubgroup,
     _upward_levels,
+    _walk,
     levi_root_data,
     parabolic,
     straighten,
@@ -269,8 +267,6 @@ def _product(
     """Highest weight -> nonzero net multiplicity of the module notes' product.
 
     Every lambda must be Levi-dominant (lambda + rho >= 1 on retained nodes).
-    The walk's order is free: the image is the dominant conjugate, and each
-    reflection removes one Levi positive coroot pairing negatively.
     """
     system = P.system
     pairs = system._simple_pairs
@@ -286,21 +282,10 @@ def _product(
             v = base[:]
             for i, x in support:
                 v[i] += k * x
-            stack = [i for i, _ in support if v[i] < 0 and keep[i]]
-            steps = 0
-            while stack:
-                i = stack.pop()
-                ci = v[i]
-                for j, a in pairs[i]:
-                    old = v[j]
-                    v[j] = new = old - ci * a
-                    if new < 0 <= old and keep[j]:
-                        stack.append(j)
-                steps += 1
-                if steps > budget:
-                    raise AssertionError("straightening exceeded the inversion bound")
+            heap = [i for i, _ in support if v[i] < 0 and keep[i]]  # ascending: a heap
+            odd = len(_walk(pairs, v, keep, heap, budget)) % 2
             image = tuple.__new__(Weight, v)
-            shifted[image] = shifted.get(image, 0) + (-c if steps % 2 else c) * m
+            shifted[image] = shifted.get(image, 0) + (-c if odd else c) * m
     return {
         im - rho: n for im, n in shifted.items() if n and all(map(im.__getitem__, retained))
     }

@@ -118,11 +118,6 @@ class RoofFamily(NamedTuple):
     bundle_weight: Optional[Weight]
 
     @property
-    def roof_rank(self) -> int:
-        """r in the certificate L^{r-1}([Z1]-[Z2]) = 0: the bundle rank."""
-        return self.bundle_rank
-
-    @property
     def zero_locus_dimension(self) -> int:
         return self.base_dims - self.bundle_rank
 
@@ -359,7 +354,7 @@ class RoofReport(NamedTuple):
             "r": fam.r,
             "group": fam.group,
             "crossed_pair": list(fam.crossed_pair),
-            "roof_rank": fam.roof_rank,
+            "roof_rank": fam.bundle_rank,
             "base_dims": fam.base_dims,
             "bundle_rank": fam.bundle_rank,
             "bundle_weight": list(fam.bundle_weight) if fam.bundle_weight is not None else None,
@@ -390,7 +385,7 @@ class RoofReport(NamedTuple):
             f"roof family {fam.label}"
             + (f" (r = {fam.r})" if fam.r is not None else ""),
             f"  group {fam.group}, crossed nodes {{{fam.crossed_pair[0]}, {fam.crossed_pair[1]}}}",
-            f"  roof rank {fam.roof_rank}, base dimension {fam.base_dims}, "
+            f"  roof rank {fam.bundle_rank}, base dimension {fam.base_dims}, "
             f"bundle rank {fam.bundle_rank}",
         ]
         if fam.bundle_weight is not None:
@@ -440,11 +435,11 @@ def verify_roof(
     class_f1 = class_of_quotient(P1)
     class_f2 = class_of_quotient(P2)
     classes_equal = class_f1 == class_f2
-    residual = roof_identity_residual(class_f1, class_f2, fam.roof_rank)
+    residual = roof_identity_residual(class_f1, class_f2, fam.bundle_rank)
     if classes_equal != residual.is_zero:
         raise AssertionError("residual and class comparison disagree")
     certificate = (
-        f"L^{fam.roof_rank - 1}([Z1]-[Z2]) = 0" if classes_equal else None
+        f"L^{fam.bundle_rank - 1}([Z1]-[Z2]) = 0" if classes_equal else None
     )
 
     igr_backend_agrees = None

@@ -1,15 +1,19 @@
 """Weyl group elements, parabolic subgroups, orbits and coset enumeration.
 
-straighten walks a weight into a chamber: it reflects the lowest-index
-negative coordinate until none is left.  from_word and longest_element
-read its letters; orbit, bwb and the duals in reps read its image.
-reps._product, which reads only the image and the parity, has its own
-walk over a stack of the nodes that went negative.  Every reflection
-subtracts a simple root over its at most three nonzero (index, value)
-pairs, in O(1) whatever the rank, unvalidated.  An element
-is its canonical reduced word plus a key: the word is the greedy right
-descent, smallest node first, read off by straightening w^-1(rho); the key,
-the image of the regular rho, is faithful, so equality and hashing use it.
+_walk moves a weight into a chamber: it reflects the lowest-index
+negative kept node until none is left.  A reflection at a negative node
+makes it positive and only lowers its neighbours, so a negative node
+stays negative until it is reflected: the walk pushes each node onto a
+heapq heap as it goes negative, and the heap's minimum is the node a
+rescan from node 1 would pick.  straighten seeds the heap with every
+negative kept node; from_word and longest_element read its letters,
+orbit, bwb and the duals in reps its image.  reps._product seeds it from
+a weight's support.  Every reflection subtracts a simple root over its
+at most three nonzero (index, value) pairs, in O(1) whatever the rank,
+unvalidated.  An element is its canonical reduced word plus a key: the
+word is the greedy right descent, smallest node first, read off by
+straightening w^-1(rho); the key, the image of the regular rho, is
+faithful, so equality and hashing use it.
 
 The Poincare polynomial of W / W_I has Macdonald's closed form, a product
 over the positive roots outside the Levi of [ht + 1]_L / [ht]_L;
@@ -38,13 +42,15 @@ r(w) and the key w(rho), s_i of the parent's, from that edge.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .limits import check_cap, resource_cap
 from .rootsys import (
     RootData,
     RootSystem,
     RootSystemError,
+    SimplePairs,
     Weight,
     _apply,
     _node,
@@ -161,6 +167,29 @@ def longest_element(P: ParabolicSubgroup) -> WeylElement:
     return w
 
 
+def _walk(
+    pairs: SimplePairs, mu: List[int], keep: Sequence[bool], heap: List[int], budget: int
+) -> List[int]:
+    """Reflect mu in place at its first negative kept node until none is left.
+
+    heap holds exactly the negative kept nodes (0-based), as a heapq heap;
+    returns the nodes reflected, in order.  See the module notes.
+    """
+    letters = []
+    while heap:
+        i = heappop(heap)
+        c = mu[i]
+        for j, a in pairs[i]:
+            old = mu[j]
+            mu[j] = new = old - c * a
+            if new < 0 <= old and keep[j]:
+                heappush(heap, j)
+        letters.append(i)
+        if len(letters) > budget:
+            raise AssertionError("straightening exceeded the inversion bound")
+    return letters
+
+
 def straighten(
     system: RootSystem, v: Sequence[int], nodes: Sequence[int]
 ) -> Tuple[Weight, Tuple[int, ...]]:
@@ -173,22 +202,13 @@ def straighten(
     on nodes.  The number of letters is the length of the straightening
     element.
     """
-    pairs = system._simple_pairs
-    budget = len(system.positive_roots)
     mu = list(v)
-    letters: list[int] = []
-    while True:
-        for node in nodes:
-            if mu[node - 1] < 0:
-                break
-        else:
-            return tuple.__new__(Weight, mu), tuple(letters)
-        c = mu[node - 1]
-        for j, a in pairs[node - 1]:
-            mu[j] -= c * a
-        letters.append(node)
-        if len(letters) > budget:
-            raise AssertionError("straightening exceeded the inversion bound")
+    keep = [False] * system.rank
+    for node in nodes:
+        keep[node - 1] = True
+    heap = [node - 1 for node in nodes if mu[node - 1] < 0]  # ascending: a heap
+    letters = _walk(system._simple_pairs, mu, keep, heap, len(system.positive_roots))
+    return tuple.__new__(Weight, mu), tuple(i + 1 for i in letters)
 
 
 def height_exponents(P: ParabolicSubgroup) -> Dict[int, int]:

@@ -6,9 +6,9 @@ group action, so it can arbitrate coset counts and orbit sizes without
 touching the probe-orbit machinery.  The second implementations that no
 command needs live here too: the Weyl length from its definition, the
 dot action, the per-degree sum of bwb, general long division of
-Lefschetz polynomials, the Brauer-Klimyk product by the ordered
-straightening, and the closed-form exterior powers of a standard
-representation.
+Lefschetz polynomials, the chamber walk that rescans the nodes before
+every letter, the Brauer-Klimyk product by that walk, and the
+closed-form exterior powers of a standard representation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import factorial
-from typing import Collection, Dict, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import (
+    Collection, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple,
+)
 
 from roofcalc import (
     SINGLE,
@@ -172,6 +174,30 @@ def exact_div(self: LPolynomial, other: LPolynomial) -> LPolynomial:
     return LPolynomial(out)
 
 
+def rescan_straighten(
+    system: RootSystem, v: Sequence[int], nodes: Sequence[int]
+) -> Tuple[Weight, Tuple[int, ...]]:
+    """weyl.straighten by its definition: before every letter, scan nodes
+    (ascending, 1-based) for the first negative coordinate and reflect it.
+    Returns the image and the letters, in order."""
+    pairs = system._simple_pairs
+    budget = len(system.positive_roots)
+    mu = list(v)
+    letters: list[int] = []
+    while True:
+        for node in nodes:
+            if mu[node - 1] < 0:
+                break
+        else:
+            return tuple.__new__(Weight, mu), tuple(letters)
+        c = mu[node - 1]
+        for j, a in pairs[node - 1]:
+            mu[j] -= c * a
+        letters.append(node)
+        if len(letters) > budget:
+            raise AssertionError("straightening exceeded the inversion bound")
+
+
 def ordered_product(
     P: ParabolicSubgroup,
     terms: Iterable[Tuple[Weight, int, int]],
@@ -179,7 +205,7 @@ def ordered_product(
 ) -> Dict[Weight, int]:
     """Highest weight -> net multiplicity (zeros kept) of the Brauer-Klimyk
     product sum c chi_lambda psi^k(weights), by the ordered straightening:
-    each lambda + k mu + rho goes through weyl.straighten, which reflects
+    each lambda + k mu + rho goes through rescan_straighten, which reflects
     the lowest-index negative retained coordinate each time."""
     system = P.system
     retained = sorted(P.retained)
@@ -189,7 +215,7 @@ def ordered_product(
         base = [a + b for a, b in zip(lam, rho)]
         for mu, m in weights:
             v = [s + k * x for s, x in zip(base, mu)]
-            image, letters = straighten(system, v, retained)
+            image, letters = rescan_straighten(system, v, retained)
             shifted[image] = shifted.get(image, 0) + (-c if len(letters) % 2 else c) * m
     return {im - rho: n for im, n in shifted.items() if all(im[i - 1] for i in retained)}
 
@@ -258,6 +284,32 @@ def check_closed_form_exterior_powers(label: str, r=None) -> int:
         expected = standard_exterior_powers(ms, P)
         assert _exterior_power_summands(ms, P) == expected, (label, r, node)
     return len(fam.crossed_pair)
+
+
+def check_rescan_straightening(label: str, r=None) -> int:
+    """Assert that weyl.straighten and rescan_straighten give the same image
+    and letters on hw + twist + rho, over every node, for every Koszul
+    summand hw of both sides of a roof family (the weights bwb straightens
+    in roof verify); return the number of weights checked.
+
+        PYTHONPATH=src:tests python -W error -c \
+            "from oracles import check_rescan_straightening as c; c('C', 24)"
+    """
+    fam = roof_data(label, r)
+    system = build_root_system(fam.group_type, fam.group_rank)
+    nodes = range(1, system.rank + 1)
+    checked = 0
+    for node in fam.crossed_pair:
+        P = parabolic(system, (node,))
+        shift = system.rho + Weight(int(i == node) for i in nodes)  # rho + omega_node
+        ms = weight_multiset(LeviIrrep(P, dual_highest_weight(fam.bundle_weight, P)))
+        for summands in _exterior_power_summands(ms, P):
+            for hw, _ in summands:
+                v = hw + shift
+                got = straighten(system, v, nodes)
+                assert got == rescan_straighten(system, v, nodes), (label, r, node, hw)
+                checked += 1
+    return checked
 
 
 def weyl_group_order_formula(label: str, rank: int) -> int:

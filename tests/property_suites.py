@@ -1,4 +1,4 @@
-"""The nine gated property suites.
+"""The ten gated property suites.
 
 Each function runs its whole sweep, raises AssertionError on the first
 violation, and returns the number of cases checked.  Each suite is an
@@ -39,7 +39,7 @@ from roofcalc import (
     weyl_group_order,
 )
 from roofcalc.reps import _product, _weyl_product
-from roofcalc.weyl import levi_root_data
+from roofcalc.weyl import levi_root_data, straighten
 
 from oracles import (
     RANK_FIVE_SYSTEMS,
@@ -50,6 +50,7 @@ from oracles import (
     random_parabolic,
     random_system,
     random_weight,
+    rescan_straighten,
 )
 
 
@@ -257,7 +258,7 @@ def suite_line_bundle_rank() -> int:
 
 
 def suite_sparse_levi_walk() -> int:
-    """The stack walk of reps._product against the ordered straightening.
+    """The walk of reps._product against the ordered straightening.
 
     Random products sum c chi_lambda psi^k(V), lambda Levi-dominant, k in
     1..4 and V a random Levi irrep, must give the nonzero nets of
@@ -294,6 +295,39 @@ def suite_sparse_levi_walk() -> int:
     return cases
 
 
+def suite_rescan_straightening() -> int:
+    """weyl.straighten against the rescan from node 1, image and letters.
+
+    Random weights over every node and over random ascending node subsets,
+    then a few weights of C53 and C71, the groups of the C r=18 and r=24
+    roofs, where a walk runs thousands of letters.
+    """
+    rng = random.Random(829)
+    cases = 0
+    while cases < 200:
+        system = random_system(rng, pool=RANK_FIVE_SYSTEMS)
+        nodes = range(1, system.rank + 1)
+        if cases % 2:
+            nodes = [i for i in nodes if rng.random() < 0.6]
+        v = random_weight(rng, system, -6, 6)
+        assert straighten(system, v, nodes) == rescan_straighten(system, v, nodes), (
+            system, nodes, v
+        )
+        cases += 1
+    for rank in (53, 71):
+        system = build_root_system("C", rank)
+        for subset in (False, True, True):
+            nodes = range(1, rank + 1)
+            if subset:
+                nodes = [i for i in nodes if rng.random() < 0.8]
+            v = random_weight(rng, system, -3, 3)
+            assert straighten(system, v, nodes) == rescan_straighten(system, v, nodes), (
+                system, nodes, v
+            )
+            cases += 1
+    return cases
+
+
 # (name, runner, required case count); igr is exhaustive on its range
 _SUITES = (
     ("reflection involution", suite_reflection_involution, 200),
@@ -305,6 +339,7 @@ _SUITES = (
     ("igr agreement", suite_igr_agreement, 54),
     ("line bundle rank", suite_line_bundle_rank, 200),
     ("sparse Levi walk", suite_sparse_levi_walk, 200),
+    ("rescan straightening", suite_rescan_straightening, 200),
 )
 
 ALL_SUITES = tuple(

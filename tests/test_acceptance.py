@@ -14,7 +14,6 @@ from roofcalc import (
     SINGLE,
     VANISHES,
     LeviIrrep,
-    Weight,
     build_root_system,
     bwb,
     dual_highest_weight,

@@ -239,6 +239,7 @@ def test_public_names_match_all():
         with pytest.raises(ImportError):
             exec(f"from roofcalc import {name}", {})
     assert not hasattr(roofcalc.LPolynomial, "render")
+    assert not hasattr(roofcalc.RoofFamily, "roof_rank")
 
 
 def _annotation_names(node):
@@ -250,15 +251,21 @@ def _annotation_names(node):
             yield from _annotation_names(ast.parse(sub.value, mode="eval"))
 
 
+def _modules(directory: Path, prefix: str = ""):
+    """(prefixed file name, syntax tree) of each module in directory."""
+    for path in sorted(directory.glob("*.py")):
+        yield prefix + path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _library_modules():
     """(file name, syntax tree) of each src/roofcalc module."""
-    for path in sorted(Path(roofcalc.__file__).parent.glob("*.py")):
-        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+    return _modules(Path(roofcalc.__file__).parent)
 
 
 def test_library_modules_use_every_name_they_import():
+    # the test modules too, so that an import a test stops reading is caught
     unused = []
-    for name, tree in _library_modules():
+    for name, tree in [*_library_modules(), *_modules(Path(__file__).parent, "tests/")]:
         if name == "__init__.py":  # its imports are the re-exports
             continue
         imported, used = {}, set()

@@ -7,7 +7,6 @@ import pytest
 
 from roofcalc import (
     DETERMINED,
-    KoszulResult,
     SINGLE,
     Weight,
     build_root_system,
@@ -66,23 +65,22 @@ def test_readme_catalog_matches_catalog():
 
 def test_roof_data_table():
     expected = {
-        ("AxA", 1): ("A1 x A1", (1, 1), 2, 1, 2),
-        ("A_M", 2): ("A2", (1, 2), 2, 2, 2),
-        ("A_M", 3): ("A3", (1, 3), 3, 3, 3),
-        ("A_G", 2): ("A4", (2, 3), 3, 6, 3),
-        ("C", 1): ("C2", (1, 2), 2, 3, 2),
-        ("C", 2): ("C5", (3, 4), 4, 18, 4),
-        ("C", 3): ("C8", (5, 6), 6, 45, 6),
-        ("D", 4): ("D4", (3, 4), 4, 6, 4),
-        ("D", 5): ("D5", (4, 5), 5, 10, 5),
-        ("F4", None): ("F4", (2, 3), 3, 20, 3),
-        ("G2", None): ("G2", (1, 2), 2, 5, 2),
+        ("AxA", 1): ("A1 x A1", (1, 1), 1, 2),
+        ("A_M", 2): ("A2", (1, 2), 2, 2),
+        ("A_M", 3): ("A3", (1, 3), 3, 3),
+        ("A_G", 2): ("A4", (2, 3), 6, 3),
+        ("C", 1): ("C2", (1, 2), 3, 2),
+        ("C", 2): ("C5", (3, 4), 18, 4),
+        ("C", 3): ("C8", (5, 6), 45, 6),
+        ("D", 4): ("D4", (3, 4), 6, 4),
+        ("D", 5): ("D5", (4, 5), 10, 5),
+        ("F4", None): ("F4", (2, 3), 20, 3),
+        ("G2", None): ("G2", (1, 2), 5, 2),
     }
-    for (label, r), (group, crossed, rank, base, bundle) in expected.items():
+    for (label, r), (group, crossed, base, bundle) in expected.items():
         fam = roof_data(label, r)
         assert fam.group == group
         assert fam.crossed_pair == crossed
-        assert fam.roof_rank == rank
         assert fam.base_dims == base
         assert fam.bundle_rank == bundle
         assert fam.zero_locus_dimension == base - bundle
@@ -312,7 +310,7 @@ def test_certificate_iff_classes_equal():
         assert rep.classes_equal == (rep.certificate is not None)
         assert rep.classes_equal == rep.residual.is_zero
         if rep.certificate is not None:
-            assert rep.certificate == f"L^{rep.family.roof_rank - 1}([Z1]-[Z2]) = 0"
+            assert rep.certificate == f"L^{rep.family.bundle_rank - 1}([Z1]-[Z2]) = 0"
 
 
 def test_report_json_schema():
