@@ -21,9 +21,9 @@ Brauer-Klimyk, each lambda + k mu + rho, mu of multiplicity m, is walked
 into the Levi chamber by weyl's one walk and (-1)^steps c m added at the
 image.  With lambda Levi-dominant, only the retained nodes in the
 support of mu can start negative, so the walk's heap is seeded from that
-support alone.  An image with a zero on a retained node is singular and
-dropped after the sum (it never equals a regular image), zero nets are
-dropped too, and the rest give highest weight image - rho.
+support alone.  A weight with a zero on a retained node, at the start
+or met on the walk (weyl's walls), is singular and adds nothing; zero
+nets are dropped, and the rest give highest weight image - rho.
 decompose_levi is the term (0, 1, 1), and _exterior_power_summands makes
 one product per Newton degree; listing the weights of an exterior power
 (exterior_power) and splitting them is the independent cross-check.
@@ -271,7 +271,6 @@ def _product(
     system = P.system
     pairs = system._simple_pairs
     budget = len(system.positive_roots)
-    retained = [i - 1 for i in sorted(P.retained)]
     keep = [i + 1 in P.retained for i in range(system.rank)]
     supports = [([(i, x) for i, x in enumerate(mu) if x], m) for mu, m in weights]
     rho = system.rho
@@ -282,13 +281,19 @@ def _product(
             v = base[:]
             for i, x in support:
                 v[i] += k * x
-            heap = [i for i, _ in support if v[i] < 0 and keep[i]]  # ascending: a heap
-            odd = len(_walk(pairs, v, keep, heap, budget)) % 2
+            heap = [i for i, _ in support if v[i] <= 0 and keep[i]]  # ascending: a heap
+            n = c * m
+            if heap:
+                if not all(map(v.__getitem__, heap)):
+                    continue  # on a wall
+                letters = _walk(pairs, v, keep, heap, budget, walls=True)
+                if letters is None:
+                    continue  # reached a wall
+                if len(letters) % 2:
+                    n = -n
             image = tuple.__new__(Weight, v)
-            shifted[image] = shifted.get(image, 0) + (-c if odd else c) * m
-    return {
-        im - rho: n for im, n in shifted.items() if n and all(map(im.__getitem__, retained))
-    }
+            shifted[image] = shifted.get(image, 0) + n
+    return {im - rho: n for im, n in shifted.items() if n}
 
 
 def decompose_levi(

@@ -34,8 +34,12 @@ height by -<beta, alpha_i-vee>.  That reaches every positive root from
 the simple ones, because a non-simple positive root beta has some node
 with <beta, alpha_i-vee> > 0 and is the upward image of the lower
 positive root s_i(beta) (Humphreys, Introduction to Lie Algebras,
-section 10.2).  The coroot and norm of each root are then read off its
-simple-root coefficients in one pass.
+section 10.2).  The pass carries every field of a root's RootData along
+the step, with the root's negative nodes: a reflection s_i changes a
+weight only on the at most three pairs of alpha_i, so the negative nodes
+are updated there and never rescanned, the coefficient m_i rises by
+-<beta, alpha_i-vee>, the norm stays (it is W-invariant), and only
+coroot coordinate i moves.
 
 Everything is exact: weight coordinates are Python ints.  Outside data is
 validated once, when a Weight is built from it; arithmetic on two Weights
@@ -46,8 +50,6 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import repeat
-from operator import floordiv, mod, mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .limits import _index, check_cap, resource_cap
@@ -212,9 +214,9 @@ def _apply(pairs: SimplePairs, word: Sequence[int], chi: Sequence[int]) -> Weigh
 
 
 def _positive_root_closure(
-    simple: Tuple[Weight, ...], pairs: SimplePairs
-) -> list[tuple[Weight, Tuple[int, ...]]]:
-    """All positive roots, each found as an upward reflection of a lower one.
+    simple: Tuple[Weight, ...], pairs: SimplePairs, sym: Tuple[int, ...]
+) -> Tuple[RootData, ...]:
+    """Every positive root with its data, each found as an upward reflection.
 
     A positive root beta that is not simple has a node i with
     <beta, alpha_i-vee> > 0 (otherwise (beta, beta) = sum_i m_i d_i
@@ -223,25 +225,56 @@ def _positive_root_closure(
     with <s_i beta, alpha_i-vee> < 0.  So reflecting only upward, at the
     nodes where the pairing is negative, reaches every positive root from
     the simple ones, and an upward image of a positive root is positive
-    without a coefficient test.  Sorted by (height, coefficients).
+    without a coefficient test.
+
+    Each root carries its RootData and its negative nodes.  The upward
+    step at a negative node i, c = <beta, alpha_i-vee>, raises the
+    coefficient m_i by -c; the coefficients are looked up before the
+    image's Weight is built.  It changes the weight only on the pairs of
+    alpha_i: node i turns positive, a neighbour can only turn negative,
+    so the negative nodes are updated there.  The norm is W-invariant,
+    2 d_j from the simple root alpha_j the chain started at, and the
+    coroot beta-vee - c (2 / norm) alpha_i moves coordinate i by
+    -2 c d_i / norm (simply laced: coroot and coefficients are one tuple).
+    Sorted by (height, coefficients).
     """
     rank = len(simple)
-    seen: dict[Weight, Tuple[int, ...]] = {
-        alpha: (0,) * j + (1,) + (0,) * (rank - j - 1) for j, alpha in enumerate(simple)
-    }
-    frontier = list(seen.items())
+    laced = set(sym) == {1}
+    # coefficients -> (height, coefficients, data), which sorts as returned
+    found: dict[Tuple[int, ...], tuple[int, Tuple[int, ...], RootData]] = {}
+    frontier = []
+    for j, alpha in enumerate(simple):
+        e = (0,) * j + (1,) + (0,) * (rank - j - 1)
+        data = RootData(alpha, e, e, 2 * sym[j])
+        found[e] = (1, e, data)
+        frontier.append((1, data, [k for k, _ in pairs[j] if k != j]))
     while frontier:
-        nxt: list[tuple[Weight, Tuple[int, ...]]] = []
-        for beta, coeffs in frontier:
-            for i, c in enumerate(beta):
-                if c >= 0:
+        nxt = []
+        for height, (beta, coeffs, coroot, norm), negative in frontier:
+            for i in negative:
+                c = beta[i]
+                up = coeffs[:i] + (coeffs[i] - c,) + coeffs[i + 1 :]
+                if up in found:
                     continue
-                image = _apply(pairs, (i + 1,), beta)
-                if image not in seen:
-                    seen[image] = up = coeffs[:i] + (coeffs[i] - c,) + coeffs[i + 1 :]
-                    nxt.append((image, up))
+                if laced:
+                    co = up
+                else:
+                    step, r = divmod(-2 * c * sym[i], norm)
+                    if r:
+                        raise AssertionError("coroot coordinates must be integral")
+                    co = coroot[:i] + (coroot[i] + step,) + coroot[i + 1 :]
+                mu = list(beta)
+                negative_up = [k for k in negative if k != i]
+                for j, a in pairs[i]:
+                    old = mu[j]
+                    mu[j] = new = old - c * a
+                    if new < 0 <= old:
+                        negative_up.append(j)
+                data = RootData(tuple.__new__(Weight, mu), up, co, norm)
+                found[up] = (height - c, up, data)
+                nxt.append((height - c, data, negative_up))
         frontier = nxt
-    return sorted(seen.items(), key=lambda item: (sum(item[1]), item[1]))
+    return tuple(data for _, _, data in sorted(found.values()))
 
 
 def _validate(type_label: str, rank: int) -> str:
@@ -296,25 +329,10 @@ def _build_interned(label: str, rank: int) -> RootSystem:
                 raise AssertionError("symmetrizer does not symmetrize the Cartan matrix")
     simple = tuple(Weight(cartan[i][j] for i in range(rank)) for j in range(rank))
     pairs = tuple(tuple((i, a) for i, a in enumerate(alpha) if a) for alpha in simple)
-    closure = _positive_root_closure(simple, pairs)
-
-    # beta-vee = 2 beta / (beta, beta): in the simple coroot basis its
-    # coordinates are d_j m_j / half with half = (beta, beta) / 2; with
-    # all d_j = 1 (simply laced) d_j m_j is m_j, and with half = 1 the
-    # coordinates are d_j m_j themselves, integral with no test
-    simply_laced = set(sym) == {1}
-    data = []
-    for weight, coeffs in closure:
-        dm = coeffs if simply_laced else tuple(map(mul, sym, coeffs))
-        norm = sum(map(mul, dm, weight))
-        half = norm // 2
-        if norm % 2 or half != 1 and any(map(mod, dm, repeat(half))):
-            raise AssertionError("coroot coordinates must be integral")
-        coroot = dm if half == 1 else tuple(map(floordiv, dm, repeat(half)))
-        data.append(RootData(weight, coeffs, coroot, norm))
+    data = _positive_root_closure(simple, pairs, sym)
     return RootSystem(
         label, rank, cartan, sym, simple, tuple(d.weight for d in data),
-        tuple(data), Weight((1,) * rank), pairs,
+        data, Weight((1,) * rank), pairs,
     )
 
 

@@ -7,13 +7,19 @@ stays negative until it is reflected: the walk pushes each node onto a
 heapq heap as it goes negative, and the heap's minimum is the node a
 rescan from node 1 would pick.  straighten seeds the heap with every
 negative kept node; from_word and longest_element read its letters,
-orbit, bwb and the duals in reps its image.  reps._product seeds it from
-a weight's support.  Every reflection subtracts a simple root over its
-at most three nonzero (index, value) pairs, in O(1) whatever the rank,
-unvalidated.  An element is its canonical reduced word plus a key: the
-word is the greedy right descent, smallest node first, read off by
-straightening w^-1(rho); the key, the image of the regular rho, is
-faithful, so equality and hashing use it.
+orbit and the duals in reps its image, singular or not.  bwb and
+reps._product need only regular images: they seed the heap themselves
+(reps._product from a weight's support) and walk with walls, which
+stops at the first zero on a kept node.  Reflections only raise the
+node reflected, so a zero can appear only on a neighbour going down
+from positive; a weight that meets one is W_I-conjugate to a weight on
+a wall, hence singular, and its image would be dropped anyway.  Every
+reflection subtracts a simple root over its at most three nonzero
+(index, value) pairs, in O(1) whatever the rank, unvalidated.  An
+element is its canonical reduced word plus a key: the word is the
+greedy right descent, smallest node first, read off by straightening
+w^-1(rho); the key, the image of the regular rho, is faithful, so
+equality and hashing use it.
 
 The Poincare polynomial of W / W_I has Macdonald's closed form, a product
 over the positive roots outside the Levi of [ht + 1]_L / [ht]_L;
@@ -168,12 +174,19 @@ def longest_element(P: ParabolicSubgroup) -> WeylElement:
 
 
 def _walk(
-    pairs: SimplePairs, mu: List[int], keep: Sequence[bool], heap: List[int], budget: int
-) -> List[int]:
+    pairs: SimplePairs,
+    mu: List[int],
+    keep: Sequence[bool],
+    heap: List[int],
+    budget: int,
+    walls: bool = False,
+) -> Optional[List[int]]:
     """Reflect mu in place at its first negative kept node until none is left.
 
     heap holds exactly the negative kept nodes (0-based), as a heapq heap;
-    returns the nodes reflected, in order.  See the module notes.
+    returns the nodes reflected, in order.  With walls, mu must start with
+    no zero on a kept node, and the walk stops at the first one it makes,
+    returning None with mu part-way.  See the module notes.
     """
     letters = []
     while heap:
@@ -184,6 +197,8 @@ def _walk(
             mu[j] = new = old - c * a
             if new < 0 <= old and keep[j]:
                 heappush(heap, j)
+            elif walls and not new and keep[j]:
+                return None
         letters.append(i)
         if len(letters) > budget:
             raise AssertionError("straightening exceeded the inversion bound")

@@ -7,15 +7,18 @@ touching the probe-orbit machinery.  The second implementations that no
 command needs live here too: the Weyl length from its definition, the
 dot action, the per-degree sum of bwb, general long division of
 Lefschetz polynomials, the chamber walk that rescans the nodes before
-every letter, the Brauer-Klimyk product by that walk, and the
-closed-form exterior powers of a standard representation.
+every letter, the Brauer-Klimyk product by that walk, the
+closed-form exterior powers of a standard representation, and the
+two-pass root-system build that rescans every coordinate of a root for
+its upward steps and reads the coroots and norms off the coefficients.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, repeat
 from math import factorial
+from operator import floordiv, mod, mul
 from typing import (
     Collection, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple,
 )
@@ -44,6 +47,7 @@ from roofcalc import (
     weight_multiset,
 )
 from roofcalc.reps import _exterior_power_summands
+from roofcalc.rootsys import _TYPES, RootData, SimplePairs, _apply
 from roofcalc.weyl import straighten
 
 SMALL_SYSTEMS: Tuple[Tuple[str, int], ...] = (
@@ -310,6 +314,97 @@ def check_rescan_straightening(label: str, r=None) -> int:
                 assert got == rescan_straighten(system, v, nodes), (label, r, node, hw)
                 checked += 1
     return checked
+
+
+def two_pass_closure(
+    simple: Tuple[Weight, ...], pairs: SimplePairs
+) -> list[tuple[Weight, Tuple[int, ...]]]:
+    """All positive roots, each found as an upward reflection of a lower one.
+
+    A positive root beta that is not simple has a node i with
+    <beta, alpha_i-vee> > 0 (otherwise (beta, beta) = sum_i m_i d_i
+    <beta, alpha_i-vee> <= 0), and s_i beta is then a positive root of
+    lower height (s_i permutes the positive roots other than alpha_i)
+    with <s_i beta, alpha_i-vee> < 0.  So reflecting only upward, at the
+    nodes where the pairing is negative, reaches every positive root from
+    the simple ones, and an upward image of a positive root is positive
+    without a coefficient test.  Sorted by (height, coefficients).
+    """
+    rank = len(simple)
+    seen: dict[Weight, Tuple[int, ...]] = {
+        alpha: (0,) * j + (1,) + (0,) * (rank - j - 1) for j, alpha in enumerate(simple)
+    }
+    frontier = list(seen.items())
+    while frontier:
+        nxt: list[tuple[Weight, Tuple[int, ...]]] = []
+        for beta, coeffs in frontier:
+            for i, c in enumerate(beta):
+                if c >= 0:
+                    continue
+                image = _apply(pairs, (i + 1,), beta)
+                if image not in seen:
+                    seen[image] = up = coeffs[:i] + (coeffs[i] - c,) + coeffs[i + 1 :]
+                    nxt.append((image, up))
+        frontier = nxt
+    return sorted(seen.items(), key=lambda item: (sum(item[1]), item[1]))
+
+
+def two_pass_build(label: str, rank: int) -> RootSystem:
+    """rootsys.build_root_system by two passes, uncapped and not interned:
+    two_pass_closure finds the roots by rescanning each root's coordinates,
+    then the coroot and norm of each root are read off its coefficients."""
+    row = _TYPES[label]
+    # cartan[i][j] = <alpha_j, alpha_i-vee>
+    cartan = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j, k in row.bonds(rank):
+        cartan[i - 1][j - 1], cartan[j - 1][i - 1] = -k, -1
+    cartan = tuple(map(tuple, cartan))
+    sym = row.symmetrizer(rank)
+    for i in range(rank):
+        for j in range(rank):
+            if sym[i] * cartan[i][j] != sym[j] * cartan[j][i]:
+                raise AssertionError("symmetrizer does not symmetrize the Cartan matrix")
+    simple = tuple(Weight(cartan[i][j] for i in range(rank)) for j in range(rank))
+    pairs = tuple(tuple((i, a) for i, a in enumerate(alpha) if a) for alpha in simple)
+    closure = two_pass_closure(simple, pairs)
+
+    # beta-vee = 2 beta / (beta, beta): in the simple coroot basis its
+    # coordinates are d_j m_j / half with half = (beta, beta) / 2; with
+    # all d_j = 1 (simply laced) d_j m_j is m_j, and with half = 1 the
+    # coordinates are d_j m_j themselves, integral with no test
+    simply_laced = set(sym) == {1}
+    data = []
+    for weight, coeffs in closure:
+        dm = coeffs if simply_laced else tuple(map(mul, sym, coeffs))
+        norm = sum(map(mul, dm, weight))
+        half = norm // 2
+        if norm % 2 or half != 1 and any(map(mod, dm, repeat(half))):
+            raise AssertionError("coroot coordinates must be integral")
+        coroot = dm if half == 1 else tuple(map(floordiv, dm, repeat(half)))
+        data.append(RootData(weight, coeffs, coroot, norm))
+    return RootSystem(
+        label, rank, cartan, sym, simple, tuple(d.weight for d in data),
+        tuple(data), Weight((1,) * rank), pairs,
+    )
+
+
+def check_two_pass_root_data(label: str, rank: int) -> int:
+    """Assert that build_root_system and two_pass_build agree on every
+    RootSystem field, with every weight a Weight and, simply laced, each
+    coroot the coefficients tuple itself; return the number of roots.
+
+        PYTHONPATH=src:tests python -W error -c \
+            "from oracles import check_two_pass_root_data as c; c('C', 100)"
+    """
+    system = build_root_system(label, rank)
+    expected = two_pass_build(system.type_label, rank)
+    for name in RootSystem.__slots__:
+        assert getattr(system, name) == getattr(expected, name), (label, rank, name)
+    laced = set(system.symmetrizer) == {1}
+    for data in system.root_data:
+        assert type(data) is RootData and type(data.weight) is Weight, (label, rank, data)
+        assert not laced or data.coroot is data.coefficients, (label, rank, data)
+    return len(system.root_data)
 
 
 def weyl_group_order_formula(label: str, rank: int) -> int:

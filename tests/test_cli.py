@@ -621,6 +621,11 @@ PINNED_JSON = (
     # a list of one row
     (("roots", "A", "1"), 0,
      "29002bc34b5dee8619dd518cb1d84a9a92d47c224e24526280d6f72b22f03477"),
+    # simply laced, where each coroot is the coefficients tuple
+    (("roots", "A", "8"), 0,
+     "387cb6bf6d6fcdc5a89dc655846e643268386dc99b4ca6016ec5fa5950724f57"),
+    (("roots", "D", "6"), 0,
+     "dba78d222213563501f93d32266a2b5007780b0313aa8571f4700368f8d8763f"),
     # Vanishes: degree, dimension and highest weight are null
     (("bwb", "A", "2", "--cross", "1", "--weight=-1,0"), 0,
      "71f1feae0ceb2df636f7b01f255f3664d0c6cffdec29e9a812862009941ecc65"),

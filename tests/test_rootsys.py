@@ -26,7 +26,7 @@ from roofcalc import (
 )
 from roofcalc.rootsys import SUPPORTED_TYPES, _TYPES, _positive_root_closure
 
-from oracles import positive_root_index
+from oracles import check_two_pass_root_data, positive_root_index
 
 
 def _systems_up_to(rank):
@@ -97,9 +97,14 @@ def test_coroots_and_norms_by_a_second_route():
         # simple roots: their coordinates are the dual closure's coefficients
         dual = tuple(Weight(s.cartan[j][i] for i in range(n)) for j in range(n))
         pairs = tuple(tuple((i, a) for i, a in enumerate(alpha) if a) for alpha in dual)
-        coroots = {coeffs for _, coeffs in _positive_root_closure(dual, pairs)}
+        # the transpose is symmetrized by the reciprocal long/short ratios
+        sym = tuple(max(s.symmetrizer) // d for d in s.symmetrizer)
+        closure = _positive_root_closure(dual, pairs, sym)
+        coroots = {d.coefficients for d in closure}
         assert {d.coroot for d in s.root_data} == coroots
         assert len(coroots) == len(s.root_data)
+        # and the coroots of the dual system are the roots again
+        assert {d.coroot for d in closure} == {d.coefficients for d in s.root_data}
         # (beta, beta) is W-invariant, and s_i permutes the positive roots
         # other than alpha_i
         by_weight = {d.weight: d for d in s.root_data}
@@ -110,6 +115,18 @@ def test_coroots_and_norms_by_a_second_route():
                     assert d.weight == s.simple_roots[i], (s, d, i)
                 else:
                     assert image.norm == d.norm, (s, d, i)
+
+
+def test_one_pass_build_matches_the_two_pass_build():
+    # every RootSystem field against the build that rescans each root for
+    # its upward steps and then reads coroots and norms off the coefficients
+    for n in range(1, 41):
+        assert check_two_pass_root_data("A", n) == n * (n + 1) // 2
+        assert check_two_pass_root_data("C", n) == n * n
+        if n >= 3:
+            assert check_two_pass_root_data("D", n) == n * (n - 1)
+    assert check_two_pass_root_data("F4", 4) == 24
+    assert check_two_pass_root_data("G2", 2) == 6
 
 
 def test_cartan_matrices():
