@@ -24,22 +24,36 @@ numbering is fixed by
 (nodes 1, 2 long; nodes 3, 4 short).  For G2, alpha_1 is long.
 
 A type is defined in one place, its row of _TYPES: least or fixed rank,
-|Phi+| in closed form, the Dynkin bonds that give the Cartan matrix, and
-the symmetrizer.  A new type is a new row.
+|Phi+| in closed form, the Dynkin bonds that give the Cartan matrix, the
+symmetrizer and, for the infinite families, the positive roots in
+closed form.  A new type is a new row.
 
-The positive roots come from one enumeration, _positive_root_closure,
-which only ever reflects upward: from a positive root beta it takes
-s_i(beta) at the nodes i where <beta, alpha_i-vee> < 0, which raises the
-height by -<beta, alpha_i-vee>.  That reaches every positive root from
-the simple ones, because a non-simple positive root beta has some node
-with <beta, alpha_i-vee> > 0 and is the upward image of the lower
-positive root s_i(beta) (Humphreys, Introduction to Lie Algebras,
-section 10.2).  The pass carries every field of a root's RootData along
-the step, with the root's negative nodes: a reflection s_i changes a
-weight only on the at most three pairs of alpha_i, so the negative nodes
-are updated there and never rescanned, the coefficient m_i rises by
--<beta, alpha_i-vee>, the norm stays (it is W-invariant), and only
-coroot coordinate i moves.
+The positive roots of the infinite families are written down from
+Bourbaki's plates (Lie Groups and Lie Algebras, Ch. VI, Plates I, III
+and IV) in the orthonormal basis eps_1, ..., eps_m: A_n has
+eps_i - eps_j (i < j <= n + 1), C_n has eps_i - eps_j, eps_i + eps_j
+(i < j <= n) and 2 eps_i, and D_n has eps_i - eps_j and eps_i + eps_j
+(i < j <= n).  A root's coefficients are a few runs of 0, 1 and 2.
+Coordinate k of the weight of sum_m c_m eps_m is c_k - c_{k+1}, except
+that the last one is c_n on C_n and c_{n-1} + c_n on D_n, so a weight
+has at most four nonzero entries.  Simply laced, each coroot is the
+coefficients tuple itself; on C_n the long roots 2 eps_i have norm 4.
+The roots come out in (height, coefficients) order, with no search and
+no sort.
+
+The exceptional rows F4 and G2 have no such field, and their positive
+roots come from _positive_root_closure, which only ever reflects upward:
+from a positive root beta it takes s_i(beta) at the nodes i where
+<beta, alpha_i-vee> < 0, which raises the height by
+-<beta, alpha_i-vee>.  That reaches every positive root from the simple
+ones, because a non-simple positive root beta has some node with
+<beta, alpha_i-vee> > 0 and is the upward image of the lower positive
+root s_i(beta) (Humphreys, Introduction to Lie Algebras, section 10.2).
+The pass carries every field of a root's RootData along the step, with
+the root's negative nodes: a reflection s_i changes a weight only on the
+at most three pairs of alpha_i, so the negative nodes are updated there
+and never rescanned, the coefficient m_i rises by -<beta, alpha_i-vee>,
+the norm stays (it is W-invariant), and only coroot coordinate i moves.
 
 Everything is exact: weight coordinates are Python ints.  Outside data is
 validated once, when a Weight is built from it; arithmetic on two Weights
@@ -50,7 +64,8 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .limits import _index, check_cap, resource_cap
 
@@ -58,13 +73,17 @@ from .limits import _index, check_cap, resource_cap
 class _DynkinType(NamedTuple):
     """A row of _TYPES; the callables take the rank n.  A bond (i, j, k) on
     1-based nodes puts -k at <alpha_j, alpha_i-vee> and -1 at <alpha_i,
-    alpha_j-vee>; d_i = (alpha_i, alpha_i) / 2 with short roots of norm 2."""
+    alpha_j-vee>; d_i = (alpha_i, alpha_i) / 2 with short roots of norm 2.
+    roots gives every positive root's RootData in (height, coefficients)
+    order, the order _positive_root_closure returns; a row without it is
+    built by that closure."""
 
     least: int  # the least rank
     fixed: Optional[int]  # the only rank, or None
     positive_roots: Callable[[int], int]  # |Phi+|, read by the cap check before a build
     bonds: Callable[[int], Iterable[Tuple[int, int, int]]]
     symmetrizer: Callable[[int], Tuple[int, ...]]
+    roots: Optional[Callable[[int], Tuple["RootData", ...]]] = None
 
 
 def _path(n: int, last: int = 1) -> list[tuple[int, int, int]]:
@@ -72,13 +91,87 @@ def _path(n: int, last: int = 1) -> list[tuple[int, int, int]]:
     return [(i, i + 1, last if i == n - 1 else 1) for i in range(1, n)]
 
 
-# C_n has alpha_n long; C1 = A1 keeps d = (1,)
+def _weight(n: int, i: int, a: int, j: int, b: int, fork: bool = False) -> "Weight":
+    """a eps_i + b eps_j (0-based, i <= j <= n) in fundamental coordinates:
+    coordinate k < n is c_k - c_{k+1}, where eps_n is A_n's last vector
+    and c_n = 0 elsewhere, except that on D_n (fork) the last coordinate
+    is c_{n-2} + c_{n-1}."""
+    w = [0] * (n + 1)
+    w[i - 1] -= a  # i = 0 and j = n write the spare slot n, dropped below
+    w[i] += a
+    w[j - 1] -= b
+    w[j] += b
+    if fork:
+        if i == n - 2:
+            w[n - 1] += a
+        if j == n - 2:
+            w[n - 1] += b
+    del w[n]
+    return tuple.__new__(Weight, w)
+
+
+def _differences(n: int, h: int, last: int, fork: bool = False) -> Iterator["RootData"]:
+    """eps_i - eps_{i+h} = alpha_i + ... + alpha_{i+h-1} for i = last, ..., 0:
+    the fewer leading zeros, the later in (height, coefficients) order."""
+    for i in range(last, -1, -1):
+        co = (0,) * i + (1,) * h + (0,) * (n - i - h)
+        yield RootData(_weight(n, i, 1, i + h, -1, fork), co, co, 2)
+
+
+def _a_roots(n: int) -> Tuple["RootData", ...]:
+    """eps_i - eps_j, 0 <= i < j <= n, height by height."""
+    return tuple(chain.from_iterable(_differences(n, h, n - h) for h in range(1, n + 1)))
+
+
+def _c_roots(n: int) -> Tuple["RootData", ...]:
+    """eps_i - eps_j and eps_i + eps_j, 0 <= i < j < n, and 2 eps_i.  At
+    height h, eps_i + eps_j and 2 eps_i have i >= n - h leading zeros and
+    eps_i - eps_j has i < n - h, so they come first; each kind runs from
+    the most leading zeros down."""
+    if n == 1:
+        return _a_roots(1)  # C1 = A1, with the norm 2 of its symmetrizer (1,)
+    out = []
+    for h in range(1, 2 * n):
+        for i in range((2 * n - 1 - h) // 2, max(n - h, 0) - 1, -1):
+            j = 2 * n - 1 - h - i  # eps_i + eps_j has height 2n - 1 - i - j
+            co = (0,) * i + (1,) * (j - i) + (2,) * (n - 1 - j) + (1,)
+            if i < j:
+                coroot, norm = (0,) * i + (1,) * (j - i) + (2,) * (n - j), 2
+            else:  # 2 eps_i, a long root
+                coroot, norm = (0,) * i + (1,) * (n - i), 4
+            out.append(RootData(_weight(n, i, 1, j, 1), co, coroot, norm))
+        out.extend(_differences(n, h, n - 1 - h))
+    return tuple(out)
+
+
+def _d_roots(n: int) -> Tuple["RootData", ...]:
+    """eps_i - eps_j and eps_i + eps_j, 0 <= i < j < n; alpha_{n-1} is
+    eps_{n-2} + eps_{n-1}.  At height h, eps_i + eps_j has i >= n - 1 - h
+    leading zeros and eps_i - eps_j has i <= n - 1 - h; at i = n - 1 - h,
+    eps_i + eps_{n-1} has a 0 where eps_i - eps_{n-1} has its last 1.  So
+    the sums come first; each kind runs from the most leading zeros down."""
+    out = []
+    for h in range(1, 2 * n - 2):
+        for i in range((2 * n - 3 - h) // 2, max(n - 1 - h, 0) - 1, -1):
+            j = 2 * n - 2 - h - i  # eps_i + eps_j has height 2n - 2 - i - j
+            if j < n - 1:
+                co = (0,) * i + (1,) * (j - i) + (2,) * (n - 2 - j) + (1, 1)
+            else:
+                co = (0,) * i + (1,) * (n - 2 - i) + (0, 1)
+            out.append(RootData(_weight(n, i, 1, j, 1, True), co, co, 2))
+        out.extend(_differences(n, h, n - 1 - h, True))
+    return tuple(out)
+
+
+# C_n has alpha_n long; C1 = A1 keeps d = (1,).  The infinite families
+# list their roots in closed form; F4 and G2 leave roots unset.
 _TYPES = {
-    "A": _DynkinType(1, None, lambda n: n * (n + 1) // 2, _path, lambda n: (1,) * n),
+    "A": _DynkinType(1, None, lambda n: n * (n + 1) // 2, _path, lambda n: (1,) * n,
+                     _a_roots),
     "C": _DynkinType(1, None, lambda n: n * n, lambda n: _path(n, 2),
-                     lambda n: (1,) * (n - 1) + (min(n, 2),)),
+                     lambda n: (1,) * (n - 1) + (min(n, 2),), _c_roots),
     "D": _DynkinType(3, None, lambda n: n * (n - 1), lambda n: _path(n - 1) + [(n - 2, n, 1)],
-                     lambda n: (1,) * n),
+                     lambda n: (1,) * n, _d_roots),
     "F4": _DynkinType(4, 4, lambda n: 24, lambda n: ((1, 2, 1), (3, 2, 2), (3, 4, 1)),
                       lambda n: (2, 2, 1, 1)),
     "G2": _DynkinType(2, 2, lambda n: 6, lambda n: ((2, 1, 3),), lambda n: (3, 1)),
@@ -329,7 +422,7 @@ def _build_interned(label: str, rank: int) -> RootSystem:
                 raise AssertionError("symmetrizer does not symmetrize the Cartan matrix")
     simple = tuple(Weight(cartan[i][j] for i in range(rank)) for j in range(rank))
     pairs = tuple(tuple((i, a) for i, a in enumerate(alpha) if a) for alpha in simple)
-    data = _positive_root_closure(simple, pairs, sym)
+    data = row.roots(rank) if row.roots else _positive_root_closure(simple, pairs, sym)
     return RootSystem(
         label, rank, cartan, sym, simple, tuple(d.weight for d in data),
         data, Weight((1,) * rank), pairs,

@@ -47,7 +47,7 @@ from roofcalc import (
     weight_multiset,
 )
 from roofcalc.reps import _exterior_power_summands
-from roofcalc.rootsys import _TYPES, RootData, SimplePairs, _apply
+from roofcalc.rootsys import _TYPES, RootData, SimplePairs, _apply, _positive_root_closure
 from roofcalc.weyl import straighten
 
 SMALL_SYSTEMS: Tuple[Tuple[str, int], ...] = (
@@ -391,7 +391,10 @@ def two_pass_build(label: str, rank: int) -> RootSystem:
 def check_two_pass_root_data(label: str, rank: int) -> int:
     """Assert that build_root_system and two_pass_build agree on every
     RootSystem field, with every weight a Weight and, simply laced, each
-    coroot the coefficients tuple itself; return the number of roots.
+    coroot the coefficients tuple itself, and that the upward closure of
+    rootsys, which builds only F4 and G2, gives the same root data from
+    the simple roots, so each closed form meets two enumerations; return
+    the number of roots.
 
         PYTHONPATH=src:tests python -W error -c \
             "from oracles import check_two_pass_root_data as c; c('C', 100)"
@@ -400,6 +403,10 @@ def check_two_pass_root_data(label: str, rank: int) -> int:
     expected = two_pass_build(system.type_label, rank)
     for name in RootSystem.__slots__:
         assert getattr(system, name) == getattr(expected, name), (label, rank, name)
+    closure = _positive_root_closure(
+        system.simple_roots, system._simple_pairs, system.symmetrizer
+    )
+    assert closure == system.root_data, (label, rank)
     laced = set(system.symmetrizer) == {1}
     for data in system.root_data:
         assert type(data) is RootData and type(data.weight) is Weight, (label, rank, data)

@@ -55,9 +55,11 @@ def test_positive_root_counts():
 
 
 def test_every_positive_root_is_an_upward_reflection_of_a_lower_one():
-    # the completeness argument of the upward-only closure: a non-simple
-    # positive root gamma has a node i with <gamma, alpha_i-vee> > 0, and
-    # beta = s_i gamma is a lower positive root with <beta, alpha_i-vee> < 0
+    # a property of the built roots checked on its own, so the closed forms
+    # of A, C and D meet it too: a non-simple positive root gamma has a node
+    # i with <gamma, alpha_i-vee> > 0, and beta = s_i gamma is a lower
+    # positive root with <beta, alpha_i-vee> < 0 (the completeness argument
+    # of the upward closure that builds F4 and G2)
     for s in _systems_up_to(16):
         index = positive_root_index(s)
         for gamma, coeffs in index.items():
@@ -119,7 +121,8 @@ def test_coroots_and_norms_by_a_second_route():
 
 def test_one_pass_build_matches_the_two_pass_build():
     # every RootSystem field against the build that rescans each root for
-    # its upward steps and then reads coroots and norms off the coefficients
+    # its upward steps and then reads coroots and norms off the coefficients,
+    # and the root data against rootsys's upward closure
     for n in range(1, 41):
         assert check_two_pass_root_data("A", n) == n * (n + 1) // 2
         assert check_two_pass_root_data("C", n) == n * n
