@@ -293,7 +293,7 @@ def _cmd_roots(args) -> Handled:
         for data in system.root_data:
             lines.append(
                 f"  fund {tuple(data.weight)}   roots {data.coefficients}   "
-                f"norm {data.norm}"
+                f"coroot {data.coroot}   norm {data.norm}"
             )
         return "\n".join(lines)
 

@@ -46,14 +46,8 @@ roots come from _positive_root_closure, which only ever reflects upward:
 from a positive root beta it takes s_i(beta) at the nodes i where
 <beta, alpha_i-vee> < 0, which raises the height by
 -<beta, alpha_i-vee>.  That reaches every positive root from the simple
-ones, because a non-simple positive root beta has some node with
-<beta, alpha_i-vee> > 0 and is the upward image of the lower positive
-root s_i(beta) (Humphreys, Introduction to Lie Algebras, section 10.2).
-The pass carries every field of a root's RootData along the step, with
-the root's negative nodes: a reflection s_i changes a weight only on the
-at most three pairs of alpha_i, so the negative nodes are updated there
-and never rescanned, the coefficient m_i rises by -<beta, alpha_i-vee>,
-the norm stays (it is W-invariant), and only coroot coordinate i moves.
+ones (Humphreys, Introduction to Lie Algebras, section 10.2).  Each
+root's norm and coroot are then read off its coefficients.
 
 Everything is exact: weight coordinates are Python ints.  Outside data is
 validated once, when a Weight is built from it; arithmetic on two Weights
@@ -75,8 +69,9 @@ class _DynkinType(NamedTuple):
     1-based nodes puts -k at <alpha_j, alpha_i-vee> and -1 at <alpha_i,
     alpha_j-vee>; d_i = (alpha_i, alpha_i) / 2 with short roots of norm 2.
     roots gives every positive root's RootData in (height, coefficients)
-    order, the order _positive_root_closure returns; a row without it is
-    built by that closure."""
+    order; a row without it is built by _positive_root_closure, which
+    returns that order and reads each norm and coroot off the
+    coefficients."""
 
     least: int  # the least rank
     fixed: Optional[int]  # the only rank, or None
@@ -318,56 +313,36 @@ def _positive_root_closure(
     with <s_i beta, alpha_i-vee> < 0.  So reflecting only upward, at the
     nodes where the pairing is negative, reaches every positive root from
     the simple ones, and an upward image of a positive root is positive
-    without a coefficient test.
+    without a coefficient test; the step at node i raises the coefficient
+    m_i by -<beta, alpha_i-vee>.
 
-    Each root carries its RootData and its negative nodes.  The upward
-    step at a negative node i, c = <beta, alpha_i-vee>, raises the
-    coefficient m_i by -c; the coefficients are looked up before the
-    image's Weight is built.  It changes the weight only on the pairs of
-    alpha_i: node i turns positive, a neighbour can only turn negative,
-    so the negative nodes are updated there.  The norm is W-invariant,
-    2 d_j from the simple root alpha_j the chain started at, and the
-    coroot beta-vee - c (2 / norm) alpha_i moves coordinate i by
-    -2 c d_i / norm (simply laced: coroot and coefficients are one tuple).
-    Sorted by (height, coefficients).
+    Then each root's norm (beta, beta) = sum_j d_j m_j <beta, alpha_j-vee>
+    and its coroot beta-vee = 2 beta / (beta, beta), with coordinates
+    2 d_j m_j / norm, are read off its coefficients.  Sorted by (height,
+    coefficients).
     """
     rank = len(simple)
-    laced = set(sym) == {1}
-    # coefficients -> (height, coefficients, data), which sorts as returned
-    found: dict[Tuple[int, ...], tuple[int, Tuple[int, ...], RootData]] = {}
-    frontier = []
-    for j, alpha in enumerate(simple):
-        e = (0,) * j + (1,) + (0,) * (rank - j - 1)
-        data = RootData(alpha, e, e, 2 * sym[j])
-        found[e] = (1, e, data)
-        frontier.append((1, data, [k for k, _ in pairs[j] if k != j]))
+    found = {alpha: (0,) * j + (1,) + (0,) * (rank - j - 1) for j, alpha in enumerate(simple)}
+    frontier = list(found.items())
     while frontier:
         nxt = []
-        for height, (beta, coeffs, coroot, norm), negative in frontier:
-            for i in negative:
-                c = beta[i]
-                up = coeffs[:i] + (coeffs[i] - c,) + coeffs[i + 1 :]
-                if up in found:
-                    continue
-                if laced:
-                    co = up
-                else:
-                    step, r = divmod(-2 * c * sym[i], norm)
-                    if r:
-                        raise AssertionError("coroot coordinates must be integral")
-                    co = coroot[:i] + (coroot[i] + step,) + coroot[i + 1 :]
-                mu = list(beta)
-                negative_up = [k for k in negative if k != i]
-                for j, a in pairs[i]:
-                    old = mu[j]
-                    mu[j] = new = old - c * a
-                    if new < 0 <= old:
-                        negative_up.append(j)
-                data = RootData(tuple.__new__(Weight, mu), up, co, norm)
-                found[up] = (height - c, up, data)
-                nxt.append((height - c, data, negative_up))
+        for beta, coeffs in frontier:
+            for i, c in enumerate(beta):
+                if c < 0:
+                    image = _apply(pairs, (i + 1,), beta)
+                    if image not in found:
+                        found[image] = up = coeffs[:i] + (coeffs[i] - c,) + coeffs[i + 1 :]
+                        nxt.append((image, up))
         frontier = nxt
-    return tuple(data for _, _, data in sorted(found.values()))
+    out = []
+    for beta, coeffs in found.items():
+        norm = sum(d * m * x for d, m, x in zip(sym, coeffs, beta))
+        scaled = [2 * d * m for d, m in zip(sym, coeffs)]
+        if any(x % norm for x in scaled):
+            raise AssertionError("coroot coordinates must be integral")
+        coroot = tuple(x // norm for x in scaled)
+        out.append((sum(coeffs), coeffs, RootData(beta, coeffs, coroot, norm)))
+    return tuple(data for _, _, data in sorted(out))
 
 
 def _validate(type_label: str, rank: int) -> str:

@@ -392,9 +392,10 @@ def check_two_pass_root_data(label: str, rank: int) -> int:
     """Assert that build_root_system and two_pass_build agree on every
     RootSystem field, with every weight a Weight and, simply laced, each
     coroot the coefficients tuple itself, and that the upward closure of
-    rootsys, which builds only F4 and G2, gives the same root data from
-    the simple roots, so each closed form meets two enumerations; return
-    the number of roots.
+    rootsys, which builds only F4 and G2 and reads each norm and coroot
+    off the coefficients, gives the same root data from the simple roots,
+    so each closed form meets two enumerations; return the number of
+    roots.
 
         PYTHONPATH=src:tests python -W error -c \
             "from oracles import check_two_pass_root_data as c; c('C', 100)"

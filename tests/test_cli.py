@@ -40,6 +40,8 @@ def test_roots_text_and_json(capsys):
     code, out, _ = run(capsys, "roots", "G2", "2")
     assert code == 0
     assert out.startswith("positive roots of G2 rank 2: 6")
+    # alpha_1 + alpha_2 is short, so its coroot is 3 alpha_1-vee + alpha_2-vee
+    assert "  fund (1, -1)   roots (1, 1)   coroot (3, 1)   norm 2\n" in out
     code, out, _ = run(capsys, "roots", "G2", "2", "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -626,6 +628,11 @@ PINNED_JSON = (
      "387cb6bf6d6fcdc5a89dc655846e643268386dc99b4ca6016ec5fa5950724f57"),
     (("roots", "D", "6"), 0,
      "dba78d222213563501f93d32266a2b5007780b0313aa8571f4700368f8d8763f"),
+    # the two systems built by rootsys's upward closure
+    (("roots", "F4", "4"), 0,
+     "62adf5cf38a18468a5c987140160ffe16bb101b9fadf09ad1cb71be585ca6aa8"),
+    (("roots", "G2", "2"), 0,
+     "762cd614876391505d6c7d2c6357e54c421c17cab13f727aa13595f783ea4dbf"),
     # Vanishes: degree, dimension and highest weight are null
     (("bwb", "A", "2", "--cross", "1", "--weight=-1,0"), 0,
      "71f1feae0ceb2df636f7b01f255f3664d0c6cffdec29e9a812862009941ecc65"),

@@ -122,7 +122,8 @@ def test_coroots_and_norms_by_a_second_route():
 def test_one_pass_build_matches_the_two_pass_build():
     # every RootSystem field against the build that rescans each root for
     # its upward steps and then reads coroots and norms off the coefficients,
-    # and the root data against rootsys's upward closure
+    # and the root data against rootsys's upward closure, which reads them
+    # off the coefficients too
     for n in range(1, 41):
         assert check_two_pass_root_data("A", n) == n * (n + 1) // 2
         assert check_two_pass_root_data("C", n) == n * n
@@ -130,6 +131,17 @@ def test_one_pass_build_matches_the_two_pass_build():
             assert check_two_pass_root_data("D", n) == n * (n - 1)
     assert check_two_pass_root_data("F4", 4) == 24
     assert check_two_pass_root_data("G2", 2) == 6
+
+
+@pytest.mark.parametrize(
+    "label, rank, sym",
+    [("G2", 2, (1, 1)), ("G2", 2, (2, 1)), ("F4", 4, (1, 1, 1, 1)), ("F4", 4, (2, 1, 1, 1))],
+)
+def test_closure_rejects_a_symmetrizer_that_does_not_fit(label, rank, sym):
+    # with the wrong d_j some 2 d_j m_j / (beta, beta) is not an integer
+    s = build_root_system(label, rank)
+    with pytest.raises(AssertionError, match="coroot coordinates must be integral"):
+        _positive_root_closure(s.simple_roots, s._simple_pairs, sym)
 
 
 def test_cartan_matrices():
