@@ -10,23 +10,29 @@ action w * chi = w(chi + rho) - rho:
     w straightening chi + rho into the dominant chamber, and the group
     there is the irreducible G-module with highest weight w * chi.
 
-The straightening is weyl's walk over every node: it reflects the
-lowest-index negative coordinate of chi + rho until none is left, and
-the image is the dominant conjugate of chi + rho.  chi + rho is singular
-exactly when it is W-conjugate to a weight with a zero coordinate, so
-the answer Vanishes as soon as one appears: at the start, or on a node
-the walk lowers to zero, where the walk stops at the wall.  The
-dimension is read off the straightened image by reps._weyl_product,
-with no second check.
+On A, C and D, W permutes the coordinates of chi + rho along
+eps_1, ..., eps_m (Bourbaki, Plates I, III and IV), changing any signs
+on C and an even number on D, and the positive coroots pair with them as
+e_i - e_j (i < j), also e_i + e_j on C and D, and e_i on C.  So chi + rho
+is singular exactly when two coordinates collide, in absolute value on C
+and D, or one is zero on C; otherwise the image is one sort, the degree
+is the number of negative pairings (Humphreys, Reflection Groups and
+Coxeter Groups, section 1.7) and the dimension the product of the
+pairings over that of rho.  F4 and G2 straighten chi + rho over every
+node by weyl's walk: a zero in the image means Vanishes, and otherwise
+reps._weyl_product reads the dimension off the image.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from itertools import accumulate
+from math import prod
+from operator import eq
+from typing import List, NamedTuple, Optional, Sequence
 
 from .reps import _require_dominant, _weyl_product
 from .rootsys import Weight
-from .weyl import ParabolicSubgroup, _walk
+from .weyl import ParabolicSubgroup, straighten
 
 VANISHES = "Vanishes"
 SINGLE = "Single"
@@ -41,24 +47,43 @@ class CohomologyResult(NamedTuple):
     dimension: Optional[int] = None
 
 
+def _epsilon(label: str, v: Sequence[int]) -> List[int]:
+    """The eps-coordinates c of v: v_i = c_i - c_(i+1), but v_n = c_n on C and
+    c_(n-1) + c_n on D; c_(n+1) = 0 on A, and D gives 2c, integral."""
+    if label == "A":
+        v = [*v, 0]
+    elif label == "D":
+        v = [2 * x for x in v[:-1]] + [v[-1] - v[-2]]
+    return list(accumulate(reversed(v)))[::-1]
+
+
+def _pairings(label: str, e: List[int]) -> List[List[int]]:
+    """The pairings of the module notes, from eps-coordinates, one row per i."""
+    return [[x - y for y in e[i + 1:]] + [x + y for y in e[i + 1:] if label != "A"]
+            + [x] * (label == "C") for i, x in enumerate(e)]
+
+
 def bwb(P: ParabolicSubgroup, chi: Weight) -> CohomologyResult:
     """Cohomology of E_P(chi) on G/P for a P-dominant chi."""
     system = P.system
+    label = system.type_label
     v = [x + 1 for x in _require_dominant(chi, P)]  # chi + rho
-    if 0 in v:
-        return CohomologyResult(status=VANISHES)
-    heap = [i for i, x in enumerate(v) if x < 0]  # ascending: a heap
-    letters = _walk(
-        system._simple_pairs, v, [True] * system.rank, heap,
-        len(system.positive_roots), walls=True,
-    )
-    if letters is None:
-        return CohomologyResult(status=VANISHES)
-    v = tuple.__new__(Weight, v)
-    return CohomologyResult(
-        status=SINGLE,
-        degree=len(letters),
-        g_highest_weight=v - system.rho,
-        dimension=_weyl_product(system.root_data, v),
-    )
-
+    if label in ("A", "C", "D"):
+        e = _epsilon(label, v)
+        s = sorted(e if label == "A" else map(abs, e), reverse=True)
+        if any(map(eq, s, s[1:])) or label == "C" and not s[-1]:
+            return CohomologyResult(status=VANISHES)
+        if label == "D" and sum(x < 0 for x in e) % 2:
+            s[-1] = -s[-1]  # an even number of sign changes
+        v = [x - y for x, y in zip(s, s[1:] + [0])][: system.rank]
+        if label == "D":
+            v = [x // 2 for x in v[:-1]] + [v[-2] // 2 + v[-1]]
+        rows, rho = _pairings(label, e), _pairings(label, _epsilon(label, system.rho))
+        degree = sum(x < 0 for row in rows for x in row)
+        dimension = abs(prod(map(prod, rows))) // prod(map(prod, rho))
+    else:
+        v, letters = straighten(system, v, range(1, system.rank + 1))
+        if 0 in v:
+            return CohomologyResult(status=VANISHES)
+        degree, dimension = len(letters), _weyl_product(system.root_data, v)
+    return CohomologyResult(SINGLE, degree, Weight(v) - system.rho, dimension)

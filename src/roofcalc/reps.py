@@ -13,28 +13,36 @@ the symmetrized Cartan matrix normalised so that short roots have squared
 length 2; with full-group rho in place of the Levi half-sum (the
 difference pairs to zero with every Levi root), all intermediates are
 exact integers.  _weyl_product is the one Weyl product (signed), for
-weyl_dimension after its dominance check, bwb on a straightened weight
-and weight_multiset on a checked highest weight.  One product, _product,
-works in the Levi irreducible basis: sum c chi_lambda psi^k(V) over terms
+weyl_dimension after its dominance check, bwb on F4 and G2 and
+weight_multiset on a checked highest weight.  One product works in the
+Levi irreducible basis: sum c chi_lambda psi^k(V) over terms
 (lambda, k, c), where psi^k(V) has the weights k mu of V.  By
-Brauer-Klimyk, each lambda + k mu + rho, mu of multiplicity m, is walked
-into the Levi chamber by weyl's one walk and (-1)^steps c m added at the
-image.  With lambda Levi-dominant, only the retained nodes in the
-support of mu can start negative, so the walk's heap is seeded from that
-support alone.  A weight with a zero on a retained node, at the start
-or met on the walk (weyl's walls), is singular and adds nothing; zero
-nets are dropped, and the rest give highest weight image - rho.
-decompose_levi is the term (0, 1, 1), and _exterior_power_summands makes
-one product per Newton degree; listing the weights of an exterior power
-(exterior_power) and splitting them is the independent cross-check.
+Brauer-Klimyk, each lambda + k mu + rho, mu of multiplicity m, moved
+into the Levi chamber adds (-1)^steps c m at its image unless singular;
+nonzero nets give highest weight image - rho.  _product walks with walls
+(weyl), its heap seeded from the support of mu, as lambda is
+Levi-dominant.  On an A group W_I permutes the prefix sums q_0 = 0,
+q_(i+1) = q_i + v_i of v within each Levi block (node i joins q_(i-1)
+and q_i).  Where each weight of V moves one q of one block (_moves),
+_insert bisects: a collision is singular, else each place passed is a
+reflection; its keys are prefix sums from 0, one per weight.
+decompose_levi is the term (0, 1, 1), and _exterior_power_summands
+makes one product per Newton degree; listing the weights of an exterior
+power (exterior_power) and splitting them is the cross-check.  The dual
+-w_0(hw) is a fixed map, _levi_dual: hw at sigma(i) on a retained node
+i, sigma the diagram involution of its block, and -<hw, gamma_c-vee> on
+a crossed node c, gamma_c = w_0(alpha_c) the highest root with the
+crossed coefficients of alpha_c (they span an irreducible Levi module).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate, pairwise
 from math import comb
 from operator import add, mul
 from types import MappingProxyType
-from typing import Collection, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Callable, Collection, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .limits import _index, check_cap, resource_cap
 from .rootsys import (
@@ -284,8 +292,6 @@ def _product(
             heap = [i for i, _ in support if v[i] <= 0 and keep[i]]  # ascending: a heap
             n = c * m
             if heap:
-                if not all(map(v.__getitem__, heap)):
-                    continue  # on a wall
                 letters = _walk(pairs, v, keep, heap, budget, walls=True)
                 if letters is None:
                     continue  # reached a wall
@@ -325,6 +331,46 @@ def decompose_levi(
     return tuple(sorted(nets.items()))
 
 
+def _moves(P: ParabolicSubgroup, weights: Collection[Tuple[Weight, int]]) -> Optional[list]:
+    """(q, lo, hi, j, d, m) per weight mu of V on an A group, q - d delta_j constant
+    on each block, q mu's prefix sums; None if V moves more (module notes)."""
+    if P.system.type_label != "A":
+        return None
+    cuts = [0, *sorted(P.crossed), P.system.rank + 1]
+    out = []
+    for mu, m in weights:
+        q = list(accumulate(mu, initial=0))
+        move = (0, 0, 0, 0)
+        for lo, hi in zip(cuts, cuts[1:]):
+            block = q[lo:hi]
+            kinds = set(block)
+            if len(kinds) > 1:
+                common = max(kinds, key=block.count)
+                odd = [j for j in range(lo, hi) if q[j] != common]
+                if move[1] or len(odd) > 1:
+                    return None
+                move = (lo, hi, odd[0], q[odd[0]] - common)
+        out.append((q, *move, m))
+    return out
+
+
+def _insert(terms: Iterable[Tuple[tuple, int, int]], moves: list) -> Dict[tuple, int]:
+    """The product over terms (key of lambda + rho, k, c) by insertion."""
+    shifted: Dict[tuple, int] = {}
+    for key, k, c in terms:
+        for q, lo, hi, j, d, m in moves:
+            x = key[j] + k * d
+            t = bisect_left(key, x, lo, hi)
+            if t < hi and key[t] == x:
+                continue  # a collision: singular
+            image = [a + k * b for a, b in zip(key, q)]
+            image.insert(t - (t > j), image.pop(j))
+            image = tuple(a - image[0] for a in image) if image[0] else tuple(image)
+            n = -c * m if (t - j - 1 if t > j else j - t) % 2 else c * m
+            shifted[image] = shifted.get(image, 0) + n
+    return {im: n for im, n in shifted.items() if n}
+
+
 def _exterior_power_summands(
     ms: WeightMultiset, P: ParabolicSubgroup, cap: Optional[int] = None
 ) -> Tuple[Tuple[Tuple[Weight, int], ...], ...]:
@@ -340,17 +386,15 @@ def _exterior_power_summands(
     below it, a count checked against the cap before the degree
     starts.  The wedge pairing into Lambda^n V = det V is perfect, so
     Lambda^(n-p) V = (Lambda^p V)^dual (x) det V: each summand hw of
-    Lambda^p gives the Levi-dominant conjugate of -hw, which is
-    -w_0(hw), plus det V, the sum of the weights of V and a Levi
-    character.  That upper half makes one straightening per summand of a
-    degree already checked.
+    Lambda^p gives -w_0(hw) plus det V, the sum of the weights of V and
+    a Levi character.
     """
     limit = resource_cap(cap)
     system = P.system
-    retained = sorted(P.retained)
     weights = tuple(ms)
     top = ms.total
-    powers: list[Dict[Weight, int]] = [{Weight((0,) * system.rank): 1}]
+    moves = _moves(P, weights)
+    powers: list[dict] = [{tuple(range(system.rank + 1)) if moves else system.rho * 0: 1}]
     for p in range(1, top // 2 + 1):
         check_cap(
             f"exterior power {p} by Newton's identity (straightenings)",
@@ -362,8 +406,8 @@ def _exterior_power_summands(
             for k in range(1, p + 1)
             for lam, c in powers[p - k].items()
         )
-        acc = _product(P, terms, weights)
-        term: Dict[Weight, int] = {}
+        acc = _insert(terms, moves) if moves else _product(P, terms, weights)
+        term: Dict[tuple, int] = {}
         for hw, n in acc.items():
             term[hw], r = divmod(n, p)
             if r or n < 0:
@@ -371,25 +415,34 @@ def _exterior_power_summands(
                     f"Newton's identity left {n}/{p} at {hw!r} in exterior power {p}"
                 )
         powers.append(term)
+    if moves:
+        powers = [{Weight(b - a - 1 for a, b in pairwise(q)): c for q, c in term.items()}
+                  for term in powers]
+    dual = _levi_dual(P)
     det = Weight(sum(m * mu[i] for mu, m in weights) for i in range(system.rank))
     for p in range(top // 2 + 1, top + 1):
-        powers.append(
-            {
-                straighten(system, -hw, retained)[0] + det: c
-                for hw, c in powers[top - p].items()
-            }
-        )
+        powers.append({dual(hw) + det: c for hw, c in powers[top - p].items()})
     return tuple(tuple(sorted(term.items())) for term in powers)
 
 
-def dual_highest_weight(chi: Weight, P: ParabolicSubgroup) -> Weight:
-    """Highest weight of the dual irrep: -w_0(chi) for the Levi longest w_0.
+def _levi_dual(P: ParabolicSubgroup) -> Callable[[Weight], Weight]:
+    """hw -> -w_0(hw) as in the module notes; sigma comes from one walk."""
+    system = P.system
+    nodes = range(1, system.rank + 1)
+    sigma, _ = straighten(system, [-i * (i in P.retained) for i in nodes], sorted(P.retained))
+    rows = [
+        sigma[i - 1] - 1 if i in P.retained else next(
+            data.coroot for data in reversed(system.root_data)
+            if all(data.coefficients[c - 1] == (c == i) for c in P.crossed)
+        )
+        for i in nodes
+    ]
+    return lambda hw: Weight(hw[r] if type(r) is int else -sum(map(mul, r, hw)) for r in rows)
 
-    That is the Levi-dominant conjugate of -chi, which straightening -chi
-    over the retained nodes gives.
-    """
-    chi = _require_dominant(chi, P)
-    return straighten(P.system, -chi, sorted(P.retained))[0]
+
+def dual_highest_weight(chi: Weight, P: ParabolicSubgroup) -> Weight:
+    """Highest weight of the dual irrep: -w_0(chi) for the Levi longest w_0."""
+    return _levi_dual(P)(_require_dominant(chi, P))
 
 
 def is_ample(chi: Weight, P: ParabolicSubgroup) -> bool:

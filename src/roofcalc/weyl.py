@@ -7,13 +7,14 @@ stays negative until it is reflected: the walk pushes each node onto a
 heapq heap as it goes negative, and the heap's minimum is the node a
 rescan from node 1 would pick.  straighten seeds the heap with every
 negative kept node; from_word and longest_element read its letters,
-orbit and the duals in reps its image, singular or not.  bwb and
-reps._product need only regular images: they seed the heap themselves
-(reps._product from a weight's support) and walk with walls, which
-stops at the first zero on a kept node.  Reflections only raise the
-node reflected, so a zero can appear only on a neighbour going down
-from positive; a weight that meets one is W_I-conjugate to a weight on
-a wall, hence singular, and its image would be dropped anyway.  Every
+orbit, bwb on F4 and G2 and reps' Levi dual map its image, singular or
+not.  reps._product needs only regular images: it seeds the heap from a
+weight's support, zeros included, and walks with walls, which stops at
+the first zero on a kept node.  Reflections only raise the node
+reflected, so a new zero can appear only on a neighbour going down from
+positive; a weight that meets one is W_I-conjugate to a weight on a
+wall, hence singular, and its image would be dropped anyway.  bwb on A,
+C and D and reps' A-group products sort eps-coordinates instead.  Every
 reflection subtracts a simple root over its at most three nonzero
 (index, value) pairs, in O(1) whatever the rank, unvalidated.  An
 element is its canonical reduced word plus a key: the word is the
@@ -184,9 +185,9 @@ def _walk(
     """Reflect mu in place at its first negative kept node until none is left.
 
     heap holds exactly the negative kept nodes (0-based), as a heapq heap;
-    returns the nodes reflected, in order.  With walls, mu must start with
-    no zero on a kept node, and the walk stops at the first one it makes,
-    returning None with mu part-way.  See the module notes.
+    returns the nodes reflected, in order.  With walls, the walk stops at
+    the first zero it makes on a kept node, returning None with mu
+    part-way.  See the module notes.
     """
     letters = []
     while heap:

@@ -5,9 +5,10 @@ Weyl enumeration closes under plain multiplication and deduplicates by
 group action, so it can arbitrate coset counts and orbit sizes without
 touching the probe-orbit machinery.  The second implementations that no
 command needs live here too: the Weyl length from its definition, the
-dot action, the per-degree sum of bwb, general long division of
-Lefschetz polynomials, the chamber walk that rescans the nodes before
-every letter, the Brauer-Klimyk product by that walk, the
+dot action, the per-degree sum of bwb, Borel-Weil-Bott by the chamber
+walk on every type, general long division of Lefschetz polynomials,
+the chamber walk that rescans the nodes before every letter, the
+Brauer-Klimyk product by that walk, the
 closed-form exterior powers of a standard representation, and the
 two-pass root-system build that rescans every coordinate of a root for
 its upward steps and reads the coroots and norms off the coefficients.
@@ -25,6 +26,7 @@ from typing import (
 
 from roofcalc import (
     SINGLE,
+    VANISHES,
     CohomologyResult,
     ExactDivisionError,
     LeviIrrep,
@@ -46,7 +48,7 @@ from roofcalc import (
     roof_data,
     weight_multiset,
 )
-from roofcalc.reps import _exterior_power_summands
+from roofcalc.reps import _exterior_power_summands, _weyl_product
 from roofcalc.rootsys import _TYPES, RootData, SimplePairs, _apply, _positive_root_closure
 from roofcalc.weyl import straighten
 
@@ -151,6 +153,19 @@ def bundle_cohomology(
         summands=tuple(results),
         by_degree=tuple(sorted(totals.items())),
     )
+
+
+def walk_bwb(P: ParabolicSubgroup, chi: Weight) -> CohomologyResult:
+    """bwb by weyl's walk over every node, as on F4 and G2: chi + rho
+    Vanishes if its dominant conjugate has a zero, and otherwise the
+    degree is the number of letters and the dimension the Weyl product."""
+    system = P.system
+    image, letters = straighten(system, make_weight(system, chi) + system.rho,
+                                range(1, system.rank + 1))
+    if 0 in image:
+        return CohomologyResult(status=VANISHES)
+    return CohomologyResult(SINGLE, len(letters), image - system.rho,
+                            _weyl_product(system.root_data, image))
 
 
 def exact_div(self: LPolynomial, other: LPolynomial) -> LPolynomial:
@@ -292,9 +307,10 @@ def check_closed_form_exterior_powers(label: str, r=None) -> int:
 
 def check_rescan_straightening(label: str, r=None) -> int:
     """Assert that weyl.straighten and rescan_straighten give the same image
-    and letters on hw + twist + rho, over every node, for every Koszul
-    summand hw of both sides of a roof family (the weights bwb straightens
-    in roof verify); return the number of weights checked.
+    and letters on hw + twist + rho, over every node, and that bwb agrees
+    with walk_bwb on hw + twist, for every Koszul summand hw of both sides
+    of a roof family (the weights bwb takes in roof verify); return the
+    number of weights checked.
 
         PYTHONPATH=src:tests python -W error -c \
             "from oracles import check_rescan_straightening as c; c('C', 24)"
@@ -312,6 +328,8 @@ def check_rescan_straightening(label: str, r=None) -> int:
                 v = hw + shift
                 got = straighten(system, v, nodes)
                 assert got == rescan_straighten(system, v, nodes), (label, r, node, hw)
+                twisted = v - system.rho
+                assert bwb(P, twisted) == walk_bwb(P, twisted), (label, r, node, hw)
                 checked += 1
     return checked
 

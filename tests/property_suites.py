@@ -1,4 +1,4 @@
-"""The ten gated property suites.
+"""The eleven gated property suites.
 
 Each function runs its whole sweep, raises AssertionError on the first
 violation, and returns the number of cases checked.  Each suite is an
@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import random
 from functools import cache
+from itertools import accumulate, pairwise
 from math import comb
 
 from roofcalc import (
     SINGLE,
     VANISHES,
     LeviIrrep,
+    Weight,
     act,
     build_root_system,
     bwb,
@@ -38,7 +40,7 @@ from roofcalc import (
     weyl_dimension,
     weyl_group_order,
 )
-from roofcalc.reps import _product, _weyl_product
+from roofcalc.reps import _insert, _moves, _product, _weyl_product
 from roofcalc.weyl import levi_root_data, straighten
 
 from oracles import (
@@ -51,6 +53,7 @@ from oracles import (
     random_system,
     random_weight,
     rescan_straighten,
+    walk_bwb,
 )
 
 
@@ -328,6 +331,75 @@ def suite_rescan_straightening() -> int:
     return cases
 
 
+def suite_chamber_arithmetic() -> int:
+    """The eps-coordinate routines against weyl's walk.
+
+    bwb on A, C and D against oracles.walk_bwb, on random weights with
+    walls (Vanishes), C1, D3 and D's spin nodes (odd coordinates there,
+    so half-integral eps-coordinates); the fixed dual map of
+    dual_highest_weight against straightening -hw over the retained
+    nodes, on A, C, D, F4 and G2 with one to three crossed nodes; and the
+    insertion product of reps against reps._product, on random A
+    parabolics whose V is the standard representation of one block or
+    its dual, twisted, where some lambda + k mu + rho must collide.
+    """
+    rng = random.Random(929)
+    cases = vanishes = spin = 0
+    pool = (("A", 1), ("A", 4), ("A", 7), ("C", 1), ("C", 2), ("C", 5), ("D", 3), ("D", 4),
+            ("D", 6))
+    while cases < 150:
+        system = random_system(rng, pool)
+        P = random_parabolic(rng, system)
+        chi = random_dominant_weight(rng, P, lo=-7, hi=3)
+        assert bwb(P, chi) == walk_bwb(P, chi), (system, P.crossed, chi)
+        vanishes += bwb(P, chi).status == VANISHES
+        spin += system.type_label == "D" and (chi[-1] + chi[-2]) % 2 == 1
+        cases += 1
+    assert vanishes >= 30 and cases - vanishes >= 30 and spin >= 15, (vanishes, spin)
+    for _ in range(60):
+        system = random_system(rng, RANK_FIVE_SYSTEMS + (("A", 7), ("D", 7)))
+        crossed = rng.sample(range(1, system.rank + 1), rng.randint(1, min(3, system.rank)))
+        P = parabolic(system, crossed)
+        hw = random_dominant_weight(rng, P, lo=-4, hi=4)
+        expected = straighten(system, -hw, sorted(P.retained))[0]
+        assert dual_highest_weight(hw, P) == expected, (system, P.crossed, hw)
+        cases += 1
+    singular = 0
+    for _ in range(60):
+        system = random_system(rng, (("A", 3), ("A", 5), ("A", 7)))
+        P = random_parabolic(rng, system)
+        runs = [[i] for i in sorted(P.retained) if i - 1 not in P.retained]
+        for run in runs:
+            while run[-1] + 1 in P.retained:
+                run.append(run[-1] + 1)
+        hw = [rng.randint(-3, 3) if i in P.crossed else 0 for i in range(1, system.rank + 1)]
+        if runs:  # the standard representation of one block, or its dual
+            run = rng.choice(runs)
+            hw[rng.choice((run[0], run[-1])) - 1] = 1
+        weights = tuple(weight_multiset(LeviIrrep(P, hw)))
+        moves = _moves(P, weights)
+        assert moves is not None, (system, P.crossed, hw)
+        terms = [
+            (random_dominant_weight(rng, P, lo=-3, hi=3), rng.randint(1, 4),
+             rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        keys = [(tuple(accumulate(lam + system.rho, initial=0)), k, c) for lam, k, c in terms]
+        images = _insert(keys, moves)
+        got = {Weight(b - a - 1 for a, b in pairwise(key)): n for key, n in images.items()}
+        assert got == _product(P, terms, weights), (system, P.crossed, hw, terms)
+        assert len(got) == len(images) and not any(key[0] for key in images)  # one key each
+        lroots = levi_root_data(P)
+        singular += any(
+            _weyl_product(lroots, lam + mu * k + system.rho) == 0
+            for lam, k, _ in terms
+            for mu, _ in weights
+        )
+        cases += 1
+    assert singular >= 20, singular
+    return cases
+
+
 # (name, runner, required case count); igr is exhaustive on its range
 _SUITES = (
     ("reflection involution", suite_reflection_involution, 200),
@@ -340,6 +412,7 @@ _SUITES = (
     ("line bundle rank", suite_line_bundle_rank, 200),
     ("sparse Levi walk", suite_sparse_levi_walk, 200),
     ("rescan straightening", suite_rescan_straightening, 200),
+    ("chamber arithmetic", suite_chamber_arithmetic, 200),
 )
 
 ALL_SUITES = tuple(
