@@ -21,14 +21,23 @@ Brauer-Klimyk, each lambda + k mu + rho, mu of multiplicity m, moved
 into the Levi chamber adds (-1)^steps c m at its image unless singular;
 nonzero nets give highest weight image - rho.  _product walks with walls
 (weyl), its heap seeded from the support of mu, as lambda is
-Levi-dominant.  On an A group W_I permutes the prefix sums q_0 = 0,
-q_(i+1) = q_i + v_i of v within each Levi block (node i joins q_(i-1)
-and q_i).  Where each weight of V moves one q of one block (_moves),
-_insert bisects: a collision is singular, else each place passed is a
-reflection; its keys are prefix sums from 0, one per weight.
-decompose_levi is the term (0, 1, 1), and _exterior_power_summands
-makes one product per Newton degree; listing the weights of an exterior
-power (exterior_power) and splitting them is the cross-check.  The dual
+Levi-dominant.  decompose_levi is the term (0, 1, 1), and
+_exterior_power_summands makes one product per Newton degree; listing
+the weights of an exterior power (exterior_power) and splitting them is
+the cross-check.  Where V is a GL or Sp standard representation twisted
+by a character, its exterior powers have a closed form, read off one
+walk down from hw (_standard_exterior_powers): while a retained
+coordinate is 1 (none above 1, at most one 1), subtract that node's
+simple root.  Each step is a reflection pairing 1 that raises the
+length in W_I, so a walk that ends, at a weight with no 1, has met every
+positive Levi coroot that pairs positively with hw, each once, with 1:
+hw is minuscule (so no coordinate on the way is below -1), V is its
+W_I-orbit, and as each weight has one lower neighbour, the orbit is the
+chain w_1 > ... > w_n.  Steps on distinct nodes make V the GL standard,
+Lambda^p V = V(omega_p) of highest weight w_1 + ... + w_p; steps out
+along one block and back make it the Sp standard, and by Fulton-Harris
+Thm 17.5 Lambda^p V is the sum over j = p, p - 2, ... >= 0, j <= n - p,
+of highest weights w_1 + ... + w_j + (p - j)/2 (w_1 + w_n).  The dual
 -w_0(hw) is a fixed map, _levi_dual: hw at sigma(i) on a retained node
 i, sigma the diagram involution of its block, and -<hw, gamma_c-vee> on
 a crossed node c, gamma_c = w_0(alpha_c) the highest root with the
@@ -37,8 +46,7 @@ crossed coefficients of alpha_c (they span an irreducible Levi module).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import accumulate, pairwise
+from itertools import accumulate
 from math import comb
 from operator import add, mul
 from types import MappingProxyType
@@ -68,8 +76,9 @@ class NotARepresentation(ValueError):
 
 def _require_dominant(chi: Weight, P: ParabolicSubgroup) -> Weight:
     chi = make_weight(P.system, chi)
-    for i in sorted(P.retained):
+    for i in P.retained:  # unsorted; the message names the lowest such node
         if chi[i - 1] < 0:
+            i = min(j for j in P.retained if chi[j - 1] < 0)
             raise DominanceError(
                 f"coordinate {chi[i - 1]} at retained node {i} of {chi!r}; "
                 f"dominance for {P!r} requires >= 0"
@@ -331,44 +340,33 @@ def decompose_levi(
     return tuple(sorted(nets.items()))
 
 
-def _moves(P: ParabolicSubgroup, weights: Collection[Tuple[Weight, int]]) -> Optional[list]:
-    """(q, lo, hi, j, d, m) per weight mu of V on an A group, q - d delta_j constant
-    on each block, q mu's prefix sums; None if V moves more (module notes)."""
-    if P.system.type_label != "A":
+def _standard_exterior_powers(
+    P: ParabolicSubgroup, hw: Weight
+) -> Optional[Tuple[Tuple[Tuple[Weight, int], ...], ...]]:
+    """_exterior_power_summands of V(hw), hw Levi-dominant, when V is a GL
+    or Sp standard representation twisted (module notes); else None."""
+    nodes = [i - 1 for i in P.retained]
+    chain, steps = [hw], []
+    while len(chain) <= 2 * P.system.rank + 1:
+        coords = [chain[-1][i] for i in nodes]
+        if max(coords, default=0) > 1 or coords.count(1) > 1:
+            return None
+        if 1 not in coords:
+            break
+        steps.append(nodes[coords.index(1)])
+        chain.append(chain[-1] - P.system.simple_roots[steps[-1]])
+    else:
         return None
-    cuts = [0, *sorted(P.crossed), P.system.rank + 1]
-    out = []
-    for mu, m in weights:
-        q = list(accumulate(mu, initial=0))
-        move = (0, 0, 0, 0)
-        for lo, hi in zip(cuts, cuts[1:]):
-            block = q[lo:hi]
-            kinds = set(block)
-            if len(kinds) > 1:
-                common = max(kinds, key=block.count)
-                odd = [j for j in range(lo, hi) if q[j] != common]
-                if move[1] or len(odd) > 1:
-                    return None
-                move = (lo, hi, odd[0], q[odd[0]] - common)
-        out.append((q, *move, m))
-    return out
-
-
-def _insert(terms: Iterable[Tuple[tuple, int, int]], moves: list) -> Dict[tuple, int]:
-    """The product over terms (key of lambda + rho, k, c) by insertion."""
-    shifted: Dict[tuple, int] = {}
-    for key, k, c in terms:
-        for q, lo, hi, j, d, m in moves:
-            x = key[j] + k * d
-            t = bisect_left(key, x, lo, hi)
-            if t < hi and key[t] == x:
-                continue  # a collision: singular
-            image = [a + k * b for a, b in zip(key, q)]
-            image.insert(t - (t > j), image.pop(j))
-            image = tuple(a - image[0] for a in image) if image[0] else tuple(image)
-            n = -c * m if (t - j - 1 if t > j else j - t) % 2 else c * m
-            shifted[image] = shifted.get(image, 0) + n
-    return {im: n for im, n in shifted.items() if n}
+    n = len(chain)
+    partial = list(accumulate(chain, initial=hw * 0))
+    if len(set(steps)) == len(steps):  # GL_n: Lambda^p V = V(omega_p)
+        return tuple(((w, 1),) for w in partial)
+    if steps != steps[::-1] or 2 * len(set(steps)) != n:
+        return None
+    pair = chain[0] + chain[-1]  # Sp_n: w_1 + w_n, twice the character
+    return tuple(tuple(sorted((partial[j] + pair * ((p - j) // 2), 1)
+                              for j in range(p % 2, min(p, n - p) + 1, 2)))
+                 for p in range(n + 1))
 
 
 def _exterior_power_summands(
@@ -393,8 +391,7 @@ def _exterior_power_summands(
     system = P.system
     weights = tuple(ms)
     top = ms.total
-    moves = _moves(P, weights)
-    powers: list[dict] = [{tuple(range(system.rank + 1)) if moves else system.rho * 0: 1}]
+    powers: list[dict] = [{system.rho * 0: 1}]
     for p in range(1, top // 2 + 1):
         check_cap(
             f"exterior power {p} by Newton's identity (straightenings)",
@@ -406,8 +403,8 @@ def _exterior_power_summands(
             for k in range(1, p + 1)
             for lam, c in powers[p - k].items()
         )
-        acc = _insert(terms, moves) if moves else _product(P, terms, weights)
-        term: Dict[tuple, int] = {}
+        acc = _product(P, terms, weights)
+        term: Dict[Weight, int] = {}
         for hw, n in acc.items():
             term[hw], r = divmod(n, p)
             if r or n < 0:
@@ -415,9 +412,6 @@ def _exterior_power_summands(
                     f"Newton's identity left {n}/{p} at {hw!r} in exterior power {p}"
                 )
         powers.append(term)
-    if moves:
-        powers = [{Weight(b - a - 1 for a, b in pairwise(q)): c for q, c in term.items()}
-                  for term in powers]
     dual = _levi_dual(P)
     det = Weight(sum(m * mu[i] for mu, m in weights) for i in range(system.rank))
     for p in range(top // 2 + 1, top + 1):

@@ -20,7 +20,8 @@ turns a row into the family and the parabolics of its two bases.
 
 The pipeline computes both base classes from the height product
 (motive.class_of_quotient), resolves O_{Z_i}(1) by the Koszul complex of
-the cutting section, splits every term into Levi irreducibles by
+the cutting section, splits every term into Levi irreducibles, in closed
+form for a GL or Sp standard dual bundle (every catalog side), else by
 Newton's identity in the character basis up to the middle degree and by
 duality, Lambda^(n-p) = (Lambda^p)^dual (x) det, above it (no weight of
 an exterior power is listed), pushes each summand through
@@ -46,6 +47,7 @@ from .motive import LPolynomial, class_of_quotient, igr_class, roof_identity_res
 from .reps import (
     LeviIrrep,
     _exterior_power_summands,
+    _standard_exterior_powers,
     dual_highest_weight,
     is_ample,
     weight_multiset,
@@ -266,7 +268,8 @@ def koszul_zero_locus_cohomology(
 
     The section lives in the rank-r bundle of the P-dominant weight
     bundle_hw; the Koszul complex twists O(twist) by the exterior
-    powers of the dual bundle, whose Levi decompositions come in one pass
+    powers of the dual bundle, whose Levi decompositions come in closed
+    form (reps._standard_exterior_powers) or else in one Newton pass
     (reps._exterior_power_summands).  Every summand goes through
     Borel-Weil-Bott.  The twist must be a character of P (zero on every
     retained node), or O(twist) is no line bundle: ValueError otherwise.
@@ -281,9 +284,10 @@ def koszul_zero_locus_cohomology(
                 f"coordinate {twist[i - 1]} at retained node {i}"
             )
     dual = dual_highest_weight(bundle_hw, P)
-    dual_weights = weight_multiset(LeviIrrep(P, dual), cap=cap)
+    powers = _standard_exterior_powers(P, dual)
+    if powers is None:
+        powers = _exterior_power_summands(weight_multiset(LeviIrrep(P, dual), cap=cap), P, cap=cap)
     cells: Dict[Tuple[int, int], int] = {}
-    powers = _exterior_power_summands(dual_weights, P, cap=cap)
     for p, summands in enumerate(powers):
         for hw, mult in summands:
             res = bwb(P, hw + twist)

@@ -48,7 +48,7 @@ from roofcalc import (
     roof_data,
     weight_multiset,
 )
-from roofcalc.reps import _exterior_power_summands, _weyl_product
+from roofcalc.reps import _exterior_power_summands, _standard_exterior_powers, _weyl_product
 from roofcalc.rootsys import _TYPES, RootData, SimplePairs, _apply, _positive_root_closure
 from roofcalc.weyl import straighten
 
@@ -259,15 +259,16 @@ def standard_exterior_powers(
     counts = ms.counts
     simple = [P.system.simple_roots[i - 1] for i in sorted(P.retained)]
     assert set(counts.values()) == {1}, "weights of V are not simple"
-    (top,) = [w for w in counts if not any(w + alpha in counts for alpha in simple)]
-    chain, steps = [top], []
+    tops = [w for w in counts if not any(w + alpha in counts for alpha in simple)]
+    assert len(tops) == 1, "V is not irreducible"
+    chain, steps = tops, []
     while True:
         below = [j for j, alpha in enumerate(simple) if chain[-1] - alpha in counts]
         if not below:
             break
-        (j,) = below
-        chain.append(chain[-1] - simple[j])
-        steps.append(j)
+        assert len(below) == 1, "the weights of V are not one chain"
+        chain.append(chain[-1] - simple[below[0]])
+        steps.append(below[0])
     n = len(chain)
     assert n == len(counts), "the weights of V are not one chain"
     partial = [Weight((0,) * P.system.rank)]
@@ -275,7 +276,7 @@ def standard_exterior_powers(
         partial.append(partial[-1] + w)
     if len(set(steps)) == len(steps):  # GL_n
         return tuple(((partial[p], 1),) for p in range(n + 1))
-    assert steps == steps[::-1] and len(set(steps)) == n // 2, "neither GL nor Sp"
+    assert steps == steps[::-1] and 2 * len(set(steps)) == n, "neither GL nor Sp"
     pair = chain[0] + chain[-1]
     return tuple(
         tuple(
@@ -289,8 +290,12 @@ def standard_exterior_powers(
 
 
 def check_closed_form_exterior_powers(label: str, r=None) -> int:
-    """Assert that reps._exterior_power_summands gives the closed form on
-    both sides of a roof family; return the number of sides checked.
+    """Assert that three routes give the same Levi summands of every
+    exterior power of the dual bundle, on both sides of a roof family:
+    production (reps._standard_exterior_powers, the closed form read off
+    one walk), Newton's identity (reps._exterior_power_summands on the
+    Freudenthal weights) and the chain of standard_exterior_powers on
+    those weights.  Returns the number of sides checked.
 
         PYTHONPATH=src:tests python -c \
             "from oracles import check_closed_form_exterior_powers as c; c('C', 24)"
@@ -299,8 +304,10 @@ def check_closed_form_exterior_powers(label: str, r=None) -> int:
     system = build_root_system(fam.group_type, fam.group_rank)
     for node in fam.crossed_pair:
         P = parabolic(system, (node,))
-        ms = weight_multiset(LeviIrrep(P, dual_highest_weight(fam.bundle_weight, P)))
+        hw = dual_highest_weight(fam.bundle_weight, P)
+        ms = weight_multiset(LeviIrrep(P, hw))
         expected = standard_exterior_powers(ms, P)
+        assert _standard_exterior_powers(P, hw) == expected, (label, r, node)
         assert _exterior_power_summands(ms, P) == expected, (label, r, node)
     return len(fam.crossed_pair)
 

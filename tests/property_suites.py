@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from itertools import accumulate, pairwise
 from math import comb
 
 from roofcalc import (
@@ -40,7 +39,9 @@ from roofcalc import (
     weyl_dimension,
     weyl_group_order,
 )
-from roofcalc.reps import _insert, _moves, _product, _weyl_product
+from roofcalc.reps import (
+    _exterior_power_summands, _product, _standard_exterior_powers, _weyl_product,
+)
 from roofcalc.weyl import levi_root_data, straighten
 
 from oracles import (
@@ -53,6 +54,7 @@ from oracles import (
     random_system,
     random_weight,
     rescan_straighten,
+    standard_exterior_powers,
     walk_bwb,
 )
 
@@ -339,9 +341,12 @@ def suite_chamber_arithmetic() -> int:
     so half-integral eps-coordinates); the fixed dual map of
     dual_highest_weight against straightening -hw over the retained
     nodes, on A, C, D, F4 and G2 with one to three crossed nodes; and the
-    insertion product of reps against reps._product, on random A
-    parabolics whose V is the standard representation of one block or
-    its dual, twisted, where some lambda + k mu + rho must collide.
+    closed-form exterior powers of reps._standard_exterior_powers against
+    Newton's identity (reps._exterior_power_summands) and the chain of
+    oracles.standard_exterior_powers, on random A, C and D parabolics
+    whose V is a GL or Sp standard representation or its dual, twisted,
+    and on V that is no standard one (D spin, Lambda^2 and Sym^2 of a
+    standard, C2 omega_2, Levi adjoints), where the walk must give None.
     """
     rng = random.Random(929)
     cases = vanishes = spin = 0
@@ -364,40 +369,63 @@ def suite_chamber_arithmetic() -> int:
         expected = straighten(system, -hw, sorted(P.retained))[0]
         assert dual_highest_weight(hw, P) == expected, (system, P.crossed, hw)
         cases += 1
-    singular = 0
-    for _ in range(60):
-        system = random_system(rng, (("A", 3), ("A", 5), ("A", 7)))
-        P = random_parabolic(rng, system)
-        runs = [[i] for i in sorted(P.retained) if i - 1 not in P.retained]
-        for run in runs:
-            while run[-1] + 1 in P.retained:
-                run.append(run[-1] + 1)
-        hw = [rng.randint(-3, 3) if i in P.crossed else 0 for i in range(1, system.rank + 1)]
-        if runs:  # the standard representation of one block, or its dual
-            run = rng.choice(runs)
-            hw[rng.choice((run[0], run[-1])) - 1] = 1
-        weights = tuple(weight_multiset(LeviIrrep(P, hw)))
-        moves = _moves(P, weights)
-        assert moves is not None, (system, P.crossed, hw)
-        terms = [
-            (random_dominant_weight(rng, P, lo=-3, hi=3), rng.randint(1, 4),
-             rng.choice((-2, -1, 1, 2)))
-            for _ in range(rng.randint(1, 3))
-        ]
-        keys = [(tuple(accumulate(lam + system.rho, initial=0)), k, c) for lam, k, c in terms]
-        images = _insert(keys, moves)
-        got = {Weight(b - a - 1 for a, b in pairwise(key)): n for key, n in images.items()}
-        assert got == _product(P, terms, weights), (system, P.crossed, hw, terms)
-        assert len(got) == len(images) and not any(key[0] for key in images)  # one key each
-        lroots = levi_root_data(P)
-        singular += any(
-            _weyl_product(lroots, lam + mu * k + system.rho) == 0
-            for lam, k, _ in terms
-            for mu, _ in weights
-        )
+    gl = sp = none = 0
+    for system, crossed, hw in _NOT_STANDARD:  # D spin, Lambda^2, Sym^2, C2 omega_2, adjoints
+        P = parabolic(build_root_system(*system), crossed)
+        assert _standard_exterior_powers(P, Weight(hw)) is None, (system, crossed, hw)
+        assert not _is_standard(weight_multiset(LeviIrrep(P, hw)), P), (system, crossed, hw)
+        none += 1
         cases += 1
-    assert singular >= 20, singular
+    while cases < 270:
+        system = random_system(rng, (("A", 3), ("A", 6), ("C", 2), ("C", 3), ("C", 5),
+                                     ("D", 4), ("D", 5)))
+        P = random_parabolic(rng, system)
+        if system.type_label == "C" and cases % 2:  # keep a C block of rank >= 2 at the end
+            P = parabolic(system, [i for i in P.crossed if i < system.rank - 1] or [1])
+        twist = [rng.randint(-3, 3) if i in P.crossed else 0 for i in range(1, system.rank + 1)]
+        omega = {i: Weight(int(j == i) for j in range(1, system.rank + 1)) for i in P.retained}
+        standard = [i for i in sorted(P.retained)
+                    if _is_standard(weight_multiset(LeviIrrep(P, omega[i])), P)]
+        if standard and rng.random() < 0.7:  # a GL or Sp standard or its dual, twisted
+            hw = omega[rng.choice(standard)] + twist
+        elif P.retained:  # one retained node off the standard ones, or a sum of two
+            i, j = rng.choice(sorted(P.retained)), rng.choice(sorted(P.retained))
+            hw = omega[i] + omega[j] + twist if i in standard else omega[i] + twist
+        else:
+            hw = Weight(twist)
+        ms = weight_multiset(LeviIrrep(P, hw))
+        got = _standard_exterior_powers(P, hw)
+        if not _is_standard(ms, P):
+            assert got is None, (system, P.crossed, hw)
+            none += 1
+        else:
+            assert got == standard_exterior_powers(ms, P), (system, P.crossed, hw)
+            assert got == _exterior_power_summands(ms, P), (system, P.crossed, hw)
+            sp += len(got) > 4 and len(got[2]) == 2  # Lambda^2 V = V(omega_2) + det on Sp
+            gl += len(got) > 2 and len(got[2]) == 1
+        cases += 1
+    assert gl >= 15 and sp >= 8 and none >= 12, (gl, sp, none)
     return cases
+
+
+# (type, rank), crossed nodes, highest weight: V is no GL or Sp standard
+_NOT_STANDARD = (
+    (("D", 5), (), (0, 0, 0, 0, 1)),  # a spin representation of D5
+    (("D", 5), (1,), (-2, 0, 0, 1, 0)),  # a spin representation of the D4 Levi
+    (("A", 4), (), (0, 1, 0, 0)),  # Lambda^2 of the standard
+    (("A", 3), (), (2, 0, 0)),  # Sym^2 of the standard
+    (("C", 2), (), (0, 1)),  # omega_2 of C2, 5-dimensional
+    (("A", 4), (4,), (1, 0, 1, 3)),  # the adjoint of the GL4 Levi, twisted
+)
+
+
+def _is_standard(ms, P) -> bool:
+    """Whether standard_exterior_powers takes V = ms as a GL or Sp standard."""
+    try:
+        standard_exterior_powers(ms, P)
+    except AssertionError:
+        return False
+    return True
 
 
 # (name, runner, required case count); igr is exhaustive on its range

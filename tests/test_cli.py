@@ -18,16 +18,20 @@ from hypothesis import strategies as st
 
 import roofcalc.cli
 from roofcalc import (
+    LeviIrrep,
     ResourceCapExceeded,
     Weight,
     build_root_system,
+    dual_highest_weight,
     igr_point_count,
     koszul_zero_locus_cohomology,
     make_weight,
     parabolic,
     roof_data,
+    weight_multiset,
 )
 from roofcalc.cli import _dumps, main
+from roofcalc.reps import _exterior_power_summands
 
 
 def run(capsys, *argv):
@@ -789,22 +793,35 @@ def test_cap_flag_bounds_every_root_build(capsys, monkeypatch):
 
 
 def test_cap_bounds_koszul_straightenings():
-    # C r=3: the largest count is 24 straightenings, for the third
-    # exterior power on the Z1 side (Newton stops at the middle degree of
-    # the 6-dimensional dual bundle; duality fills the rest).  C8 stores
+    # C r=3: Newton's identity makes 24 straightenings for the third
+    # exterior power of the 6-dimensional dual bundle on the Z1 side (it
+    # stops at the middle degree; duality fills the rest).  That V is the
+    # Sp6 standard, so the Koszul path takes the closed form, which checks
+    # nothing past the build: Newton is called directly here.  C8 stores
     # 512 root coordinates, so `roof verify --cap` trips on the build
     # first: the group is built outside the cap here.
     fam = roof_data("C", 3)
     system = build_root_system(fam.group_type, fam.group_rank)
     node = fam.crossed_pair[0]
     P = parabolic(system, (node,))
+    ms = weight_multiset(LeviIrrep(P, dual_highest_weight(fam.bundle_weight, P)))
+    with pytest.raises(ResourceCapExceeded) as err:
+        _exterior_power_summands(ms, P, cap=23)
+    assert "exterior power 3" in str(err.value) and err.value.needed == 24
+    assert len(_exterior_power_summands(ms, P, cap=24)) == 7
     twist = make_weight(
         system, tuple(int(j == node) for j in range(1, system.rank + 1))
     )
+    assert koszul_zero_locus_cohomology(P, fam.bundle_weight, twist, cap=1).h0 == 3808
+    # a V that is no standard representation still takes Newton under the
+    # cap: on A4 with node 1 crossed, the bundle of omega_3 has V = Lambda^2
+    # of the GL4 standard, twisted, and its third power needs 6 * 3 = 18
+    a4 = build_root_system("A", 4)
+    P = parabolic(a4, (1,))
     with pytest.raises(ResourceCapExceeded) as err:
-        koszul_zero_locus_cohomology(P, fam.bundle_weight, twist, cap=23)
-    assert "exterior power 3" in str(err.value) and err.value.needed == 24
-    assert koszul_zero_locus_cohomology(P, fam.bundle_weight, twist, cap=24).h0 == 3808
+        koszul_zero_locus_cohomology(P, (0, 0, 1, 0), (1, 0, 0, 0), cap=17)
+    assert "exterior power 3" in str(err.value) and err.value.needed == 18
+    assert koszul_zero_locus_cohomology(P, (0, 0, 1, 0), (1, 0, 0, 0), cap=18).first_page
 
 
 def test_roof_verify_cap_bounds_the_build(capsys, monkeypatch):

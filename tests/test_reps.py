@@ -159,6 +159,13 @@ def test_dominance_error_names_the_node():
     with pytest.raises(DominanceError) as err:
         LeviIrrep(parabolic(c3, ()), make_weight(c3, (1, -1, 0)))
     assert "2" in str(err.value)
+    # with several negative retained coordinates, the lowest node is named
+    with pytest.raises(DominanceError) as err:
+        LeviIrrep(parabolic(c3, ()), make_weight(c3, (0, -2, -1)))
+    assert str(err.value) == (
+        "coordinate -2 at retained node 2 of Weight(0, -2, -1); "
+        "dominance for Parabolic(C3, crossed={-}) requires >= 0"
+    )
     # crossed nodes are exempt from the dominance requirement
     P = parabolic(c3, (2,))
     LeviIrrep(P, make_weight(c3, (1, -1, 0)))

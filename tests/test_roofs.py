@@ -183,10 +183,15 @@ def test_newton_exterior_powers_match_enumeration():
 def test_newton_exterior_powers_match_the_closed_form():
     # past enumeration's reach (2^n weights): E^dual is the standard
     # representation of one GL or Sp Levi factor, twisted by a character,
-    # whose exterior powers have a closed form; C r=24 runs in CI only
-    for label, r in (("C", 14), ("C", 18), ("A_M", 20), ("A_G", 8), ("D", 14),
-                     ("F4", None), ("G2", None)):
-        assert check_closed_form_exterior_powers(label, r) == 2, (label, r)
+    # whose exterior powers have a closed form; production reads it off
+    # one walk, and Newton's identity and the oracle's chain must agree on
+    # all 120 sides of A_M 2-29, A_G 2-8, D 4-15, C 1-11, F4 and G2, and
+    # on C r=14 and 18; C r=24 and A_M r=60 run in CI only
+    members = [("A_M", r) for r in range(2, 30)] + [("A_G", r) for r in range(2, 9)]
+    members += [("D", r) for r in range(4, 16)] + [("C", r) for r in (*range(1, 12), 14, 18)]
+    sides = sum(check_closed_form_exterior_powers(label, r) for label, r in members)
+    sides += check_closed_form_exterior_powers("F4") + check_closed_form_exterior_powers("G2")
+    assert sides == 124
 
 
 def test_pinned_h0_beyond_enumeration():
