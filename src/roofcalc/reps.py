@@ -38,10 +38,8 @@ Lambda^p V = V(omega_p) of highest weight w_1 + ... + w_p; steps out
 along one block and back make it the Sp standard, and by Fulton-Harris
 Thm 17.5 Lambda^p V is the sum over j = p, p - 2, ... >= 0, j <= n - p,
 of highest weights w_1 + ... + w_j + (p - j)/2 (w_1 + w_n).  The dual
--w_0(hw) is a fixed map, _levi_dual: hw at sigma(i) on a retained node
-i, sigma the diagram involution of its block, and -<hw, gamma_c-vee> on
-a crossed node c, gamma_c = w_0(alpha_c) the highest root with the
-crossed coefficients of alpha_c (they span an irreducible Levi module).
+-w_0(hw) is the Levi-dominant conjugate of -hw: one straightening over
+the retained nodes.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from itertools import accumulate
 from math import comb
 from operator import add, mul
 from types import MappingProxyType
-from typing import Callable, Collection, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Collection, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .limits import _index, check_cap, resource_cap
 from .rootsys import (
@@ -412,31 +410,18 @@ def _exterior_power_summands(
                     f"Newton's identity left {n}/{p} at {hw!r} in exterior power {p}"
                 )
         powers.append(term)
-    dual = _levi_dual(P)
+    nodes = sorted(P.retained)
     det = Weight(sum(m * mu[i] for mu, m in weights) for i in range(system.rank))
     for p in range(top // 2 + 1, top + 1):
-        powers.append({dual(hw) + det: c for hw, c in powers[top - p].items()})
+        powers.append({
+            straighten(system, -hw, nodes)[0] + det: c for hw, c in powers[top - p].items()
+        })
     return tuple(tuple(sorted(term.items())) for term in powers)
-
-
-def _levi_dual(P: ParabolicSubgroup) -> Callable[[Weight], Weight]:
-    """hw -> -w_0(hw) as in the module notes; sigma comes from one walk."""
-    system = P.system
-    nodes = range(1, system.rank + 1)
-    sigma, _ = straighten(system, [-i * (i in P.retained) for i in nodes], sorted(P.retained))
-    rows = [
-        sigma[i - 1] - 1 if i in P.retained else next(
-            data.coroot for data in reversed(system.root_data)
-            if all(data.coefficients[c - 1] == (c == i) for c in P.crossed)
-        )
-        for i in nodes
-    ]
-    return lambda hw: Weight(hw[r] if type(r) is int else -sum(map(mul, r, hw)) for r in rows)
 
 
 def dual_highest_weight(chi: Weight, P: ParabolicSubgroup) -> Weight:
     """Highest weight of the dual irrep: -w_0(chi) for the Levi longest w_0."""
-    return _levi_dual(P)(_require_dominant(chi, P))
+    return straighten(P.system, -_require_dominant(chi, P), sorted(P.retained))[0]
 
 
 def is_ample(chi: Weight, P: ParabolicSubgroup) -> bool:

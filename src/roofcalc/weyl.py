@@ -7,20 +7,20 @@ stays negative until it is reflected: the walk pushes each node onto a
 heapq heap as it goes negative, and the heap's minimum is the node a
 rescan from node 1 would pick.  straighten seeds the heap with every
 negative kept node; from_word and longest_element read its letters,
-orbit, bwb on F4 and G2 and reps' Levi dual map its image, singular or
-not.  reps._product needs only regular images: it seeds the heap from a
-weight's support, zeros included, and walks with walls, which stops at
-the first zero on a kept node.  Reflections only raise the node
-reflected, so a new zero can appear only on a neighbour going down from
-positive; a weight that meets one is W_I-conjugate to a weight on a
-wall, hence singular, and its image would be dropped anyway.  bwb on A,
-C and D and reps' A-group products sort eps-coordinates instead.  Every
-reflection subtracts a simple root over its at most three nonzero
-(index, value) pairs, in O(1) whatever the rank, unvalidated.  An
-element is its canonical reduced word plus a key: the word is the
-greedy right descent, smallest node first, read off by straightening
-w^-1(rho); the key, the image of the regular rho, is faithful, so
-equality and hashing use it.
+orbit, bwb on F4 and G2 and reps' duals (-hw over the retained nodes)
+its image, singular or not.  reps._product needs only regular images:
+it seeds the heap from a weight's support, zeros included, and walks
+with walls, which stops at the first zero on a kept node.  Reflections
+only raise the node reflected, so a new zero can appear only on a
+neighbour going down from positive; a weight that meets one is
+W_I-conjugate to a weight on a wall, hence singular, and its image
+would be dropped anyway.  Only bwb on A, C and D sorts eps-coordinates
+instead.  Every reflection subtracts a simple root over its at most
+three nonzero (index, value) pairs, in O(1) whatever the rank,
+unvalidated.  An element is its canonical reduced word plus a key: the
+word is the greedy right descent, smallest node first, read off by
+straightening w^-1(rho); the key, the image of the regular rho, is
+faithful, so equality and hashing use it.
 
 The Poincare polynomial of W / W_I has Macdonald's closed form, a product
 over the positive roots outside the Levi of [ht + 1]_L / [ht]_L;
