@@ -9,7 +9,7 @@ point is used anywhere.
 """
 
 from .bwb import SINGLE, VANISHES, CohomologyResult, bwb
-from .limits import DEFAULT_CAP, ENV_VAR, ResourceCapExceeded, resource_cap
+from .limits import DEFAULT_CAP, ResourceCapExceeded, resource_cap
 from .motive import (
     ExactDivisionError,
     LPolynomial,
@@ -71,7 +71,6 @@ __all__ = [
     "DEFAULT_CAP",
     "DETERMINED",
     "DominanceError",
-    "ENV_VAR",
     "ExactDivisionError",
     "INCONCLUSIVE",
     "KoszulResult",

@@ -17,8 +17,8 @@ produce byte-identical bytes.
 Exit codes: 0 success; 1 when `roof verify` finds no nontrivial
 equivalence; 2 on validation errors (bad flags, bad math inputs, an
 answer too large to print); 3 when a computation exceeds the resource
-cap (flag --cap or environment variable ROOFCALC_CAP).  When the reader
-closes stdout early, the output stops quietly and the code stays the
+cap (--cap; no environment variable is read).  When the reader closes
+stdout early, the output stops quietly and the code stays the
 command's own.
 """
 
@@ -34,7 +34,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 from .bwb import SINGLE, bwb
-from .limits import DEFAULT_CAP, ENV_VAR, ResourceCapExceeded, resource_cap
+from .limits import DEFAULT_CAP, ResourceCapExceeded, resource_cap
 from .motive import _igr_count_bits, class_of_quotient, igr_point_count
 from .reps import weyl_dimension
 from .roofs import catalog, verify_roof
@@ -337,7 +337,7 @@ def _cmd_weyl_orbit(args) -> Handled:
 
 def _cmd_rep_dim(args) -> Handled:
     system, _, chi, echo = _resolve(args)
-    dim = weyl_dimension(system, chi)
+    dim = weyl_dimension(parabolic(system, ()), chi)
     return {**echo, "dimension": dim}, lambda: str(dim), 0
 
 
@@ -426,7 +426,7 @@ _ARGS = {
     "format": ("--format", str, False, "text", ("text", "json"),
                "output format (default: text)"),
     "cap": ("--cap", int, False, None, None,
-            f"resource cap override (default {DEFAULT_CAP}, or ${ENV_VAR})"),
+            f"resource cap override (default {DEFAULT_CAP})"),
     "type": (None, str, True, None, None,
              f"system type: {', '.join(SUPPORTED_TYPES[:-1])} or {SUPPORTED_TYPES[-1]}"),
     "rank": (None, int, True, None, None, None),

@@ -48,18 +48,17 @@ from itertools import accumulate
 from math import comb
 from operator import add, mul
 from types import MappingProxyType
-from typing import Collection, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Collection, Dict, Iterable, Mapping, Optional, Tuple
 
 from .limits import _index, check_cap, resource_cap
 from .rootsys import (
-    RootData, RootSystem, RootSystemError, Weight, _apply, _Frozen, make_weight,
+    RootData, RootSystemError, Weight, _apply, _Frozen, make_weight,
 )
 from .weyl import (
     ParabolicSubgroup,
     _upward_levels,
     _walk,
     levi_root_data,
-    parabolic,
     straighten,
 )
 
@@ -131,17 +130,6 @@ class WeightMultiset(_Frozen):
         return f"WeightMultiset({{{inner}}})"
 
 
-SystemOrParabolic = Union[RootSystem, ParabolicSubgroup]
-
-
-def _as_parabolic(system: SystemOrParabolic) -> ParabolicSubgroup:
-    if isinstance(system, ParabolicSubgroup):
-        return system
-    if isinstance(system, RootSystem):
-        return parabolic(system, ())
-    raise TypeError(f"expected RootSystem or ParabolicSubgroup, got {system!r}")
-
-
 def _weyl_product(roots: Iterable[RootData], v: Collection[int]) -> int:
     """Weyl product over roots of <v, beta-vee> / <rho, beta-vee>, divided once.
 
@@ -157,9 +145,8 @@ def _weyl_product(roots: Iterable[RootData], v: Collection[int]) -> int:
     return q
 
 
-def weyl_dimension(system: SystemOrParabolic, chi: Weight) -> int:
-    """Exact dimension of the (Levi) irreducible with highest weight chi."""
-    P = _as_parabolic(system)
+def weyl_dimension(P: ParabolicSubgroup, chi: Weight) -> int:
+    """Exact dimension of the Levi irreducible with highest weight chi."""
     return _weyl_product(levi_root_data(P), [x + 1 for x in _require_dominant(chi, P)])
 
 

@@ -239,14 +239,12 @@ class KoszulResult(NamedTuple):
 def _collision_free(page: Tuple[Tuple[int, int, int], ...]) -> bool:
     """Sufficient degeneration test for the first page.
 
-    True when at most one column is populated, or when all entries sit
-    in pairwise distinct total degrees q - p and no pair of entries is
-    joined by a differential of any page, which maps (-p, q) to
-    (-p + k, q - k + 1) for some k >= 1.
+    True when all entries sit in pairwise distinct total degrees q - p
+    and no pair of entries is joined by a differential of any page, which
+    maps (-p, q) to (-p + k, q - k + 1) for some k >= 1.  A single column
+    always passes: its cells have distinct q, and no differential stays
+    in one column.
     """
-    columns = {p for p, _, _ in page}
-    if len(columns) <= 1:
-        return True
     totals = [q - p for p, q, _ in page]
     if len(set(totals)) != len(totals):
         return False

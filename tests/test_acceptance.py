@@ -125,7 +125,8 @@ def test_criterion_4_c_family_r3(capsys):
         )
         omega5 = make_weight(c8, (0, 0, 0, 0, 1, 0, 0, 0))
         omega6 = make_weight(c8, (0, 0, 0, 0, 0, 1, 0, 0))
-        assert h0 == (weyl_dimension(c8, omega5), weyl_dimension(c8, omega6))
+        G = parabolic(c8, ())
+        assert h0 == (weyl_dimension(G, omega5), weyl_dimension(G, omega6))
 
 
 def test_criterion_5_property_suites(capsys):

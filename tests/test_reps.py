@@ -8,6 +8,7 @@ from roofcalc import (
     DominanceError,
     LeviIrrep,
     NotARepresentation,
+    RootSystemError,
     Weight,
     WeightMultiset,
     build_root_system,
@@ -152,6 +153,9 @@ def test_decompose_levi_rejects_non_characters():
             decompose_levi(WeightMultiset(counts), G)
     with pytest.raises(ValueError, match="negative multiplicity -1"):
         WeightMultiset({make_weight(c3, (1, 0, 0)): -1})
+    # weights of another rank are no weights of C3
+    with pytest.raises(RootSystemError):
+        decompose_levi(WeightMultiset({(1, 0): 1}), G)
 
 
 def test_dominance_error_names_the_node():
