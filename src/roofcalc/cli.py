@@ -6,8 +6,8 @@ data comes from already-sorted engine structures, so identical inputs
 produce byte-identical bytes.
 
 * _dumps writes that JSON, byte for byte what json.dumps with indent=2
-  and sort_keys gives, from one %-template per int list (_ints) and per
-  shape of int row (_dumps_rows).
+  and sort_keys gives, as pieces joined once, from one %-template per int
+  list (_ints), and per vector length or int row shape (_dumps_rows).
 * _ARGS declares each argument once, and _LEAVES each subcommand.
 * _scan reads a plain command line from those tables; anything else goes
   to argparse (build_parser), which alone writes help and usage errors.
@@ -59,47 +59,58 @@ Handled = Tuple[dict, Callable[[], str], int]  # payload, text renderer, exit co
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _dumps(o, pad: str = "\n") -> str:
-    """json.dumps(o, indent=2, sort_keys=True); pad is the current line break.
+def _dumps(o) -> str:
+    """json.dumps(o, indent=2, sort_keys=True), joined once from a list of pieces.
 
     Takes str, int, bool, None, list, tuple and dict with str keys;
     anything else, floats and non-str keys included, raises TypeError.
-    Two kinds of list are each written by one %-format call with their
-    ints flattened: exact ints, from the template of _ints; and int rows
-    of one key set, from one template per row shape (_dumps_rows).
-    Every other list, such as the points of `weyl orbit`, and any that
+    Three kinds of list are each written by one %-format call with their
+    ints flattened: exact ints, from the template of _ints; and int
+    vectors, and int rows of one key set, from one template per vector
+    length or row shape (_dumps_rows).  Every other list, and any that
     fails these tests, is written item by item.
     """
+    out = []
+    _write(o, "\n", out)
+    return "".join(out)
+
+
+def _write(o, pad: str, out: list) -> None:
+    """Append the pieces of _dumps(o) to out; pad is the current line break."""
     if isinstance(o, str):
-        return _escape(o)
-    if o is None:
-        return "null"
-    if isinstance(o, bool):
-        return "true" if o else "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    inner = pad + "  "
-    sep = "," + inner
-    if isinstance(o, (list, tuple)):
-        types = set(map(type, o))
-        if types <= {int}:
-            return _ints(len(o), pad) % tuple(o)
-        if types == {dict}:
-            rows = _dumps_rows(o, inner)
-            if rows is not None:
-                return "[" + inner + rows + pad + "]"
-        return "[" + inner + sep.join([_dumps(x, inner) for x in o]) + pad + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
+        out.append(_escape(o))
+    elif o is None:
+        out.append("null")
+    elif isinstance(o, bool):
+        out.append("true" if o else "false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        inner = pad + "  "
+        if set(map(type, o)) <= {int}:
+            out.append(_ints(len(o), pad) % tuple(o))
+        elif not _dumps_rows(o, inner, out):
+            lead = "[" + inner
+            for x in o:
+                out.append(lead)
+                _write(x, inner, out)
+                lead = "," + inner
+            out.append(pad + "]")
+    elif isinstance(o, dict) and not o:
+        out.append("{}")
+    elif isinstance(o, dict):
         for key in o:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-        body = sep.join(
-            [_escape(k) + ": " + _dumps(v, inner) for k, v in sorted(o.items())]
-        )
-        return "{" + inner + body + pad + "}"
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        inner = pad + "  "
+        lead = "{" + inner
+        for k, v in sorted(o.items()):
+            out.append(lead + _escape(k) + ": ")
+            _write(v, inner, out)
+            lead = "," + inner
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _ints(n: int, pad: str) -> str:
@@ -110,53 +121,61 @@ def _ints(n: int, pad: str) -> str:
     return "[" + inner + ("," + inner).join(["%d"] * n) + pad + "]"
 
 
-def _dumps_rows(rows, pad: str) -> Optional[str]:
-    """The rows of a list of dicts of one key set, comma-joined, or None.
+def _dumps_rows(rows, pad: str, out: list) -> bool:
+    """Append a list of int vectors, or of int rows of one key set, or return False.
 
-    Every row must have the first row's str keys in the first row's
-    order, and each value must be an exact int, or a list or tuple of
-    exact ints in every row.  A row's shape is the lengths of its lists,
-    or () when it has none; each shape gets one row template, and the
-    rows are filled by one %-format call with their ints flattened.
-    pad is the line break before each row.  On any other list the
-    answer is None, and the item-by-item path writes the same bytes or
-    raises the same TypeError.
+    The items are two or more lists or tuples of exact ints (a single one
+    is one template item by item too), or dicts with the first row's str
+    keys in its order, each value an exact int, or a list or tuple of
+    exact ints in every row.  Each vector length or row shape (the
+    lengths of its lists) gets one template, filled by one %-format call
+    with the ints flattened; pad is the line break before each item.  On
+    any other list nothing is appended, and the item-by-item path writes
+    the same bytes or raises the same TypeError.
     """
-    first = rows[0]
-    keys = tuple(first)
-    if (
-        not keys
-        or not all(map(isinstance, keys, repeat(str)))
-        or set(map(tuple, rows)) != {keys}
-    ):
-        return None
-    inner = pad + "  "
-    fields, columns, vectors = [], [], []  # vectors: (slot, field, lengths)
-    for key in sorted(keys):
-        value = first[key]
-        column = list(map(itemgetter(key), rows))
-        field = _escape(key).replace("%", "%%") + ": "
-        if type(value) is int:
-            fields.append(field + "%d")
-            columns.append(zip(column))
-        elif isinstance(value, (list, tuple)) and set(map(type, value)) <= {int}:
-            if not all(map(isinstance, column, repeat((list, tuple)))):
-                return None
-            vectors.append((len(fields), field, list(map(len, column))))
-            fields.append(field)
-            columns.append(column)
-        else:
-            return None
-    flat = tuple(chain.from_iterable(chain.from_iterable(zip(*columns))))
+    if len(rows) > 1 and all(map(isinstance, rows, repeat((list, tuple)))):
+        flat = tuple(chain.from_iterable(rows))
+        shapes = list(map(len, rows))
+        templates = {n: _ints(n, pad) for n in set(shapes)}
+    else:
+        first = rows[0]
+        keys = tuple(first) if type(first) is dict else ()
+        if (
+            not keys
+            or set(map(type, rows)) != {dict}
+            or not all(map(isinstance, keys, repeat(str)))
+            or set(map(tuple, rows)) != {keys}
+        ):
+            return False
+        inner = pad + "  "
+        fields, columns, vectors = [], [], []  # vectors: (slot, field, lengths)
+        for key in sorted(keys):
+            value = first[key]
+            column = list(map(itemgetter(key), rows))
+            field = _escape(key).replace("%", "%%") + ": "
+            if type(value) is int:
+                fields.append(field + "%d")
+                columns.append(zip(column))
+            elif isinstance(value, (list, tuple)):
+                if not all(map(isinstance, column, repeat((list, tuple)))):
+                    return False
+                vectors.append((len(fields), field, list(map(len, column))))
+                fields.append(field)
+                columns.append(column)
+            else:
+                return False
+        flat = tuple(chain.from_iterable(chain.from_iterable(zip(*columns))))
+        shapes = list(zip(*[lengths for _, _, lengths in vectors])) or [()] * len(rows)
+        templates = {}
+        for shape in set(shapes):
+            for (slot, field, _), n in zip(vectors, shape):
+                fields[slot] = field + _ints(n, inner)
+            templates[shape] = "{" + inner + ("," + inner).join(fields) + pad + "}"
     if not set(map(type, flat)) <= {int}:
-        return None
-    shapes = list(zip(*[lengths for _, _, lengths in vectors])) or [()] * len(rows)
-    templates = {}
-    for shape in set(shapes):
-        for (slot, field, _), n in zip(vectors, shape):
-            fields[slot] = field + _ints(n, inner)
-        templates[shape] = "{" + inner + ("," + inner).join(fields) + pad + "}"
-    return ("," + pad).join(map(templates.__getitem__, shapes)) % flat
+        return False
+    body = ("," + pad).join(map(templates.__getitem__, shapes)) % flat
+    out.extend(("[" + pad, body, pad[:-2] + "]"))  # pad[:-2]: the list's own break
+    return True
 
 
 @functools.cache

@@ -359,10 +359,11 @@ def test_dumps_rows_of_one_shape():
         [{}, {}],
     )
     for rows in templated:
-        assert roofcalc.cli._dumps_rows(rows, "\n  ") is not None
+        assert roofcalc.cli._dumps_rows(rows, "\n  ", [])
         assert _dumps(rows) == json.dumps(rows, indent=2, sort_keys=True)
     for rows in item_by_item:
-        assert roofcalc.cli._dumps_rows(rows, "\n  ") is None
+        out = []
+        assert not roofcalc.cli._dumps_rows(rows, "\n  ", out) and not out
         assert _dumps(rows) == json.dumps(rows, indent=2, sort_keys=True)
     # rows the writer refuses raise what the first refused row raises alone
     for rows in (
@@ -381,6 +382,52 @@ def test_dumps_rows_of_one_shape():
         {"rows": [[{"%d": [1]}, {"%d": [2]}]] * 2},
     ):
         assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_dumps_int_vector_lists():
+    # lists of int vectors are written from one template per vector length
+    templated = (
+        [[1, -2], [3, 4], (5, 6)],
+        [(1, 2, 3), [4], Weight((5, 6)), (), [7]],
+        [[], (), Weight(())],
+        [Weight((2**70, -1)), Weight((0, -(2**70)))],
+    )
+    # a planted bool, IntEnum or None, or an item that is no int vector,
+    # sends the list item by item, to the same bytes, as does one vector
+    item_by_item = (
+        [[0, 1]],
+        [Weight(())],
+        [[1, 2], [3, True]],
+        [Weight((1,)), (False,)],
+        [[1, _Node.SECOND], [3, 4]],
+        [(_Node.FIRST,), ()],
+        [[1, 2], [None]],
+        [[1, 2], [[3, 4]]],
+        [[[1, 2], [3]], [[4]]],
+        [[1, 2], 3],
+        [[1, 2], "ab"],
+        [[1, 2], {"a": [3]}],
+    )
+    for items in templated:
+        assert roofcalc.cli._dumps_rows(items, "\n  ", [])
+        assert _dumps(items) == json.dumps(items, indent=2, sort_keys=True)
+    for items in item_by_item:
+        out = []
+        assert not roofcalc.cli._dumps_rows(items, "\n  ", out) and not out
+        assert _dumps(items) == json.dumps(items, indent=2, sort_keys=True)
+    # a planted float raises what writing the items one by one raises
+    for items in ([[1, 2], [3.0, 4]], [Weight((1,)), [2.5]], [[1.0], []]):
+        with pytest.raises(TypeError) as alone:
+            [_dumps(x) for x in items]
+        with pytest.raises(TypeError, match=re.escape(str(alone.value))):
+            _dumps(items)
+    # the points of `weyl orbit` take the template path
+    argv = "weyl orbit C 6 --cross 1 --weight=0,2,2,-2,1,-1".split()
+    args = roofcalc.cli.build_parser().parse_args(argv)
+    payload, _, _ = args.run(args)
+    out = []
+    assert roofcalc.cli._dumps_rows(payload["orbit"], "\n    ", out)
+    assert '\n  "orbit": ' + "".join(out) + ",\n" in _dumps(payload)
 
 
 def test_dumps_raises_on_what_it_does_not_write():
