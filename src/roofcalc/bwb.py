@@ -25,13 +25,12 @@ reps._weyl_product reads the dimension off the image.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import prod
 from operator import eq
-from typing import List, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .reps import _require_dominant, _weyl_product
-from .rootsys import Weight
+from .rootsys import Weight, _epsilon, _pairings
 from .weyl import ParabolicSubgroup, straighten
 
 VANISHES = "Vanishes"
@@ -45,22 +44,6 @@ class CohomologyResult(NamedTuple):
     degree: Optional[int] = None
     g_highest_weight: Optional[Weight] = None
     dimension: Optional[int] = None
-
-
-def _epsilon(label: str, v: Sequence[int]) -> List[int]:
-    """The eps-coordinates c of v: v_i = c_i - c_(i+1), but v_n = c_n on C and
-    c_(n-1) + c_n on D; c_(n+1) = 0 on A, and D gives 2c, integral."""
-    if label == "A":
-        v = [*v, 0]
-    elif label == "D":
-        v = [2 * x for x in v[:-1]] + [v[-1] - v[-2]]
-    return list(accumulate(reversed(v)))[::-1]
-
-
-def _pairings(label: str, e: List[int]) -> List[List[int]]:
-    """The pairings of the module notes, from eps-coordinates, one row per i."""
-    return [[x - y for y in e[i + 1:]] + [x + y for y in e[i + 1:] if label != "A"]
-            + [x] * (label == "C") for i, x in enumerate(e)]
 
 
 def bwb(P: ParabolicSubgroup, chi: Weight) -> CohomologyResult:

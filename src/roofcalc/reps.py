@@ -5,7 +5,9 @@ parabolic P with a given P-dominant highest weight (coordinates >= 0 on
 retained nodes; crossed coordinates are unconstrained central charges).
 The full group is the parabolic with nothing crossed.
 
-Dimensions come from the Weyl dimension formula.  weight_multiset walks
+Dimensions come from the Weyl dimension formula, over the Levi's
+eps-pairings on A, C and D (as in bwb) and its listed roots on F4 and
+G2.  weight_multiset walks
 the dominant weights once, from the top: the Freudenthal recursion reads
 each multiplicity from the W_I-orbits already filled, then fills the
 orbit of the weight it has reached.  Both use the invariant form given by
@@ -45,14 +47,14 @@ the retained nodes.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb
+from math import comb, prod
 from operator import add, mul
 from types import MappingProxyType
 from typing import Collection, Dict, Iterable, Mapping, Optional, Tuple
 
 from .limits import _index, check_cap, resource_cap
 from .rootsys import (
-    RootData, RootSystemError, Weight, _apply, _Frozen, make_weight,
+    RootData, RootSystemError, Weight, _apply, _epsilon, _Frozen, _pairings, make_weight,
 )
 from .weyl import (
     ParabolicSubgroup,
@@ -147,7 +149,13 @@ def _weyl_product(roots: Iterable[RootData], v: Collection[int]) -> int:
 
 def weyl_dimension(P: ParabolicSubgroup, chi: Weight) -> int:
     """Exact dimension of the Levi irreducible with highest weight chi."""
-    return _weyl_product(levi_root_data(P), [x + 1 for x in _require_dominant(chi, P)])
+    v = [x + 1 for x in _require_dominant(chi, P)]
+    label = P.system.type_label
+    if label in ("A", "C", "D"):
+        num, den = (prod(map(prod, _pairings(label, _epsilon(label, w), P.crossed)))
+                    for w in (v, P.system.rho))
+        return num // den
+    return _weyl_product(levi_root_data(P), v)
 
 
 class LeviIrrep(_Frozen):
@@ -272,7 +280,7 @@ def _product(
     """
     system = P.system
     pairs = system._simple_pairs
-    budget = len(system.positive_roots)
+    budget = system._root_count
     keep = [i + 1 in P.retained for i in range(system.rank)]
     supports = [([(i, x) for i, x in enumerate(mu) if x], m) for mu, m in weights]
     rho = system.rho

@@ -54,7 +54,7 @@ from .reps import (
     weyl_dimension,
 )
 from .rootsys import _TYPES, RootSystem, Weight, build_root_system, make_weight
-from .weyl import ParabolicSubgroup, levi_root_data, parabolic
+from .weyl import ParabolicSubgroup, height_exponents, parabolic
 
 DETERMINED = "Determined"
 INCONCLUSIVE = "Inconclusive"
@@ -125,7 +125,7 @@ class RoofFamily(NamedTuple):
 
 
 def _quotient_dimension(P: ParabolicSubgroup) -> int:
-    return len(P.system.positive_roots) - len(levi_root_data(P))
+    return sum((h - 1) * e for h, e in height_exponents(P).items())  # the degree of [G/P]
 
 
 def _fundamental(system: RootSystem, node: int) -> Weight:
@@ -140,7 +140,7 @@ def _resolve(
     """The family at r with the parabolics P1, P2 of its two bases.
 
     The group is built under cap.  Derived dimensions are recomputed
-    from root counts and must match the closed-form column of _FAMILIES.
+    from closed forms and must match the closed-form column of _FAMILIES.
     """
     if label not in _FAMILIES:
         known = ", ".join(FAMILY_LABELS)

@@ -24,9 +24,9 @@ numbering is fixed by
 (nodes 1, 2 long; nodes 3, 4 short).  For G2, alpha_1 is long.
 
 A type is defined in one place, its row of _TYPES: least or fixed rank,
-|Phi+| in closed form, the Dynkin bonds that give the Cartan matrix, the
-symmetrizer and, for the infinite families, the positive roots in
-closed form.  A new type is a new row.
+the degrees of its Weyl group (which give |Phi+|), the Dynkin bonds that
+give the Cartan matrix, the symmetrizer and, for the infinite families,
+the positive roots in closed form.  A new type is a new row.
 
 The positive roots of the infinite families are written down from
 Bourbaki's plates (Lie Groups and Lie Algebras, Ch. VI, Plates I, III
@@ -39,7 +39,9 @@ that the last one is c_n on C_n and c_{n-1} + c_n on D_n, so a weight
 has at most four nonzero entries.  Simply laced, each coroot is the
 coefficients tuple itself; on C_n the long roots 2 eps_i have norm 4.
 The roots come out in (height, coefficients) order, with no search and
-no sort.
+no sort.  _epsilon inverts that map, and _pairings reads the coroot
+pairings of A, C or D off eps-coordinates, so on these types only the
+roots command and the Freudenthal and Newton path read a root list.
 
 The exceptional rows F4 and G2 have no such field, and their positive
 roots come from _positive_root_closure, which only ever reflects upward:
@@ -58,8 +60,8 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from itertools import accumulate, chain
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .limits import _index, check_cap, resource_cap
 
@@ -75,10 +77,14 @@ class _DynkinType(NamedTuple):
 
     least: int  # the least rank
     fixed: Optional[int]  # the only rank, or None
-    positive_roots: Callable[[int], int]  # |Phi+|, read by the cap check before a build
+    degrees: Callable[[int], Iterable[int]]  # of the Weyl group (D_2 gives A1 x A1's 2, 2)
     bonds: Callable[[int], Iterable[Tuple[int, int, int]]]
     symmetrizer: Callable[[int], Tuple[int, ...]]
     roots: Optional[Callable[[int], Tuple["RootData", ...]]] = None
+
+    def positive_roots(self, n: int) -> int:
+        """|Phi+| = sum (d_i - 1) (Humphreys, Reflection Groups, 3.9), for the cap."""
+        return sum(self.degrees(n)) - n
 
 
 def _path(n: int, last: int = 1) -> list[tuple[int, int, int]]:
@@ -158,18 +164,51 @@ def _d_roots(n: int) -> Tuple["RootData", ...]:
     return tuple(out)
 
 
+def _epsilon(label: str, v: Sequence[int]) -> list[int]:
+    """The eps-coordinates c of v: v_i = c_i - c_(i+1), but v_n = c_n on C and
+    c_(n-1) + c_n on D; c_(n+1) = 0 on A, and D gives 2c, integral."""
+    if label == "A":
+        v = [*v, 0]
+    elif label == "D":
+        v = [2 * x for x in v[:-1]] + [v[-1] - v[-2]]
+    return list(accumulate(reversed(v)))[::-1]
+
+
+def _pairings(label: str, e: Sequence[int], crossed: Collection[int] = ()) -> list[list[int]]:
+    """<v, beta-vee> for the v of eps-coordinates e and each positive root
+    beta of A, C or D touching no crossed node, one row per eps_i, the
+    first eps of beta.  With 0-based eps, 1-based nodes, eps_i - eps_j
+    touches nodes i+1..j, and eps_i + eps_j and 2 eps_i touch i+1..n, but
+    eps_i + eps_(n-1) on D touches i+1..n-2 and n.  The rows keep the big
+    integer products short: multiply each row first."""
+    n = len(e) - (label == "A")  # the rank
+    rows = []
+    cut = n + 1  # the first crossed node after i
+    for i in range(len(e) - 1, -1, -1):
+        if i + 1 in crossed:
+            cut = i + 1
+        x = e[i]
+        row = [x - y for y in e[i + 1:cut]]
+        if label != "A" and cut > n:
+            row += [x + y for y in e[i + 1:]] + [x] * (label == "C")
+        elif label == "D" and cut == n - 1 and n not in crossed:
+            row.append(x + e[-1])
+        rows.append(row)
+    return rows
+
+
 # C_n has alpha_n long; C1 = A1 keeps d = (1,).  The infinite families
 # list their roots in closed form; F4 and G2 leave roots unset.
 _TYPES = {
-    "A": _DynkinType(1, None, lambda n: n * (n + 1) // 2, _path, lambda n: (1,) * n,
+    "A": _DynkinType(1, None, lambda n: range(2, n + 2), _path, lambda n: (1,) * n,
                      _a_roots),
-    "C": _DynkinType(1, None, lambda n: n * n, lambda n: _path(n, 2),
+    "C": _DynkinType(1, None, lambda n: range(2, 2 * n + 1, 2), lambda n: _path(n, 2),
                      lambda n: (1,) * (n - 1) + (min(n, 2),), _c_roots),
-    "D": _DynkinType(3, None, lambda n: n * (n - 1), lambda n: _path(n - 1) + [(n - 2, n, 1)],
-                     lambda n: (1,) * n, _d_roots),
-    "F4": _DynkinType(4, 4, lambda n: 24, lambda n: ((1, 2, 1), (3, 2, 2), (3, 4, 1)),
-                      lambda n: (2, 2, 1, 1)),
-    "G2": _DynkinType(2, 2, lambda n: 6, lambda n: ((2, 1, 3),), lambda n: (3, 1)),
+    "D": _DynkinType(3, None, lambda n: (*range(2, 2 * n - 1, 2), n),
+                     lambda n: _path(n - 1) + [(n - 2, n, 1)], lambda n: (1,) * n, _d_roots),
+    "F4": _DynkinType(4, 4, lambda n: (2, 6, 8, 12),
+                      lambda n: ((1, 2, 1), (3, 2, 2), (3, 4, 1)), lambda n: (2, 2, 1, 1)),
+    "G2": _DynkinType(2, 2, lambda n: (2, 6), lambda n: ((2, 1, 3),), lambda n: (3, 1)),
 }
 
 SUPPORTED_TYPES = tuple(_TYPES)
@@ -257,19 +296,31 @@ class RootSystem(_Frozen):
     """An irreducible root system, interned per (type, rank); compares by identity.
 
     Fields, in order: type_label, rank, the Cartan matrix cartan (rows),
-    symmetrizer, simple_roots and positive_roots (Weights), root_data
-    (one RootData per positive root), rho and _simple_pairs (the nonzero
-    (index, value) pairs of each simple root, for _apply).
+    symmetrizer, simple_roots and rho (Weights), _simple_pairs (the
+    nonzero (index, value) pairs of each simple root, for _apply),
+    _root_count (|Phi+|, a walk's length bound), positive_roots (Weights)
+    and root_data (one RootData per positive root).  The last two, unless
+    given, are filled on the first read of either and kept.
     """
 
     __slots__ = (
-        "type_label", "rank", "cartan", "symmetrizer", "simple_roots",
-        "positive_roots", "root_data", "rho", "_simple_pairs",
+        "type_label", "rank", "cartan", "symmetrizer", "simple_roots", "rho",
+        "_simple_pairs", "_root_count", "positive_roots", "root_data",
     )
 
     def __init__(self, *fields) -> None:
-        for name, value in zip(self.__slots__, fields, strict=True):
+        for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
+
+    def __getattr__(self, name: str):
+        if name not in ("positive_roots", "root_data"):
+            raise AttributeError(f"'RootSystem' object has no attribute {name!r}")
+        row = _TYPES[self.type_label]
+        data = (row.roots(self.rank) if row.roots else
+                _positive_root_closure(self.simple_roots, self._simple_pairs, self.symmetrizer))
+        object.__setattr__(self, "root_data", data)
+        object.__setattr__(self, "positive_roots", tuple(d.weight for d in data))
+        return getattr(self, name)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type_label}, {self.rank})"
@@ -366,11 +417,11 @@ def build_root_system(
     """Construct (and intern) the root system of the given type and rank.
 
     The label is case-insensitive; interning happens after normalization
-    so every spelling of a system yields the same object.  The system
-    stores rank coordinates for each positive root; that count,
+    so every spelling of a system yields the same object.  The root list,
+    once read, stores rank coordinates for each positive root; that count,
     |Phi+| * rank in closed form, is checked against the resource cap
-    before the interned lookup, so the outcome does not depend on which
-    systems the process built before.
+    before the interned lookup, whether or not the list is ever read, so
+    the outcome does not depend on which systems the process built before.
     """
     rank = _index(rank, "rank", RootSystemError)
     label = _validate(type_label, rank)
@@ -397,11 +448,8 @@ def _build_interned(label: str, rank: int) -> RootSystem:
                 raise AssertionError("symmetrizer does not symmetrize the Cartan matrix")
     simple = tuple(Weight(cartan[i][j] for i in range(rank)) for j in range(rank))
     pairs = tuple(tuple((i, a) for i, a in enumerate(alpha) if a) for alpha in simple)
-    data = row.roots(rank) if row.roots else _positive_root_closure(simple, pairs, sym)
-    return RootSystem(
-        label, rank, cartan, sym, simple, tuple(d.weight for d in data),
-        data, Weight((1,) * rank), pairs,
-    )
+    return RootSystem(label, rank, cartan, sym, simple, Weight((1,) * rank), pairs,
+                      row.positive_roots(rank))
 
 
 def make_weight(system: RootSystem, coords: Iterable[int]) -> Weight:

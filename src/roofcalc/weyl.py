@@ -22,13 +22,17 @@ word is the greedy right descent, smallest node first, read off by
 straightening w^-1(rho); the key, the image of the regular rho, is
 faithful, so equality and hashing use it.
 
-The Poincare polynomial of W / W_I has Macdonald's closed form, a product
-over the positive roots outside the Levi of [ht + 1]_L / [ht]_L;
-height_exponents collects its factors, and coset_count is its value at
-L = 1, which bounds every orbit or coset walk against the resource cap
-before it starts.  Enumeration is kept for the representatives and as a
-cross-check of that product.  The cosets w W_I are the W-orbit of a probe
-weight, one on crossed nodes and zero elsewhere, with stabiliser W_I.
+The Poincare polynomial of W / W_I is prod [d_i]_L / prod [d'_j]_L over
+the degrees of W and of W_I (Chevalley; Solomon 1966), [h]_L = 1 + L +
+... + L^(h-1); by Kostant's duality of heights and exponents, Macdonald's
+product over the roots outside the Levi of [ht + 1]_L / [ht]_L cancels
+down to it.  height_exponents collects its factors from the crossed
+nodes and the degrees in rootsys' rows, reading no root, and coset_count
+is its value at L = 1, which bounds every orbit or coset walk against
+the resource cap before it starts.  Enumeration is kept for the
+representatives and as a cross-check of that product.  The cosets w W_I
+are the W-orbit of a probe weight, one on crossed nodes and zero
+elsewhere, with stabiliser W_I.
 
 Every orbit and coset set comes from one upward walk, _upward_levels,
 from a dominant lambda with stabiliser W_J: level k + 1 holds s_i(mu) for
@@ -59,6 +63,7 @@ from .rootsys import (
     RootSystemError,
     SimplePairs,
     Weight,
+    _TYPES,
     _apply,
     _node,
     make_weight,
@@ -223,26 +228,41 @@ def straighten(
     for node in nodes:
         keep[node - 1] = True
     heap = [node - 1 for node in nodes if mu[node - 1] < 0]  # ascending: a heap
-    letters = _walk(system._simple_pairs, mu, keep, heap, len(system.positive_roots))
+    letters = _walk(system._simple_pairs, mu, keep, heap, system._root_count)
     return tuple.__new__(Weight, mu), tuple(i + 1 for i in letters)
 
 
-def height_exponents(P: ParabolicSubgroup) -> Dict[int, int]:
-    """Exponents e_h with [G/P] = prod_h [h]_L ** e_h, ascending in h.
+def _levi_degrees(P: ParabolicSubgroup) -> Iterable[int]:
+    """The degrees of W_I, one Levi component per run of retained nodes.
 
-    Macdonald's product runs over the positive roots beta touching a
-    crossed node and multiplies [ht beta + 1]_L / [ht beta]_L, where
-    [h]_L = 1 + L + ... + L^(h-1).  Factors are collected by h and the
-    ratios cancelled; [1]_L = 1 and zero exponents are left out.
+    A run of k nodes is A_k, except: the whole diagram is the group; on C
+    the run through n is C_k; on D the run through n-2 with the forks it
+    keeps is D_(k+2) with both (D_2 = A_1 x A_1) and A_(k+1) with one;
+    on F4 a run over the double bond 2-3 is B_k, of C_k's degrees.
     """
-    crossed = [i - 1 for i in P.crossed]
-    exponents: Dict[int, int] = {}
-    for data in P.system.root_data:
-        if any(map(data.coefficients.__getitem__, crossed)):
-            h = sum(data.coefficients)
-            exponents[h + 1] = exponents.get(h + 1, 0) + 1
-            exponents[h] = exponents.get(h, 0) - 1
-    return {h: e for h, e in sorted(exponents.items()) if h > 1 and e}
+    label, n = P.system.type_label, P.system.rank
+    last = n - 2 if label == "D" else n
+    cuts = [0, *sorted(i for i in P.crossed if i <= last), last + 1]
+    for a, b in zip(cuts, cuts[1:]):
+        k, kind = b - a - 1, "A"  # the run a+1..b-1
+        if b > last and label == "D":
+            forks = (n - 1 not in P.crossed) + (n not in P.crossed)
+            kind, k = ("D", k + 2) if forks == 2 else ("A", k + forks)
+        elif b > last and label == "C" or label == "F4" and a < 2 and b > 3:
+            kind = "C"
+        yield from _TYPES[label if k == n else kind].degrees(k)
+
+
+def height_exponents(P: ParabolicSubgroup) -> Dict[int, int]:
+    """The nonzero exponents e_h of [G/P] = prod_h [h]_L ** e_h, ascending in
+    h: the number of degrees of W equal to h less that of W_I (module notes)."""
+    label, n = P.system.type_label, P.system.rank
+    exponents = [0] * (3 * n + 1)  # no degree is above 3n, which G2 and F4 reach
+    for h in _TYPES[label].degrees(n):
+        exponents[h] += 1
+    for h in _levi_degrees(P):
+        exponents[h] -= 1
+    return {h: e for h, e in enumerate(exponents) if e}
 
 
 def coset_count(P: ParabolicSubgroup) -> int:

@@ -927,6 +927,55 @@ def test_closed_pipe_exits_quietly():
     assert err == b""
 
 
+_ROOT_LIST_PROBE = """
+import contextlib, io, json, sys
+from roofcalc import build_root_system
+from roofcalc.cli import main
+from roofcalc.rootsys import RootSystem
+
+out = []
+for argv, label, rank in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    try:  # the slot itself, so that reading it does not fill it
+        RootSystem.root_data.__get__(build_root_system(label, rank))
+        out.append([code, True])
+    except AttributeError:
+        out.append([code, False])
+print(json.dumps(out))
+"""
+
+
+def test_only_roots_f4_and_g2_build_the_root_list():
+    # in a fresh interpreter, so that no earlier test has filled a list;
+    # each row: argv, the system it builds, exit code, whether it lists roots
+    rows = []
+    for label, r, code in (("C", 2, 0), ("D", 5, 1), ("A_M", 6, 1), ("A_G", 2, 1)):
+        fam = roof_data(label, r)
+        rows.append((["roof", "verify", label, "--r", str(r)],
+                     fam.group_type, fam.group_rank, code, False))
+    for t, n, cross, weight in (("A", 5, "2,4", "1,-3,0,2,2"), ("C", 4, "1", "-2,1,0,3"),
+                                ("D", 5, "3", "0,2,-1,1,0")):
+        for argv in (["class", "quotient", t, str(n), "--cross", cross],
+                     ["weyl", "cosets", t, str(n), "--cross", cross],
+                     ["weyl", "orbit", t, str(n), "--cross", cross, f"--weight={weight}"],
+                     ["bwb", t, str(n), "--cross", cross, f"--weight={weight}"],
+                     ["rep", "dim", t, str(n), "--weight", weight.replace("-", "")]):
+            rows.append((argv, t, n, 0, False))
+    rows += [(["roots", "C", "4"], "C", 4, 0, True), (["roots", "D", "5"], "D", 5, 0, True),
+             (["roof", "verify", "F4"], "F4", 4, 0, True)]
+    src = Path(roofcalc.cli.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _ROOT_LIST_PROBE],
+        input=json.dumps([(argv, t, n) for argv, t, n, _, _ in rows]),
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got == [[code, listed] for *_, code, listed in rows]
+
+
 def _leaves(parser, path=()):
     """The name paths of the subcommands of parser that have none of their own."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

@@ -25,6 +25,8 @@ from roofcalc import (
 )
 from roofcalc.reps import _exterior_power_summands
 
+from oracles import check_levi_dimension
+
 
 def fund(system, i):
     return make_weight(system, tuple(1 if j == i else 0 for j in range(1, system.rank + 1)))
@@ -229,3 +231,21 @@ def test_exterior_powers_have_binomial_dimensions_and_dual_halves():
                     (dual_highest_weight(hw, P) + det, m) for hw, m in summands
                 )
                 assert tuple(twisted) == powers[n - p], (label, node, p)
+
+
+def test_epsilon_levi_dimension_matches_the_levi_root_product():
+    # the eps-pairing route of weyl_dimension on A, C and D against the
+    # Weyl product over the listed Levi roots, three weights a parabolic:
+    # every parabolic up to rank 7, then 20 random ones at ranks 40 and 60
+    cases = sum(check_levi_dimension("A", n) + check_levi_dimension("C", n)
+                for n in range(1, 8))
+    cases += sum(check_levi_dimension("D", n) for n in range(3, 8))
+    assert cases == 2268
+    for label, rank in (("C", 40), ("D", 40), ("A", 60)):
+        assert check_levi_dimension(label, rank, 20) == 60
+
+
+def test_weight_multiset_membership():
+    ms = WeightMultiset({(0, 1): 1, (1, -1): 2, (2, 2): 0})
+    assert Weight((0, 1)) in ms and (1, -1) in ms
+    assert (2, 2) not in ms and Weight((1, 1)) not in ms

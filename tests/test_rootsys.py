@@ -283,8 +283,8 @@ def test_make_weight_validation():
 def test_weight_arithmetic():
     a = Weight((1, -2, 3))
     b = Weight((0, 1, 1))
-    assert a + b == Weight((1, -1, 4))
-    assert a - b == Weight((1, -3, 2))
+    assert a + b == Weight((1, -1, 4)) == a + (0, 1, 1) == (0, 1, 1) + a
+    assert a - b == Weight((1, -3, 2)) == a - (0, 1, 1)
     assert -a == Weight((-1, 2, -3))
     assert 3 * a == Weight((3, -6, 9))
     assert a * 2 == Weight((2, -4, 6))
@@ -307,7 +307,7 @@ def test_outside_data_is_validated_at_the_boundary():
         WeightMultiset({(1, 0): 1, (1, 0, 0): 1})
     # arithmetic on validated weights stays a Weight of ints, unchecked or not
     a = Weight((1, -2, 3))
-    for result in (a + a, a - a, -a, 2 * a, a + (0, 1, 1), (0, 1, 1) + a):
+    for result in (a + a, a - a, -a, 2 * a, a + (0, 1, 1), (0, 1, 1) + a, a - (0, 1, 1)):
         assert type(result) is Weight
         assert all(type(x) is int for x in result)
 

@@ -27,6 +27,7 @@ from oracles import (
     SMALL_SYSTEMS,
     all_nonempty_parabolics,
     brute_force_weyl,
+    check_height_exponents,
     greedy_right_descent,
     inversions,
     positive_root_index,
@@ -281,3 +282,13 @@ def test_simple_reflection_matches_reflect():
         assert len(s.word) == 1
         chi = make_weight(g2, (2, -5))
         assert act(s, chi) == reflect(g2, chi, i)
+
+
+def test_degree_route_matches_the_height_scan():
+    # [G/P] from the degrees of W and W_I against Macdonald's scan over
+    # the root list, on every parabolic (none and all crossed included)
+    cases = sum(check_height_exponents("A", n) + check_height_exponents("C", n)
+                for n in range(1, 9))
+    cases += sum(check_height_exponents("D", n) for n in range(3, 9))
+    cases += check_height_exponents("F4", 4) + check_height_exponents("G2", 2)
+    assert cases == 1544
