@@ -10,28 +10,29 @@ action w * chi = w(chi + rho) - rho:
     w straightening chi + rho into the dominant chamber, and the group
     there is the irreducible G-module with highest weight w * chi.
 
+bwb takes the chamber step only to decide Vanishes and find the image.
 On A, C and D, W permutes the coordinates of chi + rho along
 eps_1, ..., eps_m (Bourbaki, Plates I, III and IV), changing any signs
 on C and an even number on D, and the positive coroots pair with them as
 e_i - e_j (i < j), also e_i + e_j on C and D, and e_i on C.  So chi + rho
 is singular exactly when two coordinates collide, in absolute value on C
-and D, or one is zero on C; otherwise the image is one sort, the degree
-is the number of negative pairings (Humphreys, Reflection Groups and
-Coxeter Groups, section 1.7) and the dimension the product of the
-pairings over that of rho.  F4 and G2 straighten chi + rho over every
-node by weyl's walk: a zero in the image means Vanishes, and otherwise
-reps._weyl_product reads the dimension off the image.
+and D, or one is zero on C; otherwise the image is one sort.  F4 and G2
+straighten chi + rho over every node by weyl's walk, and a zero in the
+image means Vanishes.  The degree, the number of negative coroot
+pairings of chi + rho (Humphreys, Reflection Groups and Coxeter Groups,
+section 1.7), and the dimension come from reps' one Weyl formula over
+the full group, read off chi + rho itself: W permutes the coroots up to
+sign, so the absolute product is that of the image.
 """
 
 from __future__ import annotations
 
-from math import prod
 from operator import eq
 from typing import NamedTuple, Optional
 
-from .reps import _require_dominant, _weyl_product
-from .rootsys import Weight, _epsilon, _pairings
-from .weyl import ParabolicSubgroup, straighten
+from .reps import _require_dominant, _weyl_formula
+from .rootsys import Weight, _epsilon
+from .weyl import ParabolicSubgroup, parabolic, straighten
 
 VANISHES = "Vanishes"
 SINGLE = "Single"
@@ -58,15 +59,12 @@ def bwb(P: ParabolicSubgroup, chi: Weight) -> CohomologyResult:
             return CohomologyResult(status=VANISHES)
         if label == "D" and sum(x < 0 for x in e) % 2:
             s[-1] = -s[-1]  # an even number of sign changes
-        v = [x - y for x, y in zip(s, s[1:] + [0])][: system.rank]
+        image = [x - y for x, y in zip(s, s[1:] + [0])][: system.rank]
         if label == "D":
-            v = [x // 2 for x in v[:-1]] + [v[-2] // 2 + v[-1]]
-        rows, rho = _pairings(label, e), _pairings(label, _epsilon(label, system.rho))
-        degree = sum(x < 0 for row in rows for x in row)
-        dimension = abs(prod(map(prod, rows))) // prod(map(prod, rho))
+            image = [x // 2 for x in image[:-1]] + [image[-2] // 2 + image[-1]]
     else:
-        v, letters = straighten(system, v, range(1, system.rank + 1))
-        if 0 in v:
+        image, _ = straighten(system, v, range(1, system.rank + 1))
+        if 0 in image:
             return CohomologyResult(status=VANISHES)
-        degree, dimension = len(letters), _weyl_product(system.root_data, v)
-    return CohomologyResult(SINGLE, degree, Weight(v) - system.rho, dimension)
+    degree, dimension = _weyl_formula(parabolic(system, ()), v)
+    return CohomologyResult(SINGLE, degree, Weight(image) - system.rho, dimension)

@@ -2,12 +2,13 @@
 
 Classes of generalized flag varieties in the Grothendieck ring of
 varieties are polynomials in the Lefschetz class L with nonnegative
-integer coefficients.  class_of_quotient computes [G/P] from Macdonald's
-height product, prod [ht beta + 1]_L / [ht beta]_L over the positive
-roots outside the Levi, in time polynomial in the rank.  The Bruhat
-decomposition (one affine cell per minimal coset representative, graded
-by length, see weyl.coset_lengths) gives the same polynomial and is kept
-as a cross-check in the tests.  Isotropic Grassmannians IGr(d, 2n) also
+integer coefficients.  class_of_quotient computes [G/P] as
+prod [d_i]_L / prod [d'_j]_L over the degrees of W and of W_I, whose
+exponents weyl.height_exponents reads off the crossed nodes, in time
+polynomial in the rank.  Macdonald's height product over the roots
+outside the Levi and the Bruhat decomposition (one affine cell per
+minimal coset representative, see weyl.coset_lengths) give the same
+polynomial and are kept as cross-checks in the tests.  Isotropic Grassmannians IGr(d, 2n) also
 admit a closed product formula, which doubles as a point count over F_q
 on substituting q for L; it certifies the C-family base classes.
 """
@@ -170,7 +171,7 @@ def _cyclotomic_product(exponents: Dict[int, int]) -> LPolynomial:
 
 
 def class_of_quotient(P: ParabolicSubgroup) -> LPolynomial:
-    """[G/P] in the Grothendieck ring, from the height product.
+    """[G/P] in the Grothendieck ring, from the degrees of W and W_I.
 
     The exponents e_h of prod_h [h]_L ** e_h sum to zero once h = 1 is
     counted (its [1]_L = 1 is left out of height_exponents), so the

@@ -5,18 +5,22 @@ parabolic P with a given P-dominant highest weight (coordinates >= 0 on
 retained nodes; crossed coordinates are unconstrained central charges).
 The full group is the parabolic with nothing crossed.
 
-Dimensions come from the Weyl dimension formula, over the Levi's
-eps-pairings on A, C and D (as in bwb) and its listed roots on F4 and
-G2.  weight_multiset walks
-the dominant weights once, from the top: the Freudenthal recursion reads
+Every dimension comes from one Weyl formula, _weyl_formula, for a
+rho-shifted v: its pairing rows with the Levi's positive coroots (the
+eps-pairings of rootsys on A, C and D, one row over the listed Levi
+roots on F4 and G2), the number of negative pairings, and the absolute
+product of the rows over rho's.  Rho's product reads no root: the Levi
+half-sum pairs 1 with each simple Levi coroot and the full-group rho
+pairs with Levi coroots as it does, so <rho, beta-vee> is the height of
+beta-vee, and by Kostant's duality of heights and exponents the product
+is that of (d - 1)! over the degrees d of W_I, times 2^(d - 1) each on
+D, whose eps-coordinates are doubled.  weight_multiset walks the
+dominant weights once, from the top: the Freudenthal recursion reads
 each multiplicity from the W_I-orbits already filled, then fills the
-orbit of the weight it has reached.  Both use the invariant form given by
-the symmetrized Cartan matrix normalised so that short roots have squared
-length 2; with full-group rho in place of the Levi half-sum (the
-difference pairs to zero with every Levi root), all intermediates are
-exact integers.  _weyl_product is the one Weyl product (signed), for
-weyl_dimension after its dominance check, bwb on F4 and G2 and
-weight_multiset on a checked highest weight.  One product works in the
+orbit of the weight it has reached, in the invariant form given by the
+symmetrized Cartan matrix normalised so that short roots have squared
+length 2; with full-group rho in place of the Levi half-sum, all
+intermediates are exact integers.  One product works in the
 Levi irreducible basis: sum c chi_lambda psi^k(V) over terms
 (lambda, k, c), where psi^k(V) has the weights k mu of V.  By
 Brauer-Klimyk, each lambda + k mu + rho, mu of multiplicity m, moved
@@ -47,17 +51,18 @@ the retained nodes.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb, prod
+from math import comb, factorial, prod
 from operator import add, mul
 from types import MappingProxyType
-from typing import Collection, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Collection, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .limits import _index, check_cap, resource_cap
 from .rootsys import (
-    RootData, RootSystemError, Weight, _apply, _epsilon, _Frozen, _pairings, make_weight,
+    RootSystemError, Weight, _apply, _epsilon, _Frozen, _pairings, make_weight,
 )
 from .weyl import (
     ParabolicSubgroup,
+    _levi_degrees,
     _upward_levels,
     _walk,
     levi_root_data,
@@ -132,30 +137,24 @@ class WeightMultiset(_Frozen):
         return f"WeightMultiset({{{inner}}})"
 
 
-def _weyl_product(roots: Iterable[RootData], v: Collection[int]) -> int:
-    """Weyl product over roots of <v, beta-vee> / <rho, beta-vee>, divided once.
-
-    For rho-shifted v: 0 if singular, else (-1)^l(w) dim V(wv - rho), wv dominant.
-    """
-    num = den = 1
-    for data in roots:
-        num *= sum(map(mul, data.coroot, v))
-        den *= sum(data.coroot)
-    q, r = divmod(num, den)
-    if r:
-        raise AssertionError("Weyl dimension formula produced a non-integer")
-    return q
+def _weyl_formula(P: ParabolicSubgroup, v: Sequence[int]) -> Tuple[int, int]:
+    """(negatives, dimension) for a rho-shifted regular v: the number of
+    negative pairings <v, beta-vee> over the positive Levi roots beta, and
+    |prod <v, beta-vee>| / prod <rho, beta-vee> (module notes)."""
+    label = P.system.type_label
+    if label in ("A", "C", "D"):
+        rows = _pairings(label, _epsilon(label, v), P.crossed)
+    else:
+        rows = [[sum(map(mul, data.coroot, v)) for data in levi_root_data(P)]]
+    den = 1
+    for d in _levi_degrees(P):
+        den *= factorial(d - 1) << (d - 1) * (label == "D")
+    return sum(x < 0 for row in rows for x in row), abs(prod(map(prod, rows))) // den
 
 
 def weyl_dimension(P: ParabolicSubgroup, chi: Weight) -> int:
     """Exact dimension of the Levi irreducible with highest weight chi."""
-    v = [x + 1 for x in _require_dominant(chi, P)]
-    label = P.system.type_label
-    if label in ("A", "C", "D"):
-        num, den = (prod(map(prod, _pairings(label, _epsilon(label, w), P.crossed)))
-                    for w in (v, P.system.rho))
-        return num // den
-    return _weyl_product(levi_root_data(P), v)
+    return _weyl_formula(P, [x + 1 for x in _require_dominant(chi, P)])[1]
 
 
 class LeviIrrep(_Frozen):
@@ -193,7 +192,7 @@ def weight_multiset(rep: LeviIrrep, cap: Optional[int] = None) -> WeightMultiset
     system = P.system
     hw = rep.highest_weight
     lroots = levi_root_data(P)
-    dim = _weyl_product(lroots, [x + 1 for x in hw])
+    dim = _weyl_formula(P, [x + 1 for x in hw])[1]
     check_cap(f"weight multiset of {rep!r}", dim, resource_cap(cap))
     nodes = [i - 1 for i in sorted(P.retained)]
     two_rho = system.rho * 2

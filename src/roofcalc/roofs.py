@@ -18,7 +18,7 @@ catalog listing, the parameter range, the group and crossed pair at r,
 and the closed-form dimensions are all read from its row, and _resolve
 turns a row into the family and the parabolics of its two bases.
 
-The pipeline computes both base classes from the height product
+The pipeline computes both base classes from the Weyl-group degrees
 (motive.class_of_quotient), resolves O_{Z_i}(1) by the Koszul complex of
 the cutting section, splits every term into Levi irreducibles, in closed
 form for a GL or Sp standard dual bundle (every catalog side), else by

@@ -13,7 +13,7 @@ closed-form exterior powers of a standard representation, the
 two-pass root-system build that rescans every coordinate of a root for
 its upward steps and reads the coroots and norms off the coefficients,
 Macdonald's height scan over the root list for [G/P], and the Weyl
-product over the listed Levi roots for a Levi dimension.
+product over a root list, rho's pairings included, for every dimension.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from roofcalc import (
     weight_multiset,
     weyl_dimension,
 )
-from roofcalc.reps import _exterior_power_summands, _standard_exterior_powers, _weyl_product
+from roofcalc.reps import _exterior_power_summands, _standard_exterior_powers
 from roofcalc.rootsys import _TYPES, RootData, SimplePairs, _apply, _positive_root_closure
 from roofcalc.weyl import height_exponents, levi_root_data, straighten
 
@@ -156,6 +156,21 @@ def bundle_cohomology(
         summands=tuple(results),
         by_degree=tuple(sorted(totals.items())),
     )
+
+
+def _weyl_product(roots: Iterable[RootData], v: Collection[int]) -> int:
+    """Weyl product over roots of <v, beta-vee> / <rho, beta-vee>, divided once.
+
+    For rho-shifted v: 0 if singular, else (-1)^l(w) dim V(wv - rho), wv dominant.
+    """
+    num = den = 1
+    for data in roots:
+        num *= sum(map(mul, data.coroot, v))
+        den *= sum(data.coroot)
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError("Weyl dimension formula produced a non-integer")
+    return q
 
 
 def walk_bwb(P: ParabolicSubgroup, chi: Weight) -> CohomologyResult:
@@ -608,3 +623,31 @@ def check_levi_dimension(label: str, rank: int, count: int | None = None) -> int
             assert weyl_dimension(P, chi) == want, (P, chi)
             cases += 1
     return cases
+
+
+def check_regular_bwb(label: str, rank: int, count: int) -> int:
+    """Assert that bwb equals walk_bwb on count weights chi of the Borel of
+    label rank (A, C or D) whose chi + rho has distinct eps-coordinates,
+    nonzero with random signs on C and D, so that it is regular; return
+    count.  The weights come from eps-coordinates as in Bourbaki's plates:
+    coordinate k is c_k - c_(k+1), the last c_n on C and c_(n-1) + c_n on D.
+
+        PYTHONPATH=src:tests python -W error -c \
+            "from oracles import check_regular_bwb as c; c('C', 100, 5)"
+    """
+    system = build_root_system(label, rank)
+    P = parabolic(system, range(1, rank + 1))
+    rng = random.Random(f"regular {label}{rank}")
+    m = rank + (label == "A")
+    for _ in range(count):
+        c = rng.sample(range(1, 3 * m), m)
+        if label != "A":
+            c = [x * rng.choice((-1, 1)) for x in c]
+        v = [x - y for x, y in zip(c, c[1:])]
+        if label == "C":
+            v.append(c[-1])
+        elif label == "D":
+            v.append(c[-2] + c[-1])
+        chi = make_weight(system, v) - system.rho
+        assert bwb(P, chi) == walk_bwb(P, chi), (label, rank, chi)
+    return count

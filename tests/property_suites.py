@@ -39,13 +39,12 @@ from roofcalc import (
     weyl_dimension,
     weyl_group_order,
 )
-from roofcalc.reps import (
-    _exterior_power_summands, _product, _standard_exterior_powers, _weyl_product,
-)
+from roofcalc.reps import _exterior_power_summands, _product, _standard_exterior_powers
 from roofcalc.weyl import levi_root_data, straighten
 
 from oracles import (
     RANK_FIVE_SYSTEMS,
+    _weyl_product,
     all_nonempty_parabolics,
     brute_force_weyl,
     ordered_product,

@@ -19,7 +19,7 @@ from roofcalc import (
 )
 from roofcalc.weyl import levi_root_data
 
-from oracles import bundle_cohomology, dot_action
+from oracles import bundle_cohomology, check_regular_bwb, dot_action
 
 
 def test_projective_line_bundles():
@@ -136,3 +136,11 @@ def test_degree_bounded_by_quotient_dimension():
         res = bwb(P, make_weight(f4, (t, 0, 0, 0)))
         if res.status == SINGLE:
             assert 0 <= res.degree <= dim
+
+
+def test_regular_weights_of_high_degree_match_the_walk():
+    # chi + rho with distinct eps-coordinates on the Borel: Single, in
+    # degrees up to |Phi+|, against the chamber walk and the root-list
+    # Weyl product; CI runs the same at rank 100
+    for label in "ACD":
+        assert check_regular_bwb(label, 20, 10) == 10

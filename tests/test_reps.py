@@ -1,6 +1,6 @@
 """Representation data: dimensions, characters, duals, exterior powers."""
 
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
@@ -24,8 +24,10 @@ from roofcalc import (
     weyl_dimension,
 )
 from roofcalc.reps import _exterior_power_summands
+from roofcalc.rootsys import _epsilon, _pairings
+from roofcalc.weyl import _levi_degrees, levi_root_data
 
-from oracles import check_levi_dimension
+from oracles import check_levi_dimension, every_or_random_parabolic
 
 
 def fund(system, i):
@@ -234,15 +236,40 @@ def test_exterior_powers_have_binomial_dimensions_and_dual_halves():
 
 
 def test_epsilon_levi_dimension_matches_the_levi_root_product():
-    # the eps-pairing route of weyl_dimension on A, C and D against the
-    # Weyl product over the listed Levi roots, three weights a parabolic:
-    # every parabolic up to rank 7, then 20 random ones at ranks 40 and 60
+    # weyl_dimension, by eps-pairings on A, C and D and by Levi roots on
+    # F4 and G2, over the closed-form product of rho, against the Weyl
+    # product over the listed Levi roots, three weights a parabolic: every
+    # parabolic up to rank 7 and of F4 and G2, then 20 random ones at
+    # ranks 40 and 60
     cases = sum(check_levi_dimension("A", n) + check_levi_dimension("C", n)
                 for n in range(1, 8))
     cases += sum(check_levi_dimension("D", n) for n in range(3, 8))
-    assert cases == 2268
+    cases += check_levi_dimension("F4", 4) + check_levi_dimension("G2", 2)
+    assert cases == 2328
     for label, rank in (("C", 40), ("D", 40), ("A", 60)):
         assert check_levi_dimension(label, rank, 20) == 60
+
+
+def test_rho_levi_product_is_the_factorial_product_of_the_degrees():
+    # Kostant's duality of heights and exponents: prod <rho, beta-vee>
+    # over the positive Levi roots is prod (d - 1)! over the degrees d of
+    # W_I, on every parabolic of A1-A8, C1-C8, D3-D8, F4 and G2; rho's eps
+    # rows multiply to the same, but D's doubled coordinates carry
+    # exactly 2^|Phi+_L| on top
+    systems = [("A", n) for n in range(1, 9)] + [("C", n) for n in range(1, 9)]
+    systems += [("D", n) for n in range(3, 9)] + [("F4", 4), ("G2", 2)]
+    cases = 0
+    for label, rank in systems:
+        for P in every_or_random_parabolic(label, rank):
+            roots = levi_root_data(P)
+            want = prod(factorial(d - 1) for d in _levi_degrees(P))
+            assert prod(sum(data.coroot) for data in roots) == want, P
+            if label in ("A", "C", "D"):
+                rows = _pairings(label, _epsilon(label, P.system.rho), P.crossed)
+                assert sum(map(len, rows)) == len(roots), P
+                assert prod(map(prod, rows)) == want << len(roots) * (label == "D"), P
+            cases += 1
+    assert cases == 1544
 
 
 def test_weight_multiset_membership():
