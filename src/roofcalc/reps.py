@@ -259,8 +259,6 @@ def exterior_power(
     for idx, w in enumerate(elements):
         top = min(p, idx + 1)
         for k in range(top - 1, -1, -1):
-            if not layers[k]:
-                continue
             dest = layers[k + 1]
             for s, c in layers[k].items():
                 key = s + w
@@ -339,7 +337,7 @@ def _standard_exterior_powers(
     or Sp standard representation twisted (module notes); else None."""
     nodes = [i - 1 for i in P.retained]
     chain, steps = [hw], []
-    while len(chain) <= 2 * P.system.rank + 1:
+    while True:  # each step goes down one finite W_I-orbit, so the walk ends
         coords = [chain[-1][i] for i in nodes]
         if max(coords, default=0) > 1 or coords.count(1) > 1:
             return None
@@ -347,8 +345,6 @@ def _standard_exterior_powers(
             break
         steps.append(nodes[coords.index(1)])
         chain.append(chain[-1] - P.system.simple_roots[steps[-1]])
-    else:
-        return None
     n = len(chain)
     partial = list(accumulate(chain, initial=hw * 0))
     if len(set(steps)) == len(steps):  # GL_n: Lambda^p V = V(omega_p)

@@ -17,10 +17,10 @@ W_I-conjugate to a weight on a wall, hence singular, and its image
 would be dropped anyway.  Only bwb on A, C and D sorts eps-coordinates
 instead.  Every reflection subtracts a simple root over its at most
 three nonzero (index, value) pairs, in O(1) whatever the rank,
-unvalidated.  An element is its canonical reduced word plus a key: the
-word is the greedy right descent, smallest node first, read off by
-straightening w^-1(rho); the key, the image of the regular rho, is
-faithful, so equality and hashing use it.
+unvalidated.  An element is its canonical reduced word: the greedy right
+descent, smallest node first, read off by straightening w^-1(rho).  Each
+element has exactly one, the reverse of the lexicographically first
+reduced word of w^-1, so equality and hashing compare (system, word).
 
 The Poincare polynomial of W / W_I is prod [d_i]_L / prod [d'_j]_L over
 the degrees of W and of W_I (Chevalley; Solomon 1966), [h]_L = 1 + L +
@@ -48,7 +48,7 @@ mu_i < 0, the walk's edges into mu.  A level held in r order (its
 insertion order) and walked in that order, nodes ascending, meets those
 edges in the order of r(s_i w) + (i,): the first edge into mu gives r(w),
 and the next level comes out in r order too.  minimal_coset_reps builds
-r(w) and the key w(rho), s_i of the parent's, from that edge.
+r(w) from that edge.
 """
 
 from __future__ import annotations
@@ -71,30 +71,14 @@ from .rootsys import (
 
 
 class WeylElement(NamedTuple):
-    """A Weyl group element with a canonical reduced word.
+    """A Weyl group element: its system and its canonical reduced word.
 
-    word           reduced word, 1-based letters, canonical for the element
-    canonical_key  image of rho; faithful because rho is regular
+    word  the greedy right descent, 1-based letters; each element has exactly
+          one, so equality compares (system, word), systems by identity
     """
 
     system: RootSystem
     word: Tuple[int, ...]
-    canonical_key: Weight
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return (
-            self.system.type_label == other.system.type_label
-            and self.system.rank == other.system.rank
-            and self.canonical_key == other.canonical_key
-        )
-
-    def __ne__(self, other) -> bool:  # tuple.__ne__ would compare the words too
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash((self.system.type_label, self.system.rank, self.canonical_key))
 
     def __repr__(self) -> str:
         if not self.word:
@@ -110,11 +94,9 @@ def from_word(system: RootSystem, word: Iterable[int]) -> WeylElement:
     i, so straightening w^-1(rho) strips the descents in that order.
     """
     letters = tuple(_node(system, i) for i in word)
-    pairs = system._simple_pairs
-    inverse_rho = _apply(pairs, letters[::-1], system.rho)
+    inverse_rho = _apply(system._simple_pairs, letters[::-1], system.rho)
     _, descents = straighten(system, inverse_rho, range(1, system.rank + 1))
-    reduced = descents[::-1]
-    return WeylElement(system, reduced, _apply(pairs, reduced, system.rho))
+    return WeylElement(system, descents[::-1])
 
 
 def act(w: WeylElement, chi: Weight) -> Weight:
@@ -319,20 +301,18 @@ def minimal_coset_reps(
     """Minimal representatives of W / W_I with their lengths, by (length, word)."""
     system = P.system
     check_cap("coset enumeration", coset_count(P), resource_cap(cap))
-    pairs = system._simple_pairs
     reps = []
-    known: Dict[Weight, Tuple[Tuple[int, ...], Weight]] = {}  # point -> r(w), w(rho)
+    known: Dict[Weight, Tuple[int, ...]] = {}  # point -> r(w)
     for level in _upward_levels(system, _coset_probe(P), range(system.rank)):
         built = {}
         for mu, edge in level.items():
             if edge is None:
-                built[mu] = ((), system.rho)
+                built[mu] = ()
             else:  # the least r + (i,): see the module notes
                 parent, i = edge
-                r, key = known[parent]
-                built[mu] = (r + (i + 1,), _apply(pairs, (i + 1,), key))
-        ordered = sorted((r[::-1], key) for r, key in built.values())
-        reps.extend((WeylElement(system, w, key), len(w)) for w, key in ordered)
+                built[mu] = known[parent] + (i + 1,)
+        words = sorted(r[::-1] for r in built.values())
+        reps.extend((WeylElement(system, w), len(w)) for w in words)
         known = built
     return tuple(reps)
 

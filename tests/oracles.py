@@ -12,8 +12,9 @@ Brauer-Klimyk product by that walk, the
 closed-form exterior powers of a standard representation, the
 two-pass root-system build that rescans every coordinate of a root for
 its upward steps and reads the coroots and norms off the coefficients,
-Macdonald's height scan over the root list for [G/P], and the Weyl
-product over a root list, rho's pairings included, for every dimension.
+Macdonald's height scan over the root list for [G/P], the Weyl
+product over a root list, rho's pairings included, for every dimension,
+and the check that each coset representative's word is canonical.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from roofcalc import (
     dual_highest_weight,
     from_word,
     make_weight,
+    minimal_coset_reps,
     parabolic,
     reflect,
     roof_data,
@@ -53,7 +55,7 @@ from roofcalc import (
 )
 from roofcalc.reps import _exterior_power_summands, _standard_exterior_powers
 from roofcalc.rootsys import _TYPES, RootData, SimplePairs, _apply, _positive_root_closure
-from roofcalc.weyl import height_exponents, levi_root_data, straighten
+from roofcalc.weyl import coset_count, height_exponents, levi_root_data, straighten
 
 SMALL_SYSTEMS: Tuple[Tuple[str, int], ...] = (
     ("A", 1),
@@ -76,17 +78,19 @@ RANK_FIVE_SYSTEMS: Tuple[Tuple[str, int], ...] = SMALL_SYSTEMS + (
 
 
 def brute_force_weyl(system: RootSystem) -> List[WeylElement]:
-    """Every Weyl element, found by closing under right multiplication."""
+    """Every Weyl element, found by closing under right multiplication and
+    told apart by its image of the regular rho."""
     start = from_word(system, ())
-    seen = {start.canonical_key: start}
+    seen = {system.rho: start}
     frontier = [start]
     while frontier:
         new = []
         for w in frontier:
             for i in range(1, system.rank + 1):
                 v = compose(w, from_word(system, (i,)))
-                if v.canonical_key not in seen:
-                    seen[v.canonical_key] = v
+                key = act(v, system.rho)
+                if key not in seen:
+                    seen[key] = v
                     new.append(v)
         frontier = new
     return list(seen.values())
@@ -651,3 +655,24 @@ def check_regular_bwb(label: str, rank: int, count: int) -> int:
         chi = make_weight(system, v) - system.rho
         assert bwb(P, chi) == walk_bwb(P, chi), (label, rank, chi)
     return count
+
+
+def check_canonical_coset_words(label: str, rank: int, crossed: Iterable[int]) -> int:
+    """Assert that minimal_coset_reps of the parabolic crossing crossed in
+    label rank lists coset_count words, each its element's canonical word
+    (as from_word rebuilds it) with its length, of pairwise distinct images
+    of rho, in (length, word) order; return the number of cosets.
+
+        PYTHONPATH=src:tests python -W error -c \
+            "from oracles import check_canonical_coset_words as c; c('D', 6, range(1, 7))"
+    """
+    system = build_root_system(label, rank)
+    P = parabolic(system, crossed)
+    reps = minimal_coset_reps(P)
+    assert len(reps) == coset_count(P), P
+    for w, ell in reps:
+        assert from_word(system, w.word).word == w.word and len(w.word) == ell, (P, w)
+    assert len({act(w, system.rho) for w, _ in reps}) == len(reps), P
+    order = [(ell, w.word) for w, ell in reps]
+    assert order == sorted(order), P
+    return len(reps)

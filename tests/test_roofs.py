@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+import roofcalc.roofs
 from roofcalc import (
     DETERMINED,
+    INCONCLUSIVE,
     SINGLE,
     Weight,
     build_root_system,
@@ -14,6 +16,7 @@ from roofcalc import (
     catalog,
     class_of_quotient,
     igr_class,
+    KoszulResult,
     LeviIrrep,
     decompose_levi,
     dual_highest_weight,
@@ -304,6 +307,28 @@ def test_verify_g2_report():
     assert rep.distinctness is True
     assert rep.nontrivial_equivalence
     assert any("informational" in note for note in rep.notes)
+
+
+def test_verify_inconclusive_side_assesses_no_distinctness(monkeypatch):
+    # no catalog member leaves a side Inconclusive, so make G2's second
+    # side (dim Z = 3, past the Lefschetz bound) give up
+    determined = roofcalc.roofs.koszul_zero_locus_cohomology
+    sides = []
+
+    def second_side_inconclusive(P, bundle_hw, twist, cap=None):
+        sides.append(P)
+        res = determined(P, bundle_hw, twist, cap=cap)
+        return res if len(sides) == 1 else KoszulResult(INCONCLUSIVE, res.first_page, None, None)
+
+    monkeypatch.setattr(roofcalc.roofs, "koszul_zero_locus_cohomology", second_side_inconclusive)
+    rep = verify_roof("G2")
+    assert len(sides) == 2 and rep.family.zero_locus_dimension == 3
+    assert (rep.koszul_z1.status, rep.koszul_z2.status) == (DETERMINED, INCONCLUSIVE)
+    assert rep.lefschetz_applicable and rep.classes_equal
+    assert rep.distinctness is None
+    assert rep.nontrivial_equivalence is False
+    assert "zero-locus cohomology is not pinned down on both sides; " \
+        "distinctness is not assessed" in rep.notes
 
 
 def test_certificate_iff_classes_equal():

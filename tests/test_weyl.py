@@ -27,6 +27,7 @@ from oracles import (
     SMALL_SYSTEMS,
     all_nonempty_parabolics,
     brute_force_weyl,
+    check_canonical_coset_words,
     check_height_exponents,
     greedy_right_descent,
     inversions,
@@ -180,8 +181,9 @@ def test_minimal_coset_reps_characterization():
         seen = set()
         for w, ell in reps:
             assert len(w.word) == ell
-            assert w.canonical_key not in seen
-            seen.add(w.canonical_key)
+            key = act(w, system.rho)  # faithful: rho is regular
+            assert key not in seen
+            seen.add(key)
             for i in P.retained:
                 alpha = system.simple_roots[i - 1]
                 image = act(w, alpha)
@@ -197,25 +199,21 @@ def test_minimal_coset_reps_characterization():
 
 
 def test_coset_reps_agree_with_from_word():
-    # each word is built from a parent's in the walk; from_word rebuilds it
+    # each word is built from a parent's in the walk; from_word rebuilds it,
+    # on every parabolic of at most 500 cosets and on the whole Weyl groups
+    # of F4 and G2 (every node crossed, W_I = 1)
     systems = [("A", n) for n in range(1, 7)] + [("C", 2), ("C", 3), ("C", 4)]
     systems += [("D", 4), ("D", 5), ("F4", 4), ("G2", 2)]
     for label, rank in systems:
         system = build_root_system(label, rank)
         [(e, zero)] = minimal_coset_reps(parabolic(system, ()))
-        assert (e.word, e.canonical_key, zero) == ((), from_word(system, ()).canonical_key, 0)
+        assert (e, zero) == (from_word(system, ()), 0) and e.word == ()
         for P in all_nonempty_parabolics(system):
-            if coset_count(P) > 500:
-                continue
-            reps = minimal_coset_reps(P)
-            assert len(reps) == coset_count(P)
-            for w, ell in reps:
-                v = from_word(system, w.word)
-                assert (v.word, v.canonical_key) == (w.word, w.canonical_key), (P, w)
-                assert len(w.word) == ell
-            order = [(ell, w.word) for w, ell in reps]
-            assert order == sorted(set(order)), P
-            assert coset_lengths(P) == tuple(ell for _, ell in reps)
+            if coset_count(P) <= 500:
+                check_canonical_coset_words(label, rank, P.crossed)
+                assert coset_lengths(P) == tuple(ell for _, ell in minimal_coset_reps(P))
+    assert check_canonical_coset_words("F4", 4, range(1, 5)) == 1152
+    assert check_canonical_coset_words("G2", 2, (1, 2)) == 12
 
 
 def test_orbit_matches_two_way_search():
