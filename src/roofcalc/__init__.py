@@ -20,7 +20,6 @@ from .motive import (
 )
 from .reps import (
     DominanceError,
-    LeviIrrep,
     NotARepresentation,
     WeightMultiset,
     decompose_levi,
@@ -75,7 +74,6 @@ __all__ = [
     "INCONCLUSIVE",
     "KoszulResult",
     "LPolynomial",
-    "LeviIrrep",
     "NotARepresentation",
     "ParabolicSubgroup",
     "ResourceCapExceeded",

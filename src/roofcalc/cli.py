@@ -325,7 +325,7 @@ def _cmd_weyl_cosets(args) -> Handled:
     payload = {
         **echo,
         "count": len(reps),
-        "representatives": [{"length": ell, "word": w.word} for w, ell in reps],
+        "representatives": [{"length": len(w.word), "word": w.word} for w in reps],
     }
 
     def text() -> str:
@@ -333,9 +333,9 @@ def _cmd_weyl_cosets(args) -> Handled:
             f"{len(reps)} minimal coset representatives, "
             f"{system.type_label} rank {system.rank} crossed {echo['crossed']}"
         ]
-        for w, ell in reps:
+        for w in reps:
             word = " ".join(str(i) for i in w.word) if w.word else "e"
-            lines.append(f"  length {ell}: {word}")
+            lines.append(f"  length {len(w.word)}: {word}")
         return "\n".join(lines)
 
     return payload, text, 0
@@ -408,7 +408,7 @@ def _cmd_count_igr(args) -> Handled:
 
 def _cmd_roof_list(args) -> Handled:
     rows = catalog()
-    payload = {"families": [dict(row) for row in rows]}
+    payload = {"families": rows}
 
     def text() -> str:
         header = (

@@ -1,10 +1,5 @@
 """Levi representations: dimensions, weight multisets, exterior powers.
 
-A LeviIrrep is the irreducible representation of the Levi factor of a
-parabolic P with a given P-dominant highest weight (coordinates >= 0 on
-retained nodes; crossed coordinates are unconstrained central charges).
-The full group is the parabolic with nothing crossed.
-
 Every dimension comes from one Weyl formula, _weyl_formula, for a
 rho-shifted v: its pairing rows with the Levi's positive coroots (the
 eps-pairings of rootsys on A, C and D, one row over the listed Levi
@@ -157,43 +152,19 @@ def weyl_dimension(P: ParabolicSubgroup, chi: Weight) -> int:
     return _weyl_formula(P, [x + 1 for x in _require_dominant(chi, P)])[1]
 
 
-class LeviIrrep(_Frozen):
-    """Irreducible representation of the Levi of P with highest weight chi."""
-
-    __slots__ = ("parabolic", "highest_weight")
-
-    def __init__(self, parabolic: ParabolicSubgroup, highest_weight: Weight):
-        object.__setattr__(self, "parabolic", parabolic)
-        object.__setattr__(
-            self, "highest_weight", _require_dominant(highest_weight, parabolic)
-        )
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not LeviIrrep:
-            return NotImplemented
-        return (self.parabolic, self.highest_weight) == (
-            other.parabolic, other.highest_weight
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.parabolic, self.highest_weight))
-
-    def __repr__(self) -> str:
-        return f"LeviIrrep({self.parabolic!r}, {self.highest_weight!r})"
-
-
-def weight_multiset(rep: LeviIrrep, cap: Optional[int] = None) -> WeightMultiset:
-    """All weights of the irrep with multiplicities, in one walk.
+def weight_multiset(
+    P: ParabolicSubgroup, chi: Weight, cap: Optional[int] = None
+) -> WeightMultiset:
+    """All weights of P's irrep of highest weight chi, with multiplicities, in one walk.
 
     Dominant mu come by offset height, then offset hw - mu: mu + k beta has
     its dominant conjugate strictly above mu, so its orbit is filled first.
     """
-    P = rep.parabolic
     system = P.system
-    hw = rep.highest_weight
+    hw = _require_dominant(chi, P)
     lroots = levi_root_data(P)
     dim = _weyl_formula(P, [x + 1 for x in hw])[1]
-    check_cap(f"weight multiset of {rep!r}", dim, resource_cap(cap))
+    check_cap(f"weight multiset of {hw!r} for {P!r}", dim, resource_cap(cap))
     nodes = [i - 1 for i in sorted(P.retained)]
     two_rho = system.rho * 2
 

@@ -45,7 +45,6 @@ from .bwb import SINGLE, bwb
 from .limits import _index
 from .motive import LPolynomial, class_of_quotient, igr_class, roof_identity_residual
 from .reps import (
-    LeviIrrep,
     _exterior_power_summands,
     _standard_exterior_powers,
     dual_highest_weight,
@@ -284,7 +283,7 @@ def koszul_zero_locus_cohomology(
     dual = dual_highest_weight(bundle_hw, P)
     powers = _standard_exterior_powers(P, dual)
     if powers is None:
-        powers = _exterior_power_summands(weight_multiset(LeviIrrep(P, dual), cap=cap), P, cap=cap)
+        powers = _exterior_power_summands(weight_multiset(P, dual, cap=cap), P, cap=cap)
     cells: Dict[Tuple[int, int], int] = {}
     for p, summands in enumerate(powers):
         for hw, mult in summands:

@@ -12,7 +12,8 @@ simple reflection acts by
     s_i(chi) = chi - chi[i] * alpha_i ,
 
 which the one kernel, _apply, computes over the at most three nonzero
-(index, value) pairs of alpha_i that build_root_system stores.
+(index, value) pairs of alpha_i that build_root_system stores; weyl's
+_walk and _upward_levels inline the same subtraction for speed.
 
 Type C_n uses the symplectic convention alpha_i = L_i - L_{i+1} for i < n
 and alpha_n = 2 L_n, hence omega_i = L_1 + ... + L_i.  For F4 the node
@@ -92,19 +93,19 @@ def _path(n: int, last: int = 1) -> list[tuple[int, int, int]]:
     return [(i, i + 1, last if i == n - 1 else 1) for i in range(1, n)]
 
 
-def _weight(n: int, i: int, a: int, j: int, b: int, fork: bool = False) -> "Weight":
-    """a eps_i + b eps_j (0-based, i <= j <= n) in fundamental coordinates:
+def _weight(n: int, i: int, j: int, b: int, fork: bool = False) -> "Weight":
+    """eps_i + b eps_j (0-based, i <= j <= n) in fundamental coordinates:
     coordinate k < n is c_k - c_{k+1}, where eps_n is A_n's last vector
     and c_n = 0 elsewhere, except that on D_n (fork) the last coordinate
     is c_{n-2} + c_{n-1}."""
     w = [0] * (n + 1)
-    w[i - 1] -= a  # i = 0 and j = n write the spare slot n, dropped below
-    w[i] += a
+    w[i - 1] -= 1  # i = 0 and j = n write the spare slot n, dropped below
+    w[i] += 1
     w[j - 1] -= b
     w[j] += b
     if fork:
         if i == n - 2:
-            w[n - 1] += a
+            w[n - 1] += 1
         if j == n - 2:
             w[n - 1] += b
     del w[n]
@@ -116,7 +117,7 @@ def _differences(n: int, h: int, last: int, fork: bool = False) -> Iterator["Roo
     the fewer leading zeros, the later in (height, coefficients) order."""
     for i in range(last, -1, -1):
         co = (0,) * i + (1,) * h + (0,) * (n - i - h)
-        yield RootData(_weight(n, i, 1, i + h, -1, fork), co, co, 2)
+        yield RootData(_weight(n, i, i + h, -1, fork), co, co, 2)
 
 
 def _a_roots(n: int) -> Tuple["RootData", ...]:
@@ -140,7 +141,7 @@ def _c_roots(n: int) -> Tuple["RootData", ...]:
                 coroot, norm = (0,) * i + (1,) * (j - i) + (2,) * (n - j), 2
             else:  # 2 eps_i, a long root
                 coroot, norm = (0,) * i + (1,) * (n - i), 4
-            out.append(RootData(_weight(n, i, 1, j, 1), co, coroot, norm))
+            out.append(RootData(_weight(n, i, j, 1), co, coroot, norm))
         out.extend(_differences(n, h, n - 1 - h))
     return tuple(out)
 
@@ -159,7 +160,7 @@ def _d_roots(n: int) -> Tuple["RootData", ...]:
                 co = (0,) * i + (1,) * (j - i) + (2,) * (n - 2 - j) + (1, 1)
             else:
                 co = (0,) * i + (1,) * (n - 2 - i) + (0, 1)
-            out.append(RootData(_weight(n, i, 1, j, 1, True), co, co, 2))
+            out.append(RootData(_weight(n, i, j, 1, True), co, co, 2))
         out.extend(_differences(n, h, n - 1 - h, True))
     return tuple(out)
 

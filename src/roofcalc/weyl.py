@@ -40,15 +40,18 @@ each mu on level k with mu_i > 0, with the first edge (mu, i) into each
 point.  By Deodhar's lemma, for w minimal in w W_J and mu = w(lambda),
 s_i w is a longer minimal representative if mu_i > 0, lies in w W_J if
 mu_i = 0 and is shorter if mu_i < 0; so level k holds the points of
-length k, once each.  A coset carries r(w), its canonical word reversed:
-the lexicographically first reduced word of w^-1.  Each reduced word of
-w^-1 ends in a left descent i of w, and with that letter fixed the least
-prefix is r(s_i w); so r(w) is the least r(s_i w) + (i,) over the i with
-mu_i < 0, the walk's edges into mu.  A level held in r order (its
-insertion order) and walked in that order, nodes ascending, meets those
-edges in the order of r(s_i w) + (i,): the first edge into mu gives r(w),
-and the next level comes out in r order too.  minimal_coset_reps builds
-r(w) from that edge.
+length k, once each.  The canonical word of w, reversed, is the
+lexicographically first reduced word of w^-1.  Each reduced word of w^-1
+ends in a left descent i of w, and with that letter fixed the least
+prefix is the reversed word of s_i w.  So the word of w is i followed by
+the word of s_i w, for the edge (s_i w, i) into mu (one for each i with
+mu_i < 0) where the reversed word of s_i w, then i, is least.  A level
+held in the order of its reversed words (its insertion order) and walked
+in that order, nodes ascending, meets the edges into each point in that
+order: the first edge into mu gives the word of w, and the next level
+comes out in the order of its reversed words too.  minimal_coset_reps
+prepends the first edge's node to the parent's word, then sorts each
+level's words.
 """
 
 from __future__ import annotations
@@ -297,23 +300,18 @@ def orbit(
 
 def minimal_coset_reps(
     P: ParabolicSubgroup, cap: Optional[int] = None
-) -> Tuple[Tuple[WeylElement, int], ...]:
-    """Minimal representatives of W / W_I with their lengths, by (length, word)."""
+) -> Tuple[WeylElement, ...]:
+    """Minimal representatives of W / W_I, by (length, word)."""
     system = P.system
     check_cap("coset enumeration", coset_count(P), resource_cap(cap))
     reps = []
-    known: Dict[Weight, Tuple[int, ...]] = {}  # point -> r(w)
+    words: Dict[Weight, Tuple[int, ...]] = {}  # point -> canonical word, level by level
     for level in _upward_levels(system, _coset_probe(P), range(system.rank)):
-        built = {}
-        for mu, edge in level.items():
-            if edge is None:
-                built[mu] = ()
-            else:  # the least r + (i,): see the module notes
-                parent, i = edge
-                built[mu] = known[parent] + (i + 1,)
-        words = sorted(r[::-1] for r in built.values())
-        reps.extend((WeylElement(system, w), len(w)) for w in words)
-        known = built
+        # the first edge (parent, i) into mu: i + 1, then the parent's word (module notes)
+        words = {
+            mu: (edge[1] + 1,) + words[edge[0]] if edge else () for mu, edge in level.items()
+        }
+        reps.extend(WeylElement(system, w) for w in sorted(words.values()))
     return tuple(reps)
 
 

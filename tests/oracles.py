@@ -32,7 +32,6 @@ from roofcalc import (
     VANISHES,
     CohomologyResult,
     ExactDivisionError,
-    LeviIrrep,
     LPolynomial,
     ParabolicSubgroup,
     RootSystem,
@@ -327,7 +326,7 @@ def check_closed_form_exterior_powers(label: str, r=None) -> int:
     for node in fam.crossed_pair:
         P = parabolic(system, (node,))
         hw = dual_highest_weight(fam.bundle_weight, P)
-        ms = weight_multiset(LeviIrrep(P, hw))
+        ms = weight_multiset(P, hw)
         expected = standard_exterior_powers(ms, P)
         assert _standard_exterior_powers(P, hw) == expected, (label, r, node)
         assert _exterior_power_summands(ms, P) == expected, (label, r, node)
@@ -351,7 +350,7 @@ def check_rescan_straightening(label: str, r=None) -> int:
     for node in fam.crossed_pair:
         P = parabolic(system, (node,))
         shift = system.rho + Weight(int(i == node) for i in nodes)  # rho + omega_node
-        ms = weight_multiset(LeviIrrep(P, dual_highest_weight(fam.bundle_weight, P)))
+        ms = weight_multiset(P, dual_highest_weight(fam.bundle_weight, P))
         for summands in _exterior_power_summands(ms, P):
             for hw, _ in summands:
                 v = hw + shift
@@ -659,8 +658,8 @@ def check_regular_bwb(label: str, rank: int, count: int) -> int:
 
 def check_canonical_coset_words(label: str, rank: int, crossed: Iterable[int]) -> int:
     """Assert that minimal_coset_reps of the parabolic crossing crossed in
-    label rank lists coset_count words, each its element's canonical word
-    (as from_word rebuilds it) with its length, of pairwise distinct images
+    label rank lists coset_count Weyl elements, each stored with its
+    canonical word (as from_word rebuilds it), of pairwise distinct images
     of rho, in (length, word) order; return the number of cosets.
 
         PYTHONPATH=src:tests python -W error -c \
@@ -670,9 +669,9 @@ def check_canonical_coset_words(label: str, rank: int, crossed: Iterable[int]) -
     P = parabolic(system, crossed)
     reps = minimal_coset_reps(P)
     assert len(reps) == coset_count(P), P
-    for w, ell in reps:
-        assert from_word(system, w.word).word == w.word and len(w.word) == ell, (P, w)
-    assert len({act(w, system.rho) for w, _ in reps}) == len(reps), P
-    order = [(ell, w.word) for w, ell in reps]
+    for w in reps:
+        assert type(w) is WeylElement and from_word(system, w.word) == w, (P, w)
+    assert len({act(w, system.rho) for w in reps}) == len(reps), P
+    order = [(len(w.word), w.word) for w in reps]
     assert order == sorted(order), P
     return len(reps)

@@ -13,7 +13,6 @@ from math import comb, factorial
 from roofcalc import (
     SINGLE,
     VANISHES,
-    LeviIrrep,
     build_root_system,
     bwb,
     dual_highest_weight,
@@ -155,7 +154,7 @@ def test_criterion_6_f4_regression_vectors(capsys):
             w(0, -1, -1, 0),
         }
 
-        dual_ms = weight_multiset(LeviIrrep(P1, dual))
+        dual_ms = weight_multiset(P1, dual)
         square = exterior_power(dual_ms, 2)
         assert dict(square.counts) == {
             w(0, -4, 1, 0): 1,

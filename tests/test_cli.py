@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import roofcalc.cli
 from roofcalc import (
     DEFAULT_CAP,
-    LeviIrrep,
     ResourceCapExceeded,
     Weight,
     build_root_system,
@@ -847,7 +846,7 @@ def test_cap_bounds_koszul_straightenings():
     system = build_root_system(fam.group_type, fam.group_rank)
     node = fam.crossed_pair[0]
     P = parabolic(system, (node,))
-    ms = weight_multiset(LeviIrrep(P, dual_highest_weight(fam.bundle_weight, P)))
+    ms = weight_multiset(P, dual_highest_weight(fam.bundle_weight, P))
     with pytest.raises(ResourceCapExceeded) as err:
         _exterior_power_summands(ms, P, cap=23)
     assert "exterior power 3" in str(err.value) and err.value.needed == 24

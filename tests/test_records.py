@@ -12,7 +12,6 @@ import roofcalc
 from roofcalc import (
     CohomologyResult,
     KoszulResult,
-    LeviIrrep,
     LPolynomial,
     ParabolicSubgroup,
     RoofFamily,
@@ -90,12 +89,6 @@ CASES = {
         lambda: LPolynomial([1, 1, 0, 0]),
         lambda: LPolynomial([1, 1, 1]),
         "LPolynomial(coeffs=(1, 1))",
-    ),
-    LeviIrrep: (
-        ("parabolic", "highest_weight"),
-        lambda: LeviIrrep(parabolic(G2, [1]), (1, 1)),
-        lambda: LeviIrrep(parabolic(G2, [1]), (1, 2)),
-        "LeviIrrep(Parabolic(G22, crossed={1}), Weight(1, 1))",
     ),
     RoofFamily: (
         ("label", "r", "group", "group_type", "group_rank", "product",

@@ -6,8 +6,8 @@ import pytest
 
 from roofcalc import (
     DominanceError,
-    LeviIrrep,
     NotARepresentation,
+    ResourceCapExceeded,
     RootSystemError,
     Weight,
     WeightMultiset,
@@ -79,14 +79,14 @@ def test_adjoint_zero_weight_multiplicity_is_rank():
     ):
         system = build_root_system(label, rank)
         G = parabolic(system, ())
-        ms = weight_multiset(LeviIrrep(G, make_weight(system, adjoint)))
+        ms = weight_multiset(G, make_weight(system, adjoint))
         assert ms.multiplicity(Weight((0,) * rank)) == rank
         assert ms.total == len(system.positive_roots) * 2 + rank
 
 
 def test_weight_multiset_of_defining_rep_c3():
     c3 = build_root_system("C", 3)
-    ms = weight_multiset(LeviIrrep(parabolic(c3, ()), fund(c3, 1)))
+    ms = weight_multiset(parabolic(c3, ()), fund(c3, 1))
     assert ms.total == 6
     assert all(m == 1 for _, m in ms)
     assert set(ms.counts) == {-w for w in ms.counts}
@@ -119,7 +119,7 @@ def test_dual_for_levi_of_parabolic():
 
 def test_exterior_power_edges():
     c3 = build_root_system("C", 3)
-    ms = weight_multiset(LeviIrrep(parabolic(c3, ()), fund(c3, 1)))
+    ms = weight_multiset(parabolic(c3, ()), fund(c3, 1))
     top = exterior_power(ms, 6)
     assert top.total == 1
     assert top.multiplicity(Weight((0, 0, 0))) == 1
@@ -136,7 +136,7 @@ def test_exterior_square_of_defining_symplectic_rep():
     # wedge^2 V(omega_1) = V(omega_2) + trivial for Sp(2n)
     c3 = build_root_system("C", 3)
     G = parabolic(c3, ())
-    ms = weight_multiset(LeviIrrep(G, fund(c3, 1)))
+    ms = weight_multiset(G, fund(c3, 1))
     summands = dict(decompose_levi(exterior_power(ms, 2), G))
     assert summands == {fund(c3, 2): 1, Weight((0, 0, 0)): 1}
 
@@ -146,7 +146,7 @@ def test_decompose_levi_rejects_non_characters():
     G = parabolic(c3, ())
     # the defining character, made not W-stable; its straightening nets
     # {omega_1: 1} still match the size 6
-    unstable = dict(weight_multiset(LeviIrrep(G, fund(c3, 1))).counts)
+    unstable = dict(weight_multiset(G, fund(c3, 1)).counts)
     del unstable[make_weight(c3, (-1, 1, 0))]
     unstable[make_weight(c3, (-1, 2, -1))] = 1
     # the bare W-orbit of 2 omega_1 is W-stable; its net at 0 is -1
@@ -165,28 +165,38 @@ def test_decompose_levi_rejects_non_characters():
 def test_dominance_error_names_the_node():
     c3 = build_root_system("C", 3)
     with pytest.raises(DominanceError) as err:
-        LeviIrrep(parabolic(c3, ()), make_weight(c3, (1, -1, 0)))
+        weight_multiset(parabolic(c3, ()), make_weight(c3, (1, -1, 0)))
     assert "2" in str(err.value)
     # with several negative retained coordinates, the lowest node is named
     with pytest.raises(DominanceError) as err:
-        LeviIrrep(parabolic(c3, ()), make_weight(c3, (0, -2, -1)))
+        weight_multiset(parabolic(c3, ()), make_weight(c3, (0, -2, -1)))
     assert str(err.value) == (
         "coordinate -2 at retained node 2 of Weight(0, -2, -1); "
         "dominance for Parabolic(C3, crossed={-}) requires >= 0"
     )
     # crossed nodes are exempt from the dominance requirement
     P = parabolic(c3, (2,))
-    LeviIrrep(P, make_weight(c3, (1, -1, 0)))
+    ms = weight_multiset(P, make_weight(c3, (1, -1, 0)))
+    assert ms.total == weyl_dimension(P, (1, -1, 0)) == 2
 
 
-def test_levi_irrep_stores_a_weight_from_a_plain_tuple():
+def test_weight_multiset_takes_a_plain_tuple():
     c2 = build_root_system("C", 2)
     G = parabolic(c2, ())
-    rep = LeviIrrep(G, (1, 0))
-    assert type(rep.highest_weight) is Weight
-    assert rep == LeviIrrep(G, make_weight(c2, (1, 0)))
-    ms = weight_multiset(rep)
-    assert ms.total == weyl_dimension(rep.parabolic, rep.highest_weight) == 4
+    ms = weight_multiset(G, (1, 0))
+    assert ms == weight_multiset(G, make_weight(c2, (1, 0)))
+    assert ms.total == weyl_dimension(G, (1, 0)) == 4
+    # outside data is checked where it enters, before any work
+    for bad in ((1.0, 0), (1, 0, 0), (1,)):
+        with pytest.raises(RootSystemError):
+            weight_multiset(G, bad)
+    # the cap is checked from the Weyl dimension before the walk
+    with pytest.raises(ResourceCapExceeded) as exc:
+        weight_multiset(G, (1, 0), cap=1)
+    assert (exc.value.needed, exc.value.cap) == (4, 1)
+    assert str(exc.value).startswith(
+        "weight multiset of Weight(1, 0) for Parabolic(C2, crossed={-})"
+    )
 
 
 def test_is_ample_and_line_bundle_rank():
@@ -221,7 +231,7 @@ def test_exterior_powers_have_binomial_dimensions_and_dual_halves():
         system = build_root_system(fam.group_type, fam.group_rank)
         for node in fam.crossed_pair:
             P = parabolic(system, (node,))
-            ms = weight_multiset(LeviIrrep(P, dual_highest_weight(fam.bundle_weight, P)))
+            ms = weight_multiset(P, dual_highest_weight(fam.bundle_weight, P))
             n = ms.total
             det = Weight(tuple(sum(m * w[i] for w, m in ms) for i in range(system.rank)))
             powers = _exterior_power_summands(ms, P)

@@ -17,7 +17,6 @@ from roofcalc import (
     class_of_quotient,
     igr_class,
     KoszulResult,
-    LeviIrrep,
     decompose_levi,
     dual_highest_weight,
     exterior_power,
@@ -176,7 +175,7 @@ def test_newton_exterior_powers_match_enumeration():
         for node in fam.crossed_pair:
             P = parabolic(system, (node,))
             dual = dual_highest_weight(fam.bundle_weight, P)
-            ms = weight_multiset(LeviIrrep(P, dual))
+            ms = weight_multiset(P, dual)
             enumerated = tuple(
                 decompose_levi(exterior_power(ms, p), P) for p in range(ms.total + 1)
             )

@@ -3,7 +3,6 @@
 import pytest
 
 from roofcalc import (
-    LeviIrrep,
     LPolynomial,
     ResourceCapExceeded,
     RootSystemError,
@@ -319,7 +318,7 @@ def test_outside_data_is_validated_at_the_boundary():
         lambda: parabolic(build_root_system("C", 3), (1.9,)),
         lambda: roof_data("C", 2.5),
         lambda: exterior_power(
-            weight_multiset(LeviIrrep(parabolic(build_root_system("C", 2), ()), Weight((1, 0)))),
+            weight_multiset(parabolic(build_root_system("C", 2), ()), Weight((1, 0))),
             1.7,
         ),
         lambda: resource_cap(2.5),
