@@ -21,7 +21,6 @@ from .motive import (
 from .reps import (
     DominanceError,
     NotARepresentation,
-    WeightMultiset,
     decompose_levi,
     dual_highest_weight,
     exterior_power,
@@ -85,7 +84,6 @@ __all__ = [
     "SINGLE",
     "VANISHES",
     "Weight",
-    "WeightMultiset",
     "WeylElement",
     "act",
     "build_root_system",

@@ -1,6 +1,8 @@
 """Levi representations: dimensions, weight multisets, exterior powers.
 
-Every dimension comes from one Weyl formula, _weyl_formula, for a
+A weight multiset is its (weight, multiplicity) pairs sorted by weight;
+exterior_power and decompose_levi check a caller's (_multiset).  Every
+dimension comes from one Weyl formula, _weyl_formula, for a
 rho-shifted v: its pairing rows with the Levi's positive coroots (the
 eps-pairings of rootsys on A, C and D, one row over the listed Levi
 roots on F4 and G2), the number of negative pairings, and the absolute
@@ -34,13 +36,15 @@ length in W_I, so a walk that ends, at a weight with no 1, has met every
 positive Levi coroot that pairs positively with hw, each once, with 1:
 hw is minuscule (so no coordinate on the way is below -1), V is its
 W_I-orbit, and as each weight has one lower neighbour, the orbit is the
-chain w_1 > ... > w_n.  Steps on distinct nodes make V the GL standard,
-Lambda^p V = V(omega_p) of highest weight w_1 + ... + w_p; steps out
-along one block and back make it the Sp standard, and by Fulton-Harris
-Thm 17.5 Lambda^p V is the sum over j = p, p - 2, ... >= 0, j <= n - p,
-of highest weights w_1 + ... + w_j + (p - j)/2 (w_1 + w_n).  The dual
--w_0(hw) is the Levi-dominant conjugate of -hw: one straightening over
-the retained nodes.
+chain w_1 > ... > w_n.  Such a chain is a GL standard module, its dual
+or an Sp standard module (Bourbaki VIII 7.3; Proctor 1984): steps on
+distinct nodes make V a GL one, Lambda^p V = V(omega_p) of highest
+weight w_1 + ... + w_p; any other walk goes out along one block and
+back, the Sp standard, and by Fulton-Harris Thm 17.5 Lambda^p V is the
+sum over j = p, p - 2, ... >= 0, j <= n - p, of highest weights
+w_1 + ... + w_j + (p - j)/2 (w_1 + w_n).  The dual -w_0(hw) is the
+Levi-dominant conjugate of -hw: one straightening over the retained
+nodes.
 """
 
 from __future__ import annotations
@@ -48,12 +52,11 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb, factorial, prod
 from operator import add, mul
-from types import MappingProxyType
-from typing import Collection, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, Optional, Sequence, Tuple
 
 from .limits import _index, check_cap, resource_cap
 from .rootsys import (
-    RootSystemError, Weight, _apply, _epsilon, _Frozen, _pairings, make_weight,
+    RootSystemError, Weight, _apply, _epsilon, _pairings, make_weight,
 )
 from .weyl import (
     ParabolicSubgroup,
@@ -85,51 +88,21 @@ def _require_dominant(chi: Weight, P: ParabolicSubgroup) -> Weight:
     return chi
 
 
-class WeightMultiset(_Frozen):
-    """A finite multiset of weights with positive integer multiplicities."""
-
-    __slots__ = ("counts", "total")
-
-    def __init__(self, counts: Mapping[Weight, int]):
-        clean: Dict[Weight, int] = {}
-        total = 0
-        for w, m in counts.items():
-            m = _index(m, "multiplicity")
-            if m < 0:
-                raise ValueError(f"negative multiplicity {m} for {w!r}")
-            if m:
-                clean[w if isinstance(w, Weight) else Weight(w)] = m
-                total += m
-        lengths = set(map(len, clean))
-        if len(lengths) > 1:
-            raise RootSystemError(f"weights of lengths {sorted(lengths)} in one multiset")
-        counts = MappingProxyType(dict(sorted(clean.items())))
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", total)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightMultiset):
-            return NotImplemented
-        return dict(self.counts) == dict(other.counts)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.counts.items()))
-
-    def __iter__(self):
-        return iter(self.counts.items())
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __contains__(self, w) -> bool:
-        return w in self.counts
-
-    def multiplicity(self, w: Weight) -> int:
-        return self.counts.get(w, 0)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{w!r}: {m}" for w, m in self.counts.items())
-        return f"WeightMultiset({{{inner}}})"
+def _multiset(pairs: Iterable[Tuple[Weight, int]]) -> Tuple[Tuple[Weight, int], ...]:
+    """A caller's (weight, multiplicity) pairs as a weight multiset: sorted,
+    repeated weights summed, zero multiplicities dropped."""
+    counts: Dict[Weight, int] = {}
+    for w, m in pairs:
+        m = _index(m, "multiplicity")
+        if m < 0:
+            raise ValueError(f"negative multiplicity {m} for {w!r}")
+        if m:
+            w = w if isinstance(w, Weight) else Weight(w)
+            counts[w] = counts.get(w, 0) + m
+    lengths = set(map(len, counts))
+    if len(lengths) > 1:
+        raise RootSystemError(f"weights of lengths {sorted(lengths)} in one multiset")
+    return tuple(sorted(counts.items()))
 
 
 def _weyl_formula(P: ParabolicSubgroup, v: Sequence[int]) -> Tuple[int, int]:
@@ -154,7 +127,7 @@ def weyl_dimension(P: ParabolicSubgroup, chi: Weight) -> int:
 
 def weight_multiset(
     P: ParabolicSubgroup, chi: Weight, cap: Optional[int] = None
-) -> WeightMultiset:
+) -> Tuple[Tuple[Weight, int], ...]:
     """All weights of P's irrep of highest weight chi, with multiplicities, in one walk.
 
     Dominant mu come by offset height, then offset hw - mu: mu + k beta has
@@ -203,23 +176,23 @@ def weight_multiset(
                 raise AssertionError("Freudenthal recursion left a non-integer multiplicity")
         for level in _upward_levels(system, mu, nodes):
             counts.update(dict.fromkeys(level, m))
-    ms = WeightMultiset(counts)
-    if ms.total != dim:
-        raise AssertionError(
-            f"character size {ms.total} disagrees with Weyl dimension {dim}"
-        )
-    return ms
+    size = sum(counts.values())
+    if size != dim:
+        raise AssertionError(f"character size {size} disagrees with Weyl dimension {dim}")
+    return tuple(sorted(counts.items()))
 
 
 def exterior_power(
-    ms: WeightMultiset, p: int, cap: Optional[int] = None
-) -> WeightMultiset:
+    ms: Iterable[Tuple[Weight, int]], p: int, cap: Optional[int] = None
+) -> Tuple[Tuple[Weight, int], ...]:
     """Weights of the p-th exterior power: sums over p-element sub-multisets."""
+    ms = _multiset(ms)
+    total = sum(m for _, m in ms)
     p = _index(p, "exterior power degree", ValueError)
-    if not 0 <= p <= ms.total:
-        raise ValueError(f"exterior power degree {p} outside 0..{ms.total}")
+    if not 0 <= p <= total:
+        raise ValueError(f"exterior power degree {p} outside 0..{total}")
     limit = resource_cap(cap)
-    check_cap("exterior power", comb(ms.total, p), limit)
+    check_cap("exterior power", comb(total, p), limit)
     elements: list[Weight] = []
     for w, m in ms:
         elements.extend([w] * m)
@@ -234,7 +207,7 @@ def exterior_power(
             for s, c in layers[k].items():
                 key = s + w
                 dest[key] = dest.get(key, 0) + c
-    return WeightMultiset(layers[p])
+    return tuple(sorted(layers[p].items()))
 
 
 def _product(
@@ -273,7 +246,7 @@ def _product(
 
 
 def decompose_levi(
-    ms: WeightMultiset, P: ParabolicSubgroup
+    ms: Iterable[Tuple[Weight, int]], P: ParabolicSubgroup
 ) -> Tuple[Tuple[Weight, int], ...]:
     """Decompose a W_I-stable multiset into Levi highest weights.
 
@@ -285,8 +258,9 @@ def decompose_levi(
     system = P.system
     pairs = system._simple_pairs
     retained = sorted(P.retained)
-    counts = ms.counts
-    for w, m in counts.items():
+    ms = _multiset(ms)
+    counts = dict(ms)
+    for w, m in ms:
         if len(w) != system.rank:
             make_weight(system, w)  # raises RootSystemError
         for i in retained:
@@ -294,7 +268,7 @@ def decompose_levi(
                 raise NotARepresentation(
                     f"multiplicity of {w!r} changes under the reflection at node {i}"
                 )
-    nets = _product(P, ((Weight((0,) * system.rank), 1, 1),), counts.items())
+    nets = _product(P, ((Weight((0,) * system.rank), 1, 1),), ms)
     for hw, n in nets.items():
         if n < 0:
             raise NotARepresentation(f"net multiplicity {n} for highest weight {hw!r}")
@@ -320,8 +294,6 @@ def _standard_exterior_powers(
     partial = list(accumulate(chain, initial=hw * 0))
     if len(set(steps)) == len(steps):  # GL_n: Lambda^p V = V(omega_p)
         return tuple(((w, 1),) for w in partial)
-    if steps != steps[::-1] or 2 * len(set(steps)) != n:
-        return None
     pair = chain[0] + chain[-1]  # Sp_n: w_1 + w_n, twice the character
     return tuple(tuple(sorted((partial[j] + pair * ((p - j) // 2), 1)
                               for j in range(p % 2, min(p, n - p) + 1, 2)))
@@ -329,17 +301,18 @@ def _standard_exterior_powers(
 
 
 def _exterior_power_summands(
-    ms: WeightMultiset, P: ParabolicSubgroup, cap: Optional[int] = None
+    weights: Tuple[Tuple[Weight, int], ...], P: ParabolicSubgroup, cap: Optional[int] = None
 ) -> Tuple[Tuple[Tuple[Weight, int], ...], ...]:
-    """Levi decomposition of every exterior power of a character V = ms.
+    """Levi decomposition of every exterior power of a character V, given as
+    its weight multiset.
 
-    Entry p (0..n, n = ms.total) lists the summands of Lambda^p V as
-    decompose_levi(exterior_power(ms, p), P) would, without listing the
+    Entry p (0..n, n = dim V) lists the summands of Lambda^p V as
+    decompose_levi(exterior_power(weights, p), P) would, without listing the
     weights of Lambda^p V.  For p <= n // 2, Newton's identity over the
     Adams operations, p Lambda^p = sum_{k=1..p} (-1)^(k-1) psi^k(V)
     Lambda^(p-k), is one product of the module notes over the terms
     (lambda, k, (-1)^(k-1) c), lambda of multiplicity c in Lambda^(p-k).
-    Degree p makes len(ms) straightenings per summand of the powers
+    Degree p makes len(weights) straightenings per summand of the powers
     below it, a count checked against the cap before the degree
     starts.  The wedge pairing into Lambda^n V = det V is perfect, so
     Lambda^(n-p) V = (Lambda^p V)^dual (x) det V: each summand hw of
@@ -348,8 +321,7 @@ def _exterior_power_summands(
     """
     limit = resource_cap(cap)
     system = P.system
-    weights = tuple(ms)
-    top = ms.total
+    top = sum(m for _, m in weights)
     powers: list[dict] = [{system.rho * 0: 1}]
     for p in range(1, top // 2 + 1):
         check_cap(

@@ -128,9 +128,7 @@ def _quotient_dimension(P: ParabolicSubgroup) -> int:
 
 
 def _fundamental(system: RootSystem, node: int) -> Weight:
-    return make_weight(
-        system, tuple(1 if j == node else 0 for j in range(1, system.rank + 1))
-    )
+    return Weight(int(j == node) for j in range(1, system.rank + 1))
 
 
 def _resolve(
@@ -271,16 +269,14 @@ def koszul_zero_locus_cohomology(
     Borel-Weil-Bott.  The twist must be a character of P (zero on every
     retained node), or O(twist) is no line bundle: ValueError otherwise.
     """
-    system = P.system
-    bundle_hw = make_weight(system, bundle_hw)
-    twist = make_weight(system, twist)
+    dual = dual_highest_weight(bundle_hw, P)  # validates bundle_hw
+    twist = make_weight(P.system, twist)
     for i in sorted(P.retained):
         if twist[i - 1]:
             raise ValueError(
                 f"twist {twist!r} is not a character of {P!r}: "
                 f"coordinate {twist[i - 1]} at retained node {i}"
             )
-    dual = dual_highest_weight(bundle_hw, P)
     powers = _standard_exterior_powers(P, dual)
     if powers is None:
         powers = _exterior_power_summands(weight_multiset(P, dual, cap=cap), P, cap=cap)

@@ -36,7 +36,6 @@ from roofcalc import (
     ParabolicSubgroup,
     RootSystem,
     Weight,
-    WeightMultiset,
     WeylElement,
     act,
     build_root_system,
@@ -261,7 +260,7 @@ def ordered_product(
 
 
 def standard_exterior_powers(
-    ms: WeightMultiset, P: ParabolicSubgroup
+    ms: Tuple[Tuple[Weight, int], ...], P: ParabolicSubgroup
 ) -> Tuple[Tuple[Tuple[Weight, int], ...], ...]:
     """Levi summands of Lambda^p V, p = 0..dim V, for V = ms the standard
     representation of one GL or Sp Levi factor twisted by a character.
@@ -277,7 +276,7 @@ def standard_exterior_powers(
     for j = p mod 2 up to min(p, n - p).  Raises AssertionError if ms is not
     such a chain.
     """
-    counts = ms.counts
+    counts = dict(ms)
     simple = [P.system.simple_roots[i - 1] for i in sorted(P.retained)]
     assert set(counts.values()) == {1}, "weights of V are not simple"
     tops = [w for w in counts if not any(w + alpha in counts for alpha in simple)]

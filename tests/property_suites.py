@@ -168,10 +168,10 @@ def suite_freudenthal_totals() -> int:
         if dim > 10_000:
             continue
         ms = weight_multiset(P, chi)
-        assert ms.total == dim, (system, P.crossed, chi)
-        assert ms.multiplicity(chi) == 1
+        assert sum(m for _, m in ms) == dim, (system, P.crossed, chi)
+        assert dict(ms)[chi] == 1
         lowest = act(longest_element(P), chi)
-        assert ms.multiplicity(lowest) == 1
+        assert dict(ms)[lowest] == 1
         assert decompose_levi(ms, P) == ((chi, 1),), (system, P.crossed, chi)
         cases += 1
     return cases
@@ -191,7 +191,7 @@ def suite_duality_involution() -> int:
         if weyl_dimension(P, chi) <= 300:
             ms = weight_multiset(P, chi)
             dual_ms = weight_multiset(P, dual)
-            assert dict(dual_ms.counts) == {-w: m for w, m in ms}
+            assert dict(dual_ms) == {-w: m for w, m in ms}
         cases += 1
     return cases
 
@@ -215,14 +215,14 @@ def suite_exterior_partition() -> int:
         ms = weight_multiset(P, chi)
         p = rng.randint(0, dim)
         power = exterior_power(ms, p)
-        assert power.total == comb(dim, p)
+        assert sum(m for _, m in power) == comb(dim, p)
         summands = decompose_levi(power, P)
         assert sum(m * weyl_dimension(P, hw) for hw, m in summands) == comb(dim, p)
         rebuilt: dict = {}
         for hw, m in summands:
             for w, c in weight_multiset(P, hw):
                 rebuilt[w] = rebuilt.get(w, 0) + m * c
-        assert rebuilt == dict(power.counts), (system, P.crossed, chi, p)
+        assert rebuilt == dict(power), (system, P.crossed, chi, p)
         cases += 1
     return cases
 
@@ -277,7 +277,7 @@ def suite_sparse_levi_walk() -> int:
         chi = random_dominant_weight(rng, P, lo=-3, hi=2)
         if weyl_dimension(P, chi) > 80:
             continue
-        weights = tuple(weight_multiset(P, chi))
+        weights = weight_multiset(P, chi)
         terms = [
             (random_dominant_weight(rng, P, lo=-3, hi=3), rng.randint(1, 4),
              rng.choice((-2, -1, 1, 2)))

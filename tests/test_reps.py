@@ -10,7 +10,6 @@ from roofcalc import (
     ResourceCapExceeded,
     RootSystemError,
     Weight,
-    WeightMultiset,
     build_root_system,
     decompose_levi,
     dual_highest_weight,
@@ -80,16 +79,16 @@ def test_adjoint_zero_weight_multiplicity_is_rank():
         system = build_root_system(label, rank)
         G = parabolic(system, ())
         ms = weight_multiset(G, make_weight(system, adjoint))
-        assert ms.multiplicity(Weight((0,) * rank)) == rank
-        assert ms.total == len(system.positive_roots) * 2 + rank
+        assert dict(ms)[Weight((0,) * rank)] == rank
+        assert sum(m for _, m in ms) == len(system.positive_roots) * 2 + rank
 
 
 def test_weight_multiset_of_defining_rep_c3():
     c3 = build_root_system("C", 3)
     ms = weight_multiset(parabolic(c3, ()), fund(c3, 1))
-    assert ms.total == 6
+    assert len(ms) == 6
     assert all(m == 1 for _, m in ms)
-    assert set(ms.counts) == {-w for w in ms.counts}
+    assert {w for w, _ in ms} == {-w for w, _ in ms}
 
 
 def test_dual_highest_weights():
@@ -120,12 +119,8 @@ def test_dual_for_levi_of_parabolic():
 def test_exterior_power_edges():
     c3 = build_root_system("C", 3)
     ms = weight_multiset(parabolic(c3, ()), fund(c3, 1))
-    top = exterior_power(ms, 6)
-    assert top.total == 1
-    assert top.multiplicity(Weight((0, 0, 0))) == 1
-    unit = exterior_power(ms, 0)
-    assert unit.total == 1
-    assert unit.multiplicity(Weight((0, 0, 0))) == 1
+    assert exterior_power(ms, 6) == ((Weight((0, 0, 0)), 1),)
+    assert exterior_power(ms, 0) == ((Weight((0, 0, 0)), 1),)
     with pytest.raises(ValueError):
         exterior_power(ms, 7)
     with pytest.raises(ValueError):
@@ -146,7 +141,7 @@ def test_decompose_levi_rejects_non_characters():
     G = parabolic(c3, ())
     # the defining character, made not W-stable; its straightening nets
     # {omega_1: 1} still match the size 6
-    unstable = dict(weight_multiset(G, fund(c3, 1)).counts)
+    unstable = dict(weight_multiset(G, fund(c3, 1)))
     del unstable[make_weight(c3, (-1, 1, 0))]
     unstable[make_weight(c3, (-1, 2, -1))] = 1
     # the bare W-orbit of 2 omega_1 is W-stable; its net at 0 is -1
@@ -154,12 +149,13 @@ def test_decompose_levi_rejects_non_characters():
     assert len(bare_orbit) == 6
     for counts in ({make_weight(c3, (1, 0, 0)): 1}, unstable, bare_orbit):
         with pytest.raises(NotARepresentation):
-            decompose_levi(WeightMultiset(counts), G)
-    with pytest.raises(ValueError, match="negative multiplicity -1"):
-        WeightMultiset({make_weight(c3, (1, 0, 0)): -1})
+            decompose_levi(counts.items(), G)
+    for call in (lambda ms: decompose_levi(ms, G), lambda ms: exterior_power(ms, 1)):
+        with pytest.raises(ValueError, match="negative multiplicity -1"):
+            call([(make_weight(c3, (1, 0, 0)), -1)])
     # weights of another rank are no weights of C3
     with pytest.raises(RootSystemError):
-        decompose_levi(WeightMultiset({(1, 0): 1}), G)
+        decompose_levi([((1, 0), 1)], G)
 
 
 def test_dominance_error_names_the_node():
@@ -177,7 +173,7 @@ def test_dominance_error_names_the_node():
     # crossed nodes are exempt from the dominance requirement
     P = parabolic(c3, (2,))
     ms = weight_multiset(P, make_weight(c3, (1, -1, 0)))
-    assert ms.total == weyl_dimension(P, (1, -1, 0)) == 2
+    assert sum(m for _, m in ms) == weyl_dimension(P, (1, -1, 0)) == 2
 
 
 def test_weight_multiset_takes_a_plain_tuple():
@@ -185,7 +181,7 @@ def test_weight_multiset_takes_a_plain_tuple():
     G = parabolic(c2, ())
     ms = weight_multiset(G, (1, 0))
     assert ms == weight_multiset(G, make_weight(c2, (1, 0)))
-    assert ms.total == weyl_dimension(G, (1, 0)) == 4
+    assert sum(m for _, m in ms) == weyl_dimension(G, (1, 0)) == 4
     # outside data is checked where it enters, before any work
     for bad in ((1.0, 0), (1, 0, 0), (1,)):
         with pytest.raises(RootSystemError):
@@ -232,7 +228,7 @@ def test_exterior_powers_have_binomial_dimensions_and_dual_halves():
         for node in fam.crossed_pair:
             P = parabolic(system, (node,))
             ms = weight_multiset(P, dual_highest_weight(fam.bundle_weight, P))
-            n = ms.total
+            n = sum(m for _, m in ms)
             det = Weight(tuple(sum(m * w[i] for w, m in ms) for i in range(system.rank)))
             powers = _exterior_power_summands(ms, P)
             assert len(powers) == n + 1, (label, node)
@@ -281,8 +277,3 @@ def test_rho_levi_product_is_the_factorial_product_of_the_degrees():
             cases += 1
     assert cases == 1544
 
-
-def test_weight_multiset_membership():
-    ms = WeightMultiset({(0, 1): 1, (1, -1): 2, (2, 2): 0})
-    assert Weight((0, 1)) in ms and (1, -1) in ms
-    assert (2, 2) not in ms and Weight((1, 1)) not in ms

@@ -7,8 +7,8 @@ from roofcalc import (
     ResourceCapExceeded,
     RootSystemError,
     Weight,
-    WeightMultiset,
     build_root_system,
+    decompose_levi,
     exterior_power,
     from_word,
     igr_class,
@@ -297,13 +297,15 @@ def test_outside_data_is_validated_at_the_boundary():
         lambda: Weight((1, 2)) + (0.5, 0),
         lambda: make_weight(c3, (1.5, 0, 0)),
         lambda: reflect(c3, (1, "a", 0), 1),
-        lambda: WeightMultiset({(0.5,): 1}),
+        lambda: exterior_power([((0.5,), 1)], 1),
+        lambda: decompose_levi([((0.5, 0, 0), 1)], P),
         lambda: orbit((1.5, 0, 0), P),
     ):
         with pytest.raises(RootSystemError):
             bad()
-    with pytest.raises(RootSystemError, match=r"lengths \[2, 3\]"):
-        WeightMultiset({(1, 0): 1, (1, 0, 0): 1})
+    for call in (lambda ms: exterior_power(ms, 1), lambda ms: decompose_levi(ms, P)):
+        with pytest.raises(RootSystemError, match=r"lengths \[2, 3\]"):
+            call([((1, 0), 1), ((1, 0, 0), 1)])
     # arithmetic on validated weights stays a Weight of ints, unchecked or not
     a = Weight((1, -2, 3))
     for result in (a + a, a - a, -a, 2 * a, a + (0, 1, 1), (0, 1, 1) + a, a - (0, 1, 1)):
@@ -323,7 +325,9 @@ def test_outside_data_is_validated_at_the_boundary():
         ),
         lambda: resource_cap(2.5),
         lambda: LPolynomial((1.5, 2)),
-        lambda: WeightMultiset({Weight((1, 0)): 1.5}),
+        lambda: decompose_levi(
+            [(Weight((1, 0)), 1.5)], parabolic(build_root_system("C", 2), ())
+        ),
         lambda: igr_point_count(1, 2, 2.0),
         lambda: igr_class(1.5, 2),
         lambda: from_word(build_root_system("A", 3), (1.0,)),
@@ -335,7 +339,7 @@ def test_outside_data_is_validated_at_the_boundary():
     ),
     ids=(
         "build_root_system", "parabolic", "roof_data", "exterior_power", "resource_cap",
-        "LPolynomial", "WeightMultiset", "igr_point_count", "igr_class", "from_word",
+        "LPolynomial", "decompose_levi", "igr_point_count", "igr_class", "from_word",
         "reflect", "pair", "roof_identity_residual", "projective_space",
         "LPolynomial_call",
     ),
