@@ -24,9 +24,10 @@ the cutting section, splits every term into Levi irreducibles, in closed
 form for a GL or Sp standard dual bundle (every catalog side), else by
 Newton's identity in the character basis up to the middle degree and by
 duality, Lambda^(n-p) = (Lambda^p)^dual (x) det, above it (no weight of
-an exterior power is listed), pushes each summand through
-Borel-Weil-Bott, and reads off H^*(Z_i, O(1)) whenever the first page of
-the resulting spectral sequence visibly degenerates.  For zero loci of
+an exterior power is listed), hands each Levi-dominant summand, twisted
+and rho-shifted, to the Borel-Weil-Bott chamber step of bwb without
+checking it again, and reads off H^*(Z_i, O(1)) whenever the first page
+of the resulting spectral sequence visibly degenerates.  For zero loci of
 dimension at least 3 the ample generator restricts from
 the base and any isomorphism Z_1 = Z_2 would match the two O(1)
 polarizations, so unequal H^0 dimensions witness Z_1 != Z_2 and make
@@ -39,9 +40,10 @@ Inconclusive rather than guessed from Euler characteristics.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .bwb import SINGLE, bwb
+from .bwb import _bott
 from .limits import _index
 from .motive import LPolynomial, class_of_quotient, igr_class, roof_identity_residual
 from .reps import (
@@ -265,9 +267,10 @@ def koszul_zero_locus_cohomology(
     bundle_hw; the Koszul complex twists O(twist) by the exterior
     powers of the dual bundle, whose Levi decompositions come in closed
     form (reps._standard_exterior_powers) or else in one Newton pass
-    (reps._exterior_power_summands).  Every summand goes through
-    Borel-Weil-Bott.  The twist must be a character of P (zero on every
-    retained node), or O(twist) is no line bundle: ValueError otherwise.
+    (reps._exterior_power_summands).  bwb's chamber step takes every
+    summand unchecked, as built Levi-dominant.  The twist must be a
+    character of P (zero on every retained node), or O(twist) is no line
+    bundle: ValueError otherwise.
     """
     dual = dual_highest_weight(bundle_hw, P)  # validates bundle_hw
     twist = make_weight(P.system, twist)
@@ -280,13 +283,15 @@ def koszul_zero_locus_cohomology(
     powers = _standard_exterior_powers(P, dual)
     if powers is None:
         powers = _exterior_power_summands(weight_multiset(P, dual, cap=cap), P, cap=cap)
+    G = parabolic(P.system, ())
+    shift = twist + P.system.rho
     cells: Dict[Tuple[int, int], int] = {}
     for p, summands in enumerate(powers):
         for hw, mult in summands:
-            res = bwb(P, hw + twist)
-            if res.status == SINGLE:
-                key = (p, res.degree)
-                cells[key] = cells.get(key, 0) + mult * res.dimension
+            step = _bott(G, list(map(add, hw, shift)))
+            if step is not None:
+                key = (p, step[0])
+                cells[key] = cells.get(key, 0) + mult * step[1]
     page = tuple(sorted((p, q, d) for (p, q), d in cells.items()))
     if not _collision_free(page):
         return KoszulResult(INCONCLUSIVE, page, None, None)

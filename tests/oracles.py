@@ -5,8 +5,9 @@ Weyl enumeration closes under plain multiplication and deduplicates by
 group action, so it can arbitrate coset counts and orbit sizes without
 touching the probe-orbit machinery.  The second implementations that no
 command needs live here too: the Weyl length from its definition, the
-dot action, the per-degree sum of bwb, Borel-Weil-Bott by the chamber
-walk on every type, general long division of Lefschetz polynomials,
+dot action, the per-degree sum of bwb, the Koszul page that sends every
+summand through the public bwb, Borel-Weil-Bott by the chamber walk on
+every type, general long division of Lefschetz polynomials,
 the chamber walk that rescans the nodes before every letter, the
 Brauer-Klimyk product by that walk, the
 closed-form exterior powers of a standard representation, the
@@ -28,10 +29,13 @@ from typing import (
 )
 
 from roofcalc import (
+    DETERMINED,
+    INCONCLUSIVE,
     SINGLE,
     VANISHES,
     CohomologyResult,
     ExactDivisionError,
+    KoszulResult,
     LPolynomial,
     ParabolicSubgroup,
     RootSystem,
@@ -43,6 +47,7 @@ from roofcalc import (
     compose,
     dual_highest_weight,
     from_word,
+    koszul_zero_locus_cohomology,
     make_weight,
     minimal_coset_reps,
     parabolic,
@@ -52,6 +57,7 @@ from roofcalc import (
     weyl_dimension,
 )
 from roofcalc.reps import _exterior_power_summands, _standard_exterior_powers
+from roofcalc.roofs import _collision_free
 from roofcalc.rootsys import _TYPES, RootData, SimplePairs, _apply, _positive_root_closure
 from roofcalc.weyl import coset_count, height_exponents, levi_root_data, straighten
 
@@ -186,6 +192,52 @@ def walk_bwb(P: ParabolicSubgroup, chi: Weight) -> CohomologyResult:
         return CohomologyResult(status=VANISHES)
     return CohomologyResult(SINGLE, len(letters), image - system.rho,
                             _weyl_product(system.root_data, image))
+
+
+def reference_koszul_page(
+    P: ParabolicSubgroup, bundle_hw, twist, cap=None
+) -> KoszulResult:
+    """roofs.koszul_zero_locus_cohomology with every summand through the
+    public bwb(P, hw + twist), which checks it again and builds a Weight
+    and a CohomologyResult, where production takes bwb's chamber step on
+    the trusted rho-shifted list."""
+    dual = dual_highest_weight(bundle_hw, P)
+    twist = make_weight(P.system, twist)
+    powers = _standard_exterior_powers(P, dual)
+    if powers is None:
+        powers = _exterior_power_summands(weight_multiset(P, dual, cap=cap), P, cap=cap)
+    cells: Dict[Tuple[int, int], int] = {}
+    for p, summands in enumerate(powers):
+        for hw, mult in summands:
+            res = bwb(P, hw + twist)
+            if res.status == SINGLE:
+                key = (p, res.degree)
+                cells[key] = cells.get(key, 0) + mult * res.dimension
+    page = tuple(sorted((p, q, d) for (p, q), d in cells.items()))
+    if not _collision_free(page):
+        return KoszulResult(INCONCLUSIVE, page, None, None)
+    totals: Dict[int, int] = {}
+    for p, q, d in page:
+        totals[q - p] = totals.get(q - p, 0) + d
+    return KoszulResult(DETERMINED, page, tuple(sorted(totals.items())), totals.get(0, 0))
+
+
+def check_koszul_pages(label: str, r=None) -> int:
+    """Assert that koszul_zero_locus_cohomology equals reference_koszul_page
+    on both sides of a roof family, each twisted by the fundamental weight
+    of its crossed node as in roof verify; return the number of sides.
+
+        PYTHONPATH=src:tests python -W error -c \
+            "from oracles import check_koszul_pages as c; c('C', 60)"
+    """
+    fam = roof_data(label, r)
+    system = build_root_system(fam.group_type, fam.group_rank)
+    for node in fam.crossed_pair:
+        P = parabolic(system, (node,))
+        twist = Weight(int(i == node) for i in range(1, system.rank + 1))
+        got = koszul_zero_locus_cohomology(P, fam.bundle_weight, twist)
+        assert got == reference_koszul_page(P, fam.bundle_weight, twist), (label, r, node)
+    return len(fam.crossed_pair)
 
 
 def exact_div(self: LPolynomial, other: LPolynomial) -> LPolynomial:

@@ -360,7 +360,7 @@ def suite_chamber_arithmetic() -> int:
         cases += 1
     assert vanishes >= 30 and cases - vanishes >= 30 and spin >= 15, (vanishes, spin)
     gl = sp = none = 0
-    for system, crossed, hw in _NOT_STANDARD:  # D spin, Lambda^2, Sym^2, C2 omega_2, adjoints
+    for system, crossed, hw in NOT_STANDARD:  # D spin, Lambda^2, Sym^2, C2 omega_2, adjoints
         P = parabolic(build_root_system(*system), crossed)
         assert _standard_exterior_powers(P, Weight(hw)) is None, (system, crossed, hw)
         assert not _is_standard(weight_multiset(P, hw), P), (system, crossed, hw)
@@ -399,7 +399,7 @@ def suite_chamber_arithmetic() -> int:
 
 
 # (type, rank), crossed nodes, highest weight: V is no GL or Sp standard
-_NOT_STANDARD = (
+NOT_STANDARD = (
     (("D", 5), (), (0, 0, 0, 0, 1)),  # a spin representation of D5
     (("D", 5), (1,), (-2, 0, 0, 1, 0)),  # a spin representation of the D4 Levi
     (("A", 4), (), (0, 1, 0, 0)),  # Lambda^2 of the standard

@@ -126,6 +126,8 @@ def test_record_repr_equality_and_hash(kind):
     assert repr(a) == text
     assert a == b and not a != b and hash(a) == hash(b)
     assert a != c and not a == c
+    if kind is WeylElement:
+        assert repr(c) == "WeylElement(identity)"
     if kind is RootSystem:
         assert a is b
         assert hash(a) == object.__hash__(a)

@@ -31,7 +31,8 @@ from roofcalc import (
 from roofcalc.reps import _exterior_power_summands
 from roofcalc.roofs import _collision_free
 
-from oracles import check_closed_form_exterior_powers
+from oracles import check_closed_form_exterior_powers, check_koszul_pages, reference_koszul_page
+from property_suites import NOT_STANDARD
 
 JSON_KEYS = {
     "family", "r", "group", "crossed_pair", "roof_rank", "base_dims",
@@ -163,6 +164,27 @@ def test_koszul_consistency_when_higher_terms_vanish():
                 expected = {base.degree: base.dimension} if base.status == SINGLE else {}
                 assert res.status == DETERMINED
                 assert dict(res.cohomology) == expected
+
+
+def test_koszul_page_matches_the_reference_page():
+    # the page's shared chamber step against public bwb on every summand
+    # (oracles.reference_koszul_page): both sides of catalog members, whose
+    # pages take the closed form except on F4 and G2, then Newton's
+    # identity on bundles whose V is no standard representation, twisted
+    # by characters of either sign; C r=60 and D r=120 run in CI only
+    members = [("C", r) for r in (*range(1, 9), 24)] + [("D", r) for r in (*range(4, 13), 30)]
+    members += [("A_M", r) for r in (*range(2, 13), 60)] + [("A_G", r) for r in (*range(2, 6), 10)]
+    members += [("F4", None), ("G2", None)]
+    assert sum(check_koszul_pages(label, r) for label, r in members) == 2 * len(members)
+    degrees = set()  # BWB degrees q on these pages
+    for system, crossed, hw in NOT_STANDARD + ((("A", 4), (1,), (0, 0, 1, 0)),):
+        P = parabolic(build_root_system(*system), crossed)
+        for k in (1, -3):
+            twist = tuple(k * (i in crossed) for i in range(1, system[1] + 1))
+            got = koszul_zero_locus_cohomology(P, hw, twist)
+            assert got == reference_koszul_page(P, hw, twist), (system, crossed, hw, k)
+            degrees.update(q for _, q, _ in got.first_page)
+    assert degrees == {0, 1, 3, 4}
 
 
 def test_newton_exterior_powers_match_enumeration():
